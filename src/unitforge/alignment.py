@@ -350,10 +350,11 @@ def answer_question(model: OmniModel, image_feats, q_rows: Tensor) -> int:
 def qa_accuracy(model: OmniModel, records, spoken: bool) -> float:
     hits = 0
     for rec in records:
-        if spoken:
-            q_rows = model.speech(decode_f32(rec["q_speech"]))
-        else:
-            q_rows = model._text_rows(rec["q_tokens"])
+        with T.no_grad():
+            if spoken:
+                q_rows = model.speech(decode_f32(rec["q_speech"]))
+            else:
+                q_rows = model._text_rows(rec["q_tokens"])
         pred = answer_question(model, decode_f32(rec["image"]), q_rows)
         hits += int(pred == rec["a_tokens"][0])
     return hits / len(records)

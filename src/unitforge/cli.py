@@ -390,8 +390,7 @@ def _train_dpo(args) -> int:
     sched_kw = _take(cfg, {"lr": "lr", "steps": "steps", "batch": "batch",
                            "warmup": "warmup_ratio", "log_every": "log_every"})
     sched_kw["seed"] = cfg.pop("seed", 0)
-    dpo_cfg = DpoConfig(beta=cfg.pop("beta", 0.1),
-                        reference_checkpoint=args.init)
+    dpo_cfg = DpoConfig(beta=cfg.pop("beta", 0.1))
     if cfg:
         raise ConfigurationError(f"unknown config keys {sorted(cfg)} for dpo")
     metrics = train_dpo(policy, reference, pairs, dpo_cfg,

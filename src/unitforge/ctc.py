@@ -4,6 +4,16 @@ greedy / prefix-beam decoding, and a path-enumeration brute-force oracle.
 Blank id is 0. The loss consumes log-probabilities (callers apply
 log_softmax); the lattice is purely additive in log space. Structurally
 unreachable lattice cells hold the NEG_INF sentinel.
+
+Alpha and beta run as one recursion over T on a [2, S] state. Read
+backwards in time and in state, beta obeys alpha's recursion (stay,
+step from s-1, skip from s-2), so row 0 carries alpha forward from the
+first frame while row 1 carries beta back from the last, and each frame
+costs one set of [2, S] log-space ops into preallocated buffers. Skips
+are gated by an additive 0/-inf mask, whose row 1 is the skip pattern of
+the reversed target. The elementwise ops run in the same order as in
+two separate recursions, so alpha, beta and log_z are bit-identical to
+them.
 """
 
 from __future__ import annotations
@@ -92,6 +102,14 @@ def _sanitize(table: np.ndarray) -> np.ndarray:
     return out
 
 
+def _skip_mask(ext: np.ndarray) -> np.ndarray:
+    """0 where the skip s-2 -> s is allowed (ext[s] is a label differing
+    from ext[s-2]), -inf where it is not."""
+    mask = np.full(ext.shape[0], -np.inf)
+    mask[2:][(ext[2:] != BLANK) & (ext[2:] != ext[:-2])] = 0.0
+    return mask
+
+
 def compute_lattice(log_probs: np.ndarray, target) -> AlignmentLattice:
     """Forward/backward DP; raises if the target cannot fit in T frames."""
     units = _as_units(target)
@@ -104,41 +122,23 @@ def compute_lattice(log_probs: np.ndarray, target) -> AlignmentLattice:
     s_len = ext.shape[0]
     emit = log_probs[:, ext]  # [T, S]
 
-    # skip transition s-2 -> s allowed when ext[s] is a label differing
-    # from ext[s-2]
-    can_skip = np.zeros(s_len, dtype=bool)
-    if s_len > 2:
-        can_skip[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
-
-    ninf = -np.inf
-    alpha = np.full((t_len, s_len), ninf)
-    alpha[0, 0] = emit[0, 0]
-    if s_len > 1:
-        alpha[0, 1] = emit[0, 1]
+    # row 0 is alpha, row 1 is beta reversed in time and state, whose
+    # skips follow the reversed target (module docstring). Two -inf pad
+    # columns stand in for the missing s-1 / s-2 predecessors.
+    skip_mask = np.stack((_skip_mask(ext), _skip_mask(ext[::-1])))
+    emit2 = np.stack((emit, emit[::-1, ::-1]), axis=1)  # [T, 2, S]
+    lat = np.full((t_len, 2, s_len + 2), -np.inf)
+    lat[0, :, 2:4] = emit2[0, :, :2]
+    acc = np.empty((2, s_len))
+    skip = np.empty((2, s_len))
     for t in range(1, t_len):
-        prev = alpha[t - 1]
-        stay = prev
-        step = np.concatenate(([ninf], prev[:-1]))
-        acc = np.logaddexp(stay, step)
-        skip = np.full(s_len, ninf)
-        if s_len > 2:
-            skip[2:] = prev[:-2]
-        skip = np.where(can_skip, skip, ninf)
-        alpha[t] = emit[t] + np.logaddexp(acc, skip)
-
-    beta = np.full((t_len, s_len), ninf)
-    beta[t_len - 1, s_len - 1] = emit[t_len - 1, s_len - 1]
-    if s_len > 1:
-        beta[t_len - 1, s_len - 2] = emit[t_len - 1, s_len - 2]
-    for t in range(t_len - 2, -1, -1):
-        nxt = beta[t + 1]
-        stay = nxt
-        step = np.concatenate((nxt[1:], [ninf]))
-        acc = np.logaddexp(stay, step)
-        skip = np.full(s_len, ninf)
-        if s_len > 2:
-            skip[:-2] = np.where(can_skip[2:], nxt[2:], ninf)
-        beta[t] = emit[t] + np.logaddexp(acc, skip)
+        prev = lat[t - 1]
+        np.logaddexp(prev[:, 2:], prev[:, 1:-1], out=acc)
+        np.add(prev[:, :-2], skip_mask, out=skip)
+        np.logaddexp(acc, skip, out=acc)
+        np.add(emit2[t], acc, out=lat[t, :, 2:])
+    alpha = lat[:, 0, 2:]
+    beta = lat[::-1, 1, :1:-1]
 
     if s_len > 1:
         log_z = np.logaddexp(alpha[t_len - 1, s_len - 1], alpha[t_len - 1, s_len - 2])
@@ -173,8 +173,7 @@ def ctc_loss(log_probs: Tensor, target) -> Tensor:
         occ[lattice.beta <= NEG_INF] = -np.inf
         post = np.exp(occ)
         grad = np.zeros((t_len, v))
-        for s, label in enumerate(ext):
-            grad[:, label] += post[:, s]
+        np.add.at(grad, (slice(None), ext), post)
         return [(log_probs, -float(np.asarray(g).reshape(())) * grad)]
 
     return T.record_custom("ctc_loss", out, bwd, log_probs)

@@ -41,7 +41,6 @@ class PreferencePair:
 @dataclass
 class DpoConfig:
     beta: float = 0.1
-    reference_checkpoint: str | None = None
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -80,26 +79,44 @@ def _assert_frozen(reference: SpeechDecoder):
         raise ContractError("reference decoder must be frozen for DPO")
 
 
-def ctc_dpo_loss(policy: SpeechDecoder, reference: SpeechDecoder,
-                 pair: PreferencePair, beta: float) -> Tensor:
-    """-log sigmoid(beta * ((llw* - llw_ref) - (lll* - lll_ref)))."""
-    _assert_frozen(reference)
-    ll_w, ll_l = _pair_log_likelihoods(policy, pair)
+def _scores(model: SpeechDecoder, pairs) -> list:
+    """[(log p(y_w), log p(y_l))] per pair, off one no-grad forward each."""
     with T.no_grad():
-        ref_w, ref_l = _pair_log_likelihoods(reference, pair)
+        return [tuple(ll.item() for ll in _pair_log_likelihoods(model, pair))
+                for pair in pairs]
+
+
+def _dpo_term(ll_w: Tensor, ll_l: Tensor, ref_w: float, ref_l: float,
+              beta: float) -> Tensor:
+    """-log sigmoid(beta * ((llw* - llw_ref) - (lll* - lll_ref))); the
+    reference log-likelihoods enter as constants."""
     margin = T.scale(
-        T.sub(T.sub(ll_w, Tensor(ref_w.data)), T.sub(ll_l, Tensor(ref_l.data))),
+        T.sub(T.sub(ll_w, Tensor(ref_w)), T.sub(ll_l, Tensor(ref_l))),
         beta,
     )
     return T.softplus(T.scale(margin, -1.0))
 
 
+def ctc_dpo_loss(policy: SpeechDecoder, reference: SpeechDecoder,
+                 pair: PreferencePair, beta: float) -> Tensor:
+    """-log sigmoid(beta * ((llw* - llw_ref) - (lll* - lll_ref)))."""
+    _assert_frozen(reference)
+    ll_w, ll_l = _pair_log_likelihoods(policy, pair)
+    return _dpo_term(ll_w, ll_l, *_scores(reference, [pair])[0], beta)
+
+
+def _margins(scores, ref_scores) -> list:
+    return [(w - ref_w) - (l - ref_l)
+            for (w, l), (ref_w, ref_l) in zip(scores, ref_scores)]
+
+
+def _accuracy(scores) -> float:
+    return sum(w > l for w, l in scores) / len(scores)
+
+
 def pair_margin(policy: SpeechDecoder, reference: SpeechDecoder,
                 pair: PreferencePair) -> float:
-    with T.no_grad():
-        ll_w, ll_l = _pair_log_likelihoods(policy, pair)
-        ref_w, ref_l = _pair_log_likelihoods(reference, pair)
-    return (ll_w.item() - ref_w.item()) - (ll_l.item() - ref_l.item())
+    return _margins(_scores(policy, [pair]), _scores(reference, [pair]))[0]
 
 
 def preference_accuracy(policy: SpeechDecoder, pairs) -> float:
@@ -107,13 +124,7 @@ def preference_accuracy(policy: SpeechDecoder, pairs) -> float:
     pairs = list(pairs)
     if not pairs:
         raise ContractError("preference_accuracy: empty pair set")
-    wins = 0
-    with T.no_grad():
-        for pair in pairs:
-            ll_w, ll_l = _pair_log_likelihoods(policy, pair)
-            if ll_w.item() > ll_l.item():
-                wins += 1
-    return wins / len(pairs)
+    return _accuracy(_scores(policy, pairs))
 
 
 @dataclass
@@ -130,10 +141,13 @@ def train_dpo(policy: SpeechDecoder, reference: SpeechDecoder, pairs,
               config: DpoConfig, schedule: DpoSchedule):
     """Returns metrics rows [(step, loss, mean_margin, pref_accuracy)].
 
-    The reference stays frozen; only policy parameters move.
+    The reference stays frozen; only policy parameters move. Its
+    log-likelihoods are therefore scored once per pair, up front, and
+    reused by every step's loss and every logging pass.
     """
     _assert_frozen(reference)
     pairs = list(pairs)
+    ref = _scores(reference, pairs)
     # the text-conditioning pathway is bypassed here, so the fusion module
     # and text embedding never receive gradients
     params = {k: v for k, v in policy.parameters().items()
@@ -147,7 +161,8 @@ def train_dpo(policy: SpeechDecoder, reference: SpeechDecoder, pairs,
                          replace=False)
         loss = None
         for i in idx:
-            term = ctc_dpo_loss(policy, reference, pairs[i], config.beta)
+            ll_w, ll_l = _pair_log_likelihoods(policy, pairs[i])
+            term = _dpo_term(ll_w, ll_l, *ref[i], config.beta)
             loss = term if loss is None else T.add(loss, term)
         loss = T.scale(loss, 1.0 / len(idx))
         opt.zero_grad()
@@ -156,10 +171,10 @@ def train_dpo(policy: SpeechDecoder, reference: SpeechDecoder, pairs,
                        schedule.warmup_ratio)
         opt.step(lr=lr)
         if step % schedule.log_every == 0 or step == schedule.steps - 1:
-            margins = [pair_margin(policy, reference, p) for p in pairs]
-            acc = preference_accuracy(policy, pairs)
+            scores = _scores(policy, pairs)
             metrics.append((step, float(loss.item()),
-                            float(np.mean(margins)), acc))
+                            float(np.mean(_margins(scores, ref))),
+                            _accuracy(scores)))
         else:
             metrics.append((step, float(loss.item()), math.nan, math.nan))
     T.reset_tape()

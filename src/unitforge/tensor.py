@@ -64,10 +64,6 @@ _ACTIVE_TAPE = Tape()
 _GRAD_ENABLED = True
 
 
-def active_tape() -> Tape:
-    return _ACTIVE_TAPE
-
-
 def reset_tape():
     _ACTIVE_TAPE.clear()
 
@@ -125,19 +121,8 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def zeros(shape, requires_grad=False):
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def zeros_like(t: Tensor):
-    return Tensor(np.zeros_like(t.data))
 
 
 def _tracked(*tensors):
@@ -497,40 +482,6 @@ def tmean(x: Tensor) -> Tensor:
         return [(x, np.full_like(x.data, float(g) / n))]
 
     return _record("mean", out, bwd, x)
-
-
-_PRIMITIVES = {
-    "matmul": matmul,
-    "transpose": transpose,
-    "add": add,
-    "mul": mul,
-    "scale": scale,
-    "add_rowvec": add_rowvec,
-    "mul_rowvec": mul_rowvec,
-    "scale_rows": scale_rows,
-    "concat_last_dim": concat_last_dim,
-    "concat_rows": concat_rows,
-    "repeat_rows": repeat_rows,
-    "embedding_lookup": embedding_lookup,
-    "gather_rows": gather_rows,
-    "take_per_row": take_per_row,
-    "softmax_last_dim": softmax_last_dim,
-    "log_softmax_last_dim": log_softmax_last_dim,
-    "logsumexp_last_dim": logsumexp_last_dim,
-    "layer_norm_last_dim": layer_norm_last_dim,
-    "sigmoid": sigmoid,
-    "softplus": softplus,
-    "relu": relu,
-    "sum": tsum,
-    "mean": tmean,
-}
-
-
-def primitive_forward(kind: str, *inputs, **kwargs) -> Tensor:
-    """Dispatch by op name; the functional entry point used by tests."""
-    if kind not in _PRIMITIVES:
-        raise ContractError(f"unknown primitive kind {kind!r}")
-    return _PRIMITIVES[kind](*inputs, **kwargs)
 
 
 def record_custom(kind, out: Tensor, backward_fn, *inputs) -> Tensor:

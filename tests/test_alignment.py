@@ -259,6 +259,12 @@ def test_untrained_probe_similarity_is_near_zero(corpora):
     assert max(abs(s) for s in sims) <= 0.1
 
 
+def test_probe_leaves_the_tape_empty(corpora):
+    with T.fresh_tape() as tape:
+        quasi_zero_shot_probe(small_model(), corpora["probe"])
+    assert len(tape) == 0
+
+
 def test_qa_accuracy_counts_first_answer_token(corpora):
     model = small_model()
     acc = qa_accuracy(model, corpora["probe"], spoken=False)

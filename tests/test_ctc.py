@@ -198,6 +198,110 @@ def test_lattice_time_slice_invariant():
         assert total == pytest.approx(lat.log_z, abs=1e-9)
 
 
+def two_loop_lattice(log_probs, target):
+    """The separate alpha and beta recursions that the fused [2, S]
+    recursion of ``compute_lattice`` replaced, kept as its reference."""
+    units = tuple(target)
+    t_len, _ = log_probs.shape
+    ext = extended_target(units)
+    s_len = ext.shape[0]
+    emit = log_probs[:, ext]
+    can_skip = np.zeros(s_len, dtype=bool)
+    if s_len > 2:
+        can_skip[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
+
+    ninf = -np.inf
+    alpha = np.full((t_len, s_len), ninf)
+    alpha[0, 0] = emit[0, 0]
+    if s_len > 1:
+        alpha[0, 1] = emit[0, 1]
+    for t in range(1, t_len):
+        prev = alpha[t - 1]
+        stay = prev
+        step = np.concatenate(([ninf], prev[:-1]))
+        acc = np.logaddexp(stay, step)
+        skip = np.full(s_len, ninf)
+        if s_len > 2:
+            skip[2:] = prev[:-2]
+        skip = np.where(can_skip, skip, ninf)
+        alpha[t] = emit[t] + np.logaddexp(acc, skip)
+
+    beta = np.full((t_len, s_len), ninf)
+    beta[t_len - 1, s_len - 1] = emit[t_len - 1, s_len - 1]
+    if s_len > 1:
+        beta[t_len - 1, s_len - 2] = emit[t_len - 1, s_len - 2]
+    for t in range(t_len - 2, -1, -1):
+        nxt = beta[t + 1]
+        stay = nxt
+        step = np.concatenate((nxt[1:], [ninf]))
+        acc = np.logaddexp(stay, step)
+        skip = np.full(s_len, ninf)
+        if s_len > 2:
+            skip[:-2] = np.where(can_skip[2:], nxt[2:], ninf)
+        beta[t] = emit[t] + np.logaddexp(acc, skip)
+
+    if s_len > 1:
+        log_z = np.logaddexp(alpha[t_len - 1, s_len - 1], alpha[t_len - 1, s_len - 2])
+    else:
+        log_z = alpha[t_len - 1, s_len - 1]
+
+    def sanitize(table):
+        out = table.copy()
+        out[~np.isfinite(out)] = NEG_INF
+        out[out < NEG_INF] = NEG_INF
+        return out
+
+    return sanitize(alpha), sanitize(beta), float(log_z)
+
+
+@st.composite
+def lattice_case(draw):
+    """Log-probs with optional -inf cells, and a target of 0..T labels
+    (repeats likely at small V); the target may not fit in T frames."""
+    t = draw(st.integers(1, 12))
+    v = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    lp = random_lp(rng, t, v)
+    lp[rng.random((t, v)) < draw(st.sampled_from([0.0, 0.1, 0.4]))] = -np.inf
+    y = draw(st.lists(st.integers(1, v - 1), max_size=t))
+    return lp, y
+
+
+@given(lattice_case())
+@settings(max_examples=300, deadline=None)
+def test_fused_lattice_equals_two_loop_recursion(case):
+    lp, y = case
+    if min_frames(tuple(y)) > lp.shape[0]:
+        with pytest.raises(InfeasibleAlignmentError):
+            compute_lattice(lp, y)
+        return
+    alpha, beta, log_z = two_loop_lattice(lp, y)
+    lat = compute_lattice(lp, y)
+    assert np.array_equal(lat.alpha, alpha)
+    assert np.array_equal(lat.beta, beta)
+    assert lat.log_z == log_z or (math.isnan(log_z) and math.isnan(lat.log_z))
+
+
+@given(lattice_case())
+@settings(max_examples=100, deadline=None)
+def test_ctc_gradient_scatter_equals_per_label_loop(case):
+    lp, y = case
+    if min_frames(tuple(y)) > lp.shape[0]:
+        return
+    x = Tensor(lp, requires_grad=True)
+    with T.fresh_tape():
+        T.backward(ctc_loss(x, y))
+    lat = compute_lattice(lp, y)
+    occ = lat.alpha + lat.beta - lp[:, lat.extended_target] - lat.log_z
+    occ[lat.alpha <= NEG_INF] = -np.inf
+    occ[lat.beta <= NEG_INF] = -np.inf
+    post = np.exp(occ)
+    grad = np.zeros_like(lp)
+    for s, label in enumerate(lat.extended_target):
+        grad[:, label] += post[:, s]
+    assert np.array_equal(x.grad, -grad, equal_nan=True)
+
+
 def test_lattice_unreachable_cells_are_sentinel():
     lat = compute_lattice(uniform_lp(2, 3), (1, 2))
     # frame 0 can only occupy states 0..1; the final label is unreachable

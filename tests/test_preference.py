@@ -13,7 +13,7 @@ from unitforge.preference import (DpoConfig, DpoSchedule, PreferencePair,
                                   ctc_dpo_loss, pair_margin,
                                   pairs_from_records, policy_log_likelihood,
                                   preference_accuracy, train_dpo)
-from unitforge.tensor import AdamW, check_parameter_gradients
+from unitforge.tensor import AdamW, check_parameter_gradients, warmup_lr
 
 TINY = dict(mode="nar", layers=1, experts=2, model_dim=8, heads=2,
             vocab_nar=12, vocab_ar=16, upsample=2, max_context=6,
@@ -196,3 +196,58 @@ def test_train_dpo_improves_margin_and_accuracy():
     margins = [pair_margin(policy, reference, p) for p in pairs]
     assert np.mean(margins) > 0.0
     assert preference_accuracy(policy, pairs) >= 0.5
+
+
+def uncached_train_dpo(policy, reference, pairs, config, schedule):
+    """The DPO loop that re-scored the reference at every step and logged
+    through ``pair_margin`` and ``preference_accuracy``; the reference
+    for ``train_dpo``'s cached scoring."""
+    params = {k: v for k, v in policy.parameters().items()
+              if not k.startswith(("tgm.", "txt."))}
+    opt = AdamW(params, lr=schedule.lr)
+    rng = np.random.default_rng(schedule.seed)
+    metrics = []
+    for step in range(schedule.steps):
+        T.reset_tape()
+        idx = rng.choice(len(pairs), size=min(schedule.batch, len(pairs)),
+                         replace=False)
+        loss = None
+        for i in idx:
+            term = ctc_dpo_loss(policy, reference, pairs[i], config.beta)
+            loss = term if loss is None else T.add(loss, term)
+        loss = T.scale(loss, 1.0 / len(idx))
+        opt.zero_grad()
+        T.backward(loss)
+        lr = warmup_lr(schedule.lr, step + 1, schedule.steps,
+                       schedule.warmup_ratio)
+        opt.step(lr=lr)
+        if step % schedule.log_every == 0 or step == schedule.steps - 1:
+            margins = [pair_margin(policy, reference, p) for p in pairs]
+            acc = preference_accuracy(policy, pairs)
+            metrics.append((step, float(loss.item()),
+                            float(np.mean(margins)), acc))
+        else:
+            metrics.append((step, float(loss.item()), math.nan, math.nan))
+    T.reset_tape()
+    return metrics
+
+
+def test_train_dpo_matches_uncached_loop_bit_for_bit():
+    rng = np.random.default_rng(7)
+    pairs = [
+        PreferencePair(rng.normal(0.0, 1.0, (4, TINY["model_dim"])),
+                       [1 + i % 4, 6, 2 + i % 3], [5, 5 + i % 2], "angry",
+                       "ab"[i % 2])
+        for i in range(5)
+    ]
+    schedule = DpoSchedule(lr=3e-3, steps=11, batch=3, seed=4, log_every=3)
+    rows = []
+    for train in (train_dpo, uncached_train_dpo):
+        policy = tiny_decoder(seed=13, max_context=12)
+        reference = tiny_decoder(trainable=False, seed=14, max_context=12)
+        rows.append(train(policy, reference, pairs, DpoConfig(beta=0.2),
+                          schedule))
+    cached, uncached = rows
+    assert sum(not math.isnan(r[2]) for r in cached) == 5  # steps 0, 3, 6, 9, 10
+    assert np.array_equal(np.array(cached), np.array(uncached),
+                          equal_nan=True)
