@@ -20,7 +20,7 @@ from . import tensor as T
 from .checkpoint import assign_parameters, load_checkpoint, save_checkpoint
 from .data import AlignmentSpec, AlignmentVocab, decode_f32
 from .errors import ContractError, DataError, SequencingError
-from .tensor import AdamW, Tensor, warmup_lr
+from .tensor import Tensor
 
 STAGES = ("I", "II", "III")
 
@@ -34,7 +34,6 @@ class StageSchedule:
     steps: int
     warmup_ratio: float = 0.3
     weight_decay: float = 0.0
-    dataset: str = ""
     seed: int = 0
 
 
@@ -147,15 +146,18 @@ class OmniModel:
     def _text_rows(self, tokens) -> Tensor:
         return self.backbone.emb(np.asarray(tokens, dtype=np.int64))
 
-    def lm_loss(self, prefix_rows: Tensor, tokens) -> Tensor:
-        """Cross-entropy of ``tokens`` after an embedded prefix + separator."""
-        tokens = list(tokens)
+    def lm_loss(self, prefix_rows: Tensor, tokens, prompt=()) -> Tensor:
+        """Cross-entropy of ``tokens`` after an embedded prefix, separator
+        and ``prompt`` tokens; the prompt itself is not scored."""
+        prompt, tokens = list(prompt), list(tokens)
+        text = prompt + tokens
         parts = [prefix_rows, self._sep_row()]
-        if len(tokens) > 1:
-            parts.append(self._text_rows(tokens[:-1]))
+        if len(text) > 1:
+            parts.append(self._text_rows(text[:-1]))
         rows = T.concat_rows(*parts)
         logits = self.backbone.logits(rows)
-        start = prefix_rows.shape[0]
+        # the separator row emits the first text token
+        start = prefix_rows.shape[0] + len(prompt)
         targets = np.zeros(logits.data.shape[0], dtype=np.int64)
         targets[start:start + len(tokens)] = tokens
         positions = np.arange(start, start + len(tokens))
@@ -174,24 +176,18 @@ def pretrain_backbone(model: OmniModel, steps=500, lr=1e-3, batch=8, seed=0,
     without it the frozen-backbone stages have nothing to align to.
     """
     rng = np.random.default_rng(seed)
-    params = model.backbone_parameters()
-    opt = AdamW(params, lr=lr)
-    curve = []
     lo, hi = seq_len
-    for step in range(steps):
-        T.reset_tape()
-        loss = None
-        for _ in range(batch):
+
+    def loss_fn(step):
+        def term():
             n = int(rng.integers(lo, hi + 1))
             tokens = rng.integers(0, model.vocab.sep, n)
-            term = model.lm_loss(model._text_rows(tokens), tokens)
-            loss = term if loss is None else T.add(loss, term)
-        loss = T.scale(loss, 1.0 / batch)
-        opt.zero_grad()
-        T.backward(loss)
-        opt.step(lr=warmup_lr(lr, step + 1, steps))
-        curve.append((step, float(loss.item())))
-    T.reset_tape()
+            return model.lm_loss(model._text_rows(tokens), tokens)
+
+        return T.mean(term() for _ in range(batch))
+
+    curve = [(step, loss) for step, loss, _ in
+             T.fit(model.backbone_parameters(), loss_fn, steps, lr)]
     model.completed_stages.add("pretrain")
     return curve
 
@@ -204,12 +200,9 @@ def speech_text_loss(model: OmniModel, batch) -> Tensor:
     """LM loss of transcripts conditioned on projected speech prefixes."""
     if not batch:
         raise ContractError("speech_text_loss: empty batch")
-    loss = None
-    for rec in batch:
-        feats = decode_f32(rec["features"])
-        term = model.lm_loss(model.speech(feats), rec["tokens"])
-        loss = term if loss is None else T.add(loss, term)
-    return T.scale(loss, 1.0 / len(batch))
+    return T.mean(model.lm_loss(model.speech(decode_f32(rec["features"])),
+                                rec["tokens"])
+                  for rec in batch)
 
 
 def image_text_pretrain_loss(model: OmniModel, batch) -> Tensor:
@@ -218,35 +211,23 @@ def image_text_pretrain_loss(model: OmniModel, batch) -> Tensor:
         raise ContractError("image_text_pretrain_loss: empty batch")
     if any(p.requires_grad for p in model.backbone_parameters().values()):
         raise ContractError("backbone must be frozen during image-text pretraining")
-    loss = None
-    for rec in batch:
-        feats = decode_f32(rec["features"])
-        term = model.lm_loss(model.image(feats), rec["caption"])
-        loss = term if loss is None else T.add(loss, term)
-    return T.scale(loss, 1.0 / len(batch))
+    return T.mean(model.lm_loss(model.image(decode_f32(rec["features"])),
+                                rec["caption"])
+                  for rec in batch)
 
 
 def image_text_instruct_loss(model: OmniModel, batch) -> Tensor:
     """Answer-token cross-entropy; question tokens are masked from loss."""
     if not batch:
         raise ContractError("image_text_instruct_loss: empty batch")
-    loss = None
-    for rec in batch:
+
+    def term(rec):
         if not rec.get("a_tokens"):
             raise DataError("instruct record missing answer span")
-        img = model.image(decode_f32(rec["image"]))
-        q = list(rec["q_tokens"])
-        a = list(rec["a_tokens"])
-        full = q + a
-        rows = T.concat_rows(img, model._sep_row(), model._text_rows(full[:-1]))
-        logits = model.backbone.logits(rows)
-        start = img.shape[0] + 1 + len(q) - 1  # row emitting the first answer
-        targets = np.zeros(logits.data.shape[0], dtype=np.int64)
-        targets[start:start + len(a)] = a
-        positions = np.arange(start, start + len(a))
-        term = nn.cross_entropy(logits, targets, positions)
-        loss = term if loss is None else T.add(loss, term)
-    return T.scale(loss, 1.0 / len(batch))
+        return model.lm_loss(model.image(decode_f32(rec["image"])),
+                             rec["a_tokens"], prompt=rec["q_tokens"])
+
+    return T.mean(term(rec) for rec in batch)
 
 
 STAGE_LOSSES = {
@@ -296,23 +277,18 @@ def run_stage(model: OmniModel, schedule: StageSchedule, records,
                 f"stage {stage} requires completed stages {missing}"
             )
     _set_freeze(model, schedule.freeze_llm)
-    params = _trainable(model, stage, schedule.freeze_llm)
-    opt = AdamW(params, lr=schedule.lr, weight_decay=schedule.weight_decay)
     loss_fn = STAGE_LOSSES[stage]
     rng = np.random.default_rng(schedule.seed)
-    metrics = []
-    for step in range(schedule.steps):
-        T.reset_tape()
+
+    def stage_loss(step):
         idx = rng.choice(len(records), size=min(schedule.batch, len(records)),
                          replace=False)
-        loss = loss_fn(model, [records[i] for i in idx])
-        opt.zero_grad()
-        T.backward(loss)
-        lr = warmup_lr(schedule.lr, step + 1, schedule.steps,
-                       schedule.warmup_ratio)
-        opt.step(lr=lr)
-        metrics.append((step, stage, float(loss.item()), lr))
-    T.reset_tape()
+        return loss_fn(model, [records[i] for i in idx])
+
+    metrics = [(step, stage, loss, lr) for step, loss, lr in T.fit(
+        _trainable(model, stage, schedule.freeze_llm), stage_loss,
+        schedule.steps, schedule.lr, schedule.warmup_ratio,
+        schedule.weight_decay)]
     _set_freeze(model, False)
     model.completed_stages.add(stage)
     return metrics

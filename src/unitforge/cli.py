@@ -678,7 +678,6 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--config", default=None)
     parser.add_argument("--out", default=None)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--format", choices=("csv", "text"), default="csv")
 
 
@@ -719,6 +718,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="experts/layers/tgm grid")
     p.add_argument("--corpus", required=True)
+    p.add_argument("--workers", type=int, default=1,
+                   help="grid cells trained in parallel")
     _add_common(p)
     p.set_defaults(func=cmd_ablate)
 

@@ -24,7 +24,8 @@ from itertools import product
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigurationError, InfeasibleAlignmentError, OracleError
+from .errors import (ConfigurationError, DomainError, InfeasibleAlignmentError,
+                     OracleError)
 from .tensor import NEG_INF, Tensor
 
 BLANK = 0
@@ -89,11 +90,6 @@ class AlignmentLattice:
     beta: np.ndarray   # [T, 2|y|+1], emission at t included
     log_z: float
 
-    def dump(self, path):
-        with open(path, "w") as fh:
-            for row in self.alpha:
-                fh.write("\t".join(f"{v:.17g}" for v in row) + "\n")
-
 
 def _sanitize(table: np.ndarray) -> np.ndarray:
     out = table.copy()
@@ -117,6 +113,8 @@ def compute_lattice(log_probs: np.ndarray, target) -> AlignmentLattice:
     need = min_frames(units)
     if t_len < need:
         raise InfeasibleAlignmentError(need, t_len)
+    if t_len == 0:
+        raise DomainError("compute_lattice: zero frames")
 
     ext = extended_target(units)
     s_len = ext.shape[0]

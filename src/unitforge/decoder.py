@@ -19,7 +19,7 @@ from .ctc import UnitSequence, ctc_loss, greedy_decode, min_frames
 from .data import UnitTextVocab
 from .errors import (ConfigurationError, ContractError, DataError,
                      GenerationCapError)
-from .tensor import AdamW, Tensor, warmup_lr
+from .tensor import Tensor
 
 AR_BOS = 0  # blank id never appears in unit sequences, reuse as AR start
 
@@ -263,8 +263,6 @@ def train_decoder(records, config: SpeechDecoderConfig,
     from .data import decode_f32
 
     decoder = SpeechDecoder(config)
-    params = decoder.parameters()
-    opt = AdamW(params, lr=schedule.lr, weight_decay=schedule.weight_decay)
     rng = np.random.default_rng(schedule.seed)
 
     conds = [decode_f32(rec["features"]) for rec in records]
@@ -278,23 +276,14 @@ def train_decoder(records, config: SpeechDecoderConfig,
     if not usable:
         raise DataError("no feasible training samples")
 
-    curve = []
-    for step in range(schedule.steps):
-        T.reset_tape()
+    def loss_fn(step):
         idx = rng.choice(usable, size=min(schedule.batch, len(usable)),
                          replace=False)
-        loss = None
-        for i in idx:
-            term = sample_loss(decoder, records[i], conds[i])
-            loss = term if loss is None else T.add(loss, term)
-        loss = T.scale(loss, 1.0 / len(idx))
-        opt.zero_grad()
-        T.backward(loss)
-        lr = warmup_lr(schedule.lr, step + 1, schedule.steps,
-                       schedule.warmup_ratio)
-        opt.step(lr=lr)
-        curve.append((step, float(loss.item())))
-    T.reset_tape()
+        return T.mean(sample_loss(decoder, records[i], conds[i]) for i in idx)
+
+    curve = [(step, loss) for step, loss, _ in T.fit(
+        decoder.parameters(), loss_fn, schedule.steps, schedule.lr,
+        schedule.warmup_ratio, schedule.weight_decay)]
     return decoder, curve
 
 

@@ -18,7 +18,7 @@ from .ctc import UnitSequence, ctc_loss
 from .data import decode_f32
 from .decoder import SpeechDecoder
 from .errors import ContractError
-from .tensor import AdamW, Tensor, warmup_lr
+from .tensor import Tensor
 
 
 @dataclass
@@ -58,12 +58,6 @@ def pairs_from_records(records) -> list:
         )
         for rec in records
     ]
-
-
-def policy_log_likelihood(model: SpeechDecoder, context, y) -> Tensor:
-    """log pi(y | x) = -ctc_loss of the decoder's log-probs (TGM bypassed)."""
-    log_probs = model.nar_forward(context)  # no text: inference pathway
-    return T.scale(ctc_loss(log_probs, y), -1.0)
 
 
 def _pair_log_likelihoods(model: SpeechDecoder, pair: PreferencePair):
@@ -147,35 +141,28 @@ def train_dpo(policy: SpeechDecoder, reference: SpeechDecoder, pairs,
     """
     _assert_frozen(reference)
     pairs = list(pairs)
+    if not pairs:
+        raise ContractError("train_dpo: empty pair set")
     ref = _scores(reference, pairs)
     # the text-conditioning pathway is bypassed here, so the fusion module
     # and text embedding never receive gradients
     params = {k: v for k, v in policy.parameters().items()
               if not k.startswith(("tgm.", "txt."))}
-    opt = AdamW(params, lr=schedule.lr)
     rng = np.random.default_rng(schedule.seed)
-    metrics = []
-    for step in range(schedule.steps):
-        T.reset_tape()
+
+    def loss_fn(step):
         idx = rng.choice(len(pairs), size=min(schedule.batch, len(pairs)),
                          replace=False)
-        loss = None
-        for i in idx:
-            ll_w, ll_l = _pair_log_likelihoods(policy, pairs[i])
-            term = _dpo_term(ll_w, ll_l, *ref[i], config.beta)
-            loss = term if loss is None else T.add(loss, term)
-        loss = T.scale(loss, 1.0 / len(idx))
-        opt.zero_grad()
-        T.backward(loss)
-        lr = warmup_lr(schedule.lr, step + 1, schedule.steps,
-                       schedule.warmup_ratio)
-        opt.step(lr=lr)
+        return T.mean(_dpo_term(*_pair_log_likelihoods(policy, pairs[i]),
+                                *ref[i], config.beta) for i in idx)
+
+    metrics = []
+    for step, loss, _ in T.fit(params, loss_fn, schedule.steps, schedule.lr,
+                               schedule.warmup_ratio):
         if step % schedule.log_every == 0 or step == schedule.steps - 1:
             scores = _scores(policy, pairs)
-            metrics.append((step, float(loss.item()),
-                            float(np.mean(_margins(scores, ref))),
+            metrics.append((step, loss, float(np.mean(_margins(scores, ref))),
                             _accuracy(scores)))
         else:
-            metrics.append((step, float(loss.item()), math.nan, math.nan))
-    T.reset_tape()
+            metrics.append((step, loss, math.nan, math.nan))
     return metrics

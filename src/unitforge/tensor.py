@@ -675,11 +675,44 @@ def warmup_lr(base_lr: float, step: int, total_steps: int, warmup_ratio: float =
     return base_lr * step / warmup_steps
 
 
-def logsumexp_pair(a: float, b: float) -> float:
-    """Scalar log-space add that respects the NEG_INF sentinel."""
-    if a <= NEG_INF:
-        return b
-    if b <= NEG_INF:
-        return a
-    m = a if a > b else b
-    return m + math.log(math.exp(a - m) + math.exp(b - m))
+def mean(terms) -> Tensor:
+    """Mean of scalar loss terms: summed left to right, then one scale.
+
+    ``terms`` may be a generator; each term is added as soon as it is
+    built, so every partial sum follows its term on the tape.
+    """
+    it = iter(terms)
+    total = next(it, None)
+    if total is None:
+        raise ContractError("mean: no terms")
+    n = 1
+    for term in it:
+        total = add(total, term)
+        n += 1
+    return scale(total, 1.0 / n)
+
+
+def fit(params: dict, loss_fn, steps: int, lr: float, warmup_ratio: float = 0.3,
+        weight_decay: float = 0.0):
+    """The training loop: AdamW on ``params`` under ``warmup_lr``.
+
+    Each step clears the tape, builds ``loss_fn(step)``, backpropagates
+    and updates, then yields ``(step, loss, lr)`` with the loss as a
+    float, so the caller can log after the update. A non-finite loss
+    raises ``DomainError`` before it reaches the parameters.
+    """
+    opt = AdamW(params, lr=lr, weight_decay=weight_decay)
+    try:
+        for step in range(steps):
+            reset_tape()
+            loss = loss_fn(step)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise DomainError(f"fit: non-finite loss {value} at step {step}")
+            opt.zero_grad()
+            backward(loss)
+            step_lr = warmup_lr(lr, step + 1, steps, warmup_ratio)
+            opt.step(lr=step_lr)
+            yield step, value, step_lr
+    finally:
+        reset_tape()

@@ -9,7 +9,8 @@ import pytest
 
 from unitforge.cli import (EXIT_INVALID_SPEC, EXIT_KIND_MISMATCH,
                            EXIT_MISSING_INPUT, EXIT_OK, EXIT_SEQUENCING,
-                           build_spec, file_digest, main, parse_config)
+                           build_parser, build_spec, file_digest, main,
+                           parse_config)
 from unitforge.data import CorpusSpec
 from unitforge.errors import ConfigurationError
 
@@ -267,6 +268,17 @@ def test_ablate_tiny_grid(workdir, tmp_path):
     assert rows[0][0] == "experts"
     assert [r[0] for r in rows[1:]] == ["1", "2"]
     assert all(r[7] == "" for r in rows[1:])  # no cell errors
+
+
+def test_workers_accepted_only_by_ablate(capsys):
+    args = build_parser().parse_args(["ablate", "--corpus", "c.jsonl",
+                                      "--workers", "2"])
+    assert args.workers == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "decoder-nar", "--corpus", "c.jsonl",
+              "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from unitforge.ctc import (BLANK, UnitSequence, brute_force_marginals,
                            collapse, compute_lattice, ctc_brute_force,
                            ctc_loss, extended_target, greedy_decode,
                            min_frames, prefix_beam_decode)
-from unitforge.errors import (ConfigurationError, InfeasibleAlignmentError,
-                              OracleError)
+from unitforge.errors import (ConfigurationError, DomainError,
+                              InfeasibleAlignmentError, OracleError)
 from unitforge.tensor import NEG_INF, Tensor, finite_difference_check
 
 
@@ -88,6 +88,13 @@ def test_repeat_needs_separating_blank():
     # exactly one path at T=3: [1, 0, 1]
     loss = ctc_loss(Tensor(uniform_lp(3, 2)), [1, 1])
     assert loss.item() == pytest.approx(3 * math.log(2.0), abs=1e-12)
+
+
+def test_zero_frame_lattice_rejected():
+    with pytest.raises(DomainError):
+        compute_lattice(np.zeros((0, 3)), ())
+    with pytest.raises(InfeasibleAlignmentError):
+        compute_lattice(np.zeros((0, 3)), (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +314,6 @@ def test_lattice_unreachable_cells_are_sentinel():
     # frame 0 can only occupy states 0..1; the final label is unreachable
     assert lat.alpha[0, 3] == NEG_INF
     assert lat.alpha[0, 4] == NEG_INF
-
-
-def test_lattice_dump_round_trip(tmp_path):
-    lat = compute_lattice(uniform_lp(3, 3), (1, 2))
-    path = tmp_path / "lattice.tsv"
-    lat.dump(path)
-    rows = [[float(v) for v in line.split("\t")]
-            for line in path.read_text().splitlines()]
-    assert np.allclose(np.array(rows), lat.alpha)
 
 
 # ---------------------------------------------------------------------------

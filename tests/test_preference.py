@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import unitforge.tensor as T
+from unitforge.ctc import ctc_loss
 from unitforge.data import CorpusSpec, gen_preference_corpus
 from unitforge.decoder import SpeechDecoder, SpeechDecoderConfig
 from unitforge.errors import ContractError
 from unitforge.preference import (DpoConfig, DpoSchedule, PreferencePair,
                                   ctc_dpo_loss, pair_margin,
-                                  pairs_from_records, policy_log_likelihood,
-                                  preference_accuracy, train_dpo)
+                                  pairs_from_records, preference_accuracy,
+                                  train_dpo)
 from unitforge.tensor import AdamW, check_parameter_gradients, warmup_lr
 
 TINY = dict(mode="nar", layers=1, experts=2, model_dim=8, heads=2,
@@ -65,6 +66,12 @@ def test_preference_accuracy_empty_rejected():
         preference_accuracy(tiny_decoder(), [])
 
 
+def test_train_dpo_empty_pairs_rejected():
+    with pytest.raises(ContractError):
+        train_dpo(tiny_decoder(), tiny_decoder(trainable=False), [],
+                  DpoConfig(), DpoSchedule(steps=2))
+
+
 # ---------------------------------------------------------------------------
 # closed-form anchors
 
@@ -101,8 +108,7 @@ def test_margin_sign_convention():
                  if not k.startswith(("tgm.", "txt."))}
     opt = AdamW(trainable, lr=1e-2)
     with T.fresh_tape():
-        nll = T.scale(policy_log_likelihood(policy, pair.context_features,
-                                            pair.y_w), -1.0)
+        nll = ctc_loss(policy.nar_forward(pair.context_features), pair.y_w)
         opt.zero_grad()
         T.backward(nll)
         opt.step()

@@ -129,13 +129,6 @@ def test_glog_floor():
     assert T.glog(math.e) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_logsumexp_pair_respects_sentinel():
-    assert T.logsumexp_pair(T.NEG_INF, -1.5) == -1.5
-    assert T.logsumexp_pair(-1.5, T.NEG_INF) == -1.5
-    assert T.logsumexp_pair(math.log(1.0), math.log(3.0)) == pytest.approx(
-        math.log(4.0), abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # tape semantics
 
@@ -315,3 +308,30 @@ def test_warmup_schedule():
     # monotone during warmup
     vals = [warmup_lr(1e-3, s, total) for s in range(warm + 1)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+# ---------------------------------------------------------------------------
+# mean and the training loop
+
+
+def test_mean_of_no_terms_rejected():
+    with pytest.raises(ContractError):
+        T.mean([])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_rejects_non_finite_loss_before_the_update(bad):
+    w = Tensor(np.array([1.0]), requires_grad=True)
+
+    def loss_fn(step):
+        loss = T.tsum(T.mul(w, w))
+        return T.scale(loss, bad) if step == 2 else loss
+
+    seen = []
+    with pytest.raises(DomainError, match="step 2"):
+        for step, _, _ in T.fit({"w": w}, loss_fn, 5, 0.1):
+            seen.append(step)
+            before = w.data.copy()
+    assert seen == [0, 1]
+    assert np.array_equal(w.data, before)
+    assert len(T._ACTIVE_TAPE) == 0
