@@ -652,9 +652,28 @@ def cmd_decode(args) -> int:
     out = ensure_out(args)
     decoder = load_speech_decoder(args.checkpoint)
     records = load_corpus(args.contexts)
-    results = []
+    cfg = decoder.config
+    # every context is checked before any is decoded, so a bad record
+    # fails the run with a typed error and no partial output
+    contexts = []
     for rec in records:
-        result = _generate_units(decoder, decode_f32(rec["features"]))
+        if rec.get("id") is None:
+            raise DataError(f"{args.contexts}: context record without an id")
+        try:
+            feats = decode_f32(rec["features"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{args.contexts}: record {rec.get('id')!r}: "
+                            f"unreadable features ({exc})") from exc
+        if (feats.ndim != 2 or feats.shape[1] != cfg.model_dim
+                or not 1 <= feats.shape[0] <= cfg.max_context):
+            raise DataError(
+                f"{args.contexts}: record {rec.get('id')!r}: context shape "
+                f"{feats.shape} does not fit the decoder (1 to "
+                f"{cfg.max_context} rows of width {cfg.model_dim})")
+        contexts.append(feats)
+    results = []
+    for rec, feats in zip(records, contexts):
+        result = _generate_units(decoder, feats)
         results.append({
             "schema": 1,
             "id": rec["id"],

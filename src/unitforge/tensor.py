@@ -125,11 +125,29 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+def _wrap(arr) -> Tensor:
+    """Tensor around an op's freshly computed result, without a copy.
+
+    The result must own its memory or at least share none with the op's
+    inputs: leaf ``.data`` is written in place by AdamW and by callers.
+    """
+    arr = np.asarray(arr, dtype=np.float64)
+    t = Tensor.__new__(Tensor)
+    t.data = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
+    t.requires_grad = False
+    t.grad = None
+    t.node_id = None
+    t._tape = None
+    return t
+
+
 def _tracked(*tensors):
-    return _GRAD_ENABLED and any(
-        isinstance(t, Tensor) and (t.requires_grad or t._tape is _ACTIVE_TAPE)
-        for t in tensors
-    )
+    if _GRAD_ENABLED:
+        tape = _ACTIVE_TAPE
+        for t in tensors:
+            if isinstance(t, Tensor) and (t.requires_grad or t._tape is tape):
+                return True
+    return False
 
 
 def _check_nonempty(kind, *tensors):
@@ -153,7 +171,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_nonempty("matmul", a, b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: {a.data.shape} @ {b.data.shape}")
-    out = Tensor(a.data @ b.data)
+    out = _wrap(a.data @ b.data)
 
     def bwd(g):
         return [(a, g @ b.data.T), (b, a.data.T @ g)]
@@ -165,7 +183,7 @@ def transpose(a: Tensor) -> Tensor:
     _check_nonempty("transpose", a)
     if a.data.ndim != 2:
         raise ShapeError(f"transpose: expected 2-D, got {a.data.shape}")
-    out = Tensor(a.data.T.copy())
+    out = _wrap(a.data.T.copy())
 
     def bwd(g):
         return [(a, g.T)]
@@ -177,7 +195,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_nonempty("add", a, b)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data + b.data)
+    out = _wrap(a.data + b.data)
 
     def bwd(g):
         return [(a, g), (b, g)]
@@ -189,7 +207,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_nonempty("mul", a, b)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data * b.data)
+    out = _wrap(a.data * b.data)
 
     def bwd(g):
         return [(a, g * b.data), (b, g * a.data)]
@@ -200,7 +218,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, s: float) -> Tensor:
     _check_nonempty("scale", a)
     s = float(s)
-    out = Tensor(a.data * s)
+    out = _wrap(a.data * s)
 
     def bwd(g):
         return [(a, g * s)]
@@ -217,7 +235,7 @@ def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
     _check_nonempty("add_rowvec", x, b)
     if b.data.ndim != 1 or x.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"add_rowvec: {x.data.shape} + {b.data.shape}")
-    out = Tensor(x.data + b.data)
+    out = _wrap(x.data + b.data)
 
     def bwd(g):
         axes = tuple(range(g.ndim - 1))
@@ -231,7 +249,7 @@ def mul_rowvec(x: Tensor, w: Tensor) -> Tensor:
     _check_nonempty("mul_rowvec", x, w)
     if w.data.ndim != 1 or x.data.shape[-1] != w.data.shape[0]:
         raise ShapeError(f"mul_rowvec: {x.data.shape} * {w.data.shape}")
-    out = Tensor(x.data * w.data)
+    out = _wrap(x.data * w.data)
 
     def bwd(g):
         axes = tuple(range(g.ndim - 1))
@@ -246,7 +264,7 @@ def scale_rows(x: Tensor, s: Tensor) -> Tensor:
     _check_nonempty("scale_rows", x, s)
     if x.data.ndim != 2 or s.data.ndim != 1 or x.data.shape[0] != s.data.shape[0]:
         raise ShapeError(f"scale_rows: {x.data.shape} by {s.data.shape}")
-    out = Tensor(x.data * s.data[:, None])
+    out = _wrap(x.data * s.data[:, None])
 
     def bwd(g):
         return [(x, g * s.data[:, None]), (s, (g * x.data).sum(axis=1))]
@@ -263,7 +281,7 @@ def concat_last_dim(*xs: Tensor) -> Tensor:
                 f"concat_last_dim: leading shapes differ "
                 f"({[x.data.shape for x in xs]})"
             )
-    out = Tensor(np.concatenate([x.data for x in xs], axis=-1))
+    out = _wrap(np.concatenate([x.data for x in xs], axis=-1))
     widths = [x.data.shape[-1] for x in xs]
     offsets = np.cumsum([0] + widths)
 
@@ -285,7 +303,7 @@ def concat_rows(*xs: Tensor) -> Tensor:
                 f"concat_rows: trailing shapes differ "
                 f"({[x.data.shape for x in xs]})"
             )
-    out = Tensor(np.concatenate([x.data for x in xs], axis=0))
+    out = _wrap(np.concatenate([x.data for x in xs], axis=0))
     heights = [x.data.shape[0] for x in xs]
     offsets = np.cumsum([0] + heights)
 
@@ -302,7 +320,7 @@ def repeat_rows(x: Tensor, k: int) -> Tensor:
     _check_nonempty("repeat_rows", x)
     if x.data.ndim != 2 or k < 1:
         raise ShapeError(f"repeat_rows: shape {x.data.shape}, k={k}")
-    out = Tensor(np.repeat(x.data, k, axis=0))
+    out = _wrap(np.repeat(x.data, k, axis=0))
     T, d = x.data.shape
 
     def bwd(g):
@@ -322,7 +340,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         raise ShapeError(
             f"embedding_lookup: id out of range [0, {table.data.shape[0]})"
         )
-    out = Tensor(table.data[ids])
+    out = _wrap(table.data[ids])
 
     def bwd(g):
         gt = np.zeros_like(table.data)
@@ -339,7 +357,7 @@ def gather_rows(x: Tensor, idx) -> Tensor:
         raise DomainError("gather_rows: empty index list")
     if idx.min() < 0 or idx.max() >= x.data.shape[0]:
         raise ShapeError(f"gather_rows: index out of range [0, {x.data.shape[0]})")
-    out = Tensor(x.data[idx])
+    out = _wrap(x.data[idx])
 
     def bwd(g):
         gx = np.zeros_like(x.data)
@@ -356,7 +374,7 @@ def take_per_row(x: Tensor, idx) -> Tensor:
     if x.data.ndim != 2 or idx.shape != (x.data.shape[0],):
         raise ShapeError(f"take_per_row: {x.data.shape} with idx {idx.shape}")
     rows = np.arange(x.data.shape[0])
-    out = Tensor(x.data[rows, idx])
+    out = _wrap(x.data[rows, idx])
 
     def bwd(g):
         gx = np.zeros_like(x.data)
@@ -371,7 +389,7 @@ def softmax_last_dim(x: Tensor) -> Tensor:
     z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
+    out = _wrap(y)
 
     def bwd(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
@@ -384,7 +402,7 @@ def log_softmax_last_dim(x: Tensor) -> Tensor:
     _check_nonempty("log_softmax_last_dim", x)
     z = x.data - x.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    out = Tensor(z - lse)
+    out = _wrap(z - lse)
     sm = np.exp(z - lse)
 
     def bwd(g):
@@ -398,7 +416,7 @@ def logsumexp_last_dim(x: Tensor) -> Tensor:
     m = x.data.max(axis=-1, keepdims=True)
     e = np.exp(x.data - m)
     s = e.sum(axis=-1, keepdims=True)
-    out = Tensor((m + np.log(s)).squeeze(-1))
+    out = _wrap((m + np.log(s)).squeeze(-1))
     sm = e / s
 
     def bwd(g):
@@ -415,7 +433,7 @@ def layer_norm_last_dim(x: Tensor, eps: float = 1e-5) -> Tensor:
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    out = Tensor(xhat)
+    out = _wrap(xhat)
 
     def bwd(g):
         gm = g.mean(axis=-1, keepdims=True)
@@ -430,7 +448,7 @@ def sigmoid(x: Tensor) -> Tensor:
     d = x.data
     y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
                  np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-    out = Tensor(y)
+    out = _wrap(y)
 
     def bwd(g):
         return [(x, g * y * (1.0 - y))]
@@ -442,7 +460,7 @@ def softplus(x: Tensor) -> Tensor:
     """log(1 + exp(x)), computed stably; -softplus(-m) is log sigmoid(m)."""
     _check_nonempty("softplus", x)
     d = x.data
-    out = Tensor(np.maximum(d, 0.0) + np.log1p(np.exp(-np.abs(d))))
+    out = _wrap(np.maximum(d, 0.0) + np.log1p(np.exp(-np.abs(d))))
     sig = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
                    np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
 
@@ -454,7 +472,7 @@ def softplus(x: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     _check_nonempty("relu", x)
-    out = Tensor(np.maximum(x.data, 0.0))
+    out = _wrap(np.maximum(x.data, 0.0))
     mask = (x.data > 0).astype(np.float64)
 
     def bwd(g):
@@ -465,7 +483,7 @@ def relu(x: Tensor) -> Tensor:
 
 def tsum(x: Tensor) -> Tensor:
     _check_nonempty("sum", x)
-    out = Tensor(x.data.sum())
+    out = _wrap(x.data.sum())
 
     def bwd(g):
         return [(x, np.full_like(x.data, float(g)))]
@@ -476,7 +494,7 @@ def tsum(x: Tensor) -> Tensor:
 def tmean(x: Tensor) -> Tensor:
     _check_nonempty("mean", x)
     n = x.data.size
-    out = Tensor(x.data.mean())
+    out = _wrap(x.data.mean())
 
     def bwd(g):
         return [(x, np.full_like(x.data, float(g) / n))]
@@ -487,7 +505,9 @@ def tmean(x: Tensor) -> Tensor:
 def record_custom(kind, out: Tensor, backward_fn, *inputs) -> Tensor:
     """Register a hand-differentiated op (e.g. the CTC lattice) on the tape.
 
-    ``backward_fn(g)`` must return [(input_tensor, grad_array), ...].
+    ``backward_fn(g)`` must return [(input_tensor, grad_array), ...]. It
+    must not write into ``g``: ``backward`` hands a gradient on without
+    copying it, so ``g`` may be the very array another op returned.
     """
     return _record(kind, out, backward_fn, *inputs)
 
@@ -497,44 +517,53 @@ def record_custom(kind, out: Tensor, backward_fn, *inputs) -> Tensor:
 
 
 def backward(loss: Tensor):
-    """Populate .grad on every reachable requires_grad tensor.
+    """Add d(loss)/d(t) into ``.grad`` of every reachable leaf ``t``.
 
-    Gradients add across calls; callers zero grads between steps.
+    ``.grad`` is populated on leaves only: tensors that require grad and
+    are not op outputs on the active tape (parameters, and tensors left
+    over from before ``reset_tape()`` or from another tape).
+    Intermediates get no ``.grad``. Gradients add across calls; callers
+    zero grads between steps.
     """
     if loss.data.size != 1:
         raise ContractError("backward: loss must be scalar")
     tape = _ACTIVE_TAPE
-    if loss._tape is not tape or loss.node_id is None:
+    nodes = tape.nodes
+    top = loss.node_id
+    if (loss._tape is not tape or top is None or top >= len(nodes)
+            or nodes[top].out is not loss):
         raise ContractError("backward: loss is not on the active tape")
 
-    # Working buffers local to this traversal so that stale grads from
-    # an earlier backward call are not re-propagated.
-    work: dict[int, np.ndarray] = {}
-    keep: dict[int, Tensor] = {}
-
-    def seed(t: Tensor, g: np.ndarray):
-        key = id(t)
-        if key in work:
-            work[key] = work[key] + g
-        else:
-            work[key] = np.array(g, dtype=np.float64, copy=True)
-            keep[key] = t
-
-    seed(loss, np.ones_like(loss.data))
-    for node in reversed(tape.nodes[: loss.node_id + 1]):
-        g = work.get(id(node.out))
+    # One slot per node output, freed once that node has run; gradients
+    # for leaves (anything not an output on this tape) collect in `leaf`.
+    # A gradient is stored as returned and summed out of place, so no
+    # array is copied and no op's returned array is ever written into.
+    slots = [None] * (top + 1)
+    slots[top] = np.ones_like(loss.data)
+    leaf: dict[int, list] = {}
+    for i in range(top, -1, -1):
+        g = slots[i]
         if g is None:
             continue
-        for inp, gi in node.backward_fn(g):
-            if isinstance(inp, Tensor) and (inp.requires_grad or inp._tape is tape):
-                seed(inp, gi)
+        slots[i] = None
+        for inp, gi in nodes[i].backward_fn(g):
+            if not isinstance(inp, Tensor):
+                continue
+            j = inp.node_id
+            if inp._tape is tape and j < i and nodes[j].out is inp:
+                cur = slots[j]
+                slots[j] = gi if cur is None else cur + gi
+            elif inp.requires_grad:
+                entry = leaf.get(id(inp))
+                if entry is None:
+                    leaf[id(inp)] = [inp, gi]
+                else:
+                    entry[1] = entry[1] + gi
 
-    for key, t in keep.items():
-        if not t.requires_grad:
-            continue
+    for t, g in leaf.values():
         if t.grad is None:
             t.grad = np.zeros_like(t.data)
-        t.grad += work[key]
+        t.grad += g
 
 
 # ---------------------------------------------------------------------------

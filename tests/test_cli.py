@@ -5,13 +5,14 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from unitforge.cli import (EXIT_INVALID_SPEC, EXIT_KIND_MISMATCH,
                            EXIT_MISSING_INPUT, EXIT_OK, EXIT_SEQUENCING,
                            build_parser, build_spec, file_digest, main,
                            parse_config)
-from unitforge.data import CorpusSpec
+from unitforge.data import CorpusSpec, encode_f32, read_jsonl, write_jsonl
 from unitforge.errors import ConfigurationError
 
 
@@ -236,6 +237,40 @@ def test_decode_round_trip(workdir, tmp_path):
     for rec in records:
         assert rec["kind"] == "decoded_units"
         assert rec["sequential_steps"] == 1  # parallel decoder
+
+
+@pytest.mark.parametrize("features", [
+    encode_f32(np.zeros((40, 64))), encode_f32(np.zeros((0, 64))),
+    encode_f32(np.zeros((8, 63))), encode_f32(np.zeros(64)),
+    {"shape": [3, 64], "data": ""},
+], ids=["over_cap", "empty", "wrong_width", "one_dim", "unreadable"])
+def test_decode_rejects_bad_context_before_decoding(workdir, tmp_path, caplog,
+                                                    features):
+    # the decoder was trained with max_context=32 and model_dim=64
+    good = read_jsonl(workdir / "sup" / "supervised.jsonl")[0]
+    bad = dict(good, id="bad-ctx", features=features)
+    contexts = tmp_path / "contexts.jsonl"
+    write_jsonl(contexts, [good, bad])
+    out = tmp_path / "out"
+    assert main(["decode",
+                 "--checkpoint", str(workdir / "nar" / "decoder.ckpt"),
+                 "--contexts", str(contexts),
+                 "--out", str(out)]) == EXIT_INVALID_SPEC
+    assert "'bad-ctx'" in caplog.text
+    assert not (out / "decoded.jsonl").exists()
+
+
+def test_decode_rejects_record_without_id(workdir, tmp_path):
+    good = read_jsonl(workdir / "sup" / "supervised.jsonl")[0]
+    nameless = {k: v for k, v in good.items() if k != "id"}
+    contexts = tmp_path / "contexts.jsonl"
+    write_jsonl(contexts, [good, nameless])
+    out = tmp_path / "out"
+    assert main(["decode",
+                 "--checkpoint", str(workdir / "nar" / "decoder.ckpt"),
+                 "--contexts", str(contexts),
+                 "--out", str(out)]) == EXIT_INVALID_SPEC
+    assert not (out / "decoded.jsonl").exists()
 
 
 def test_bench_latency_report(workdir, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unitforge.tensor as T
+from unitforge.ctc import ctc_loss
 from unitforge.errors import ContractError, DomainError, OracleError, ShapeError
 from unitforge.tensor import AdamW, Tensor, finite_difference_check, warmup_lr
 
@@ -335,3 +336,184 @@ def test_fit_rejects_non_finite_loss_before_the_update(bad):
     assert seen == [0, 1]
     assert np.array_equal(w.data, before)
     assert len(T._ACTIVE_TAPE) == 0
+
+
+# ---------------------------------------------------------------------------
+# backward bookkeeping and output ownership
+
+
+def _dict_backward(loss):
+    """Reference: the id()-keyed dict walk the slot walk must match bit for bit."""
+    tape = T._ACTIVE_TAPE
+    work, keep = {}, {}
+
+    def seed(t, g):
+        key = id(t)
+        if key in work:
+            work[key] = work[key] + g
+        else:
+            work[key] = np.array(g, dtype=np.float64, copy=True)
+            keep[key] = t
+
+    seed(loss, np.ones_like(loss.data))
+    for node in reversed(tape.nodes[: loss.node_id + 1]):
+        g = work.get(id(node.out))
+        if g is None:
+            continue
+        for inp, gi in node.backward_fn(g):
+            if isinstance(inp, Tensor) and (inp.requires_grad or inp._tape is tape):
+                seed(inp, gi)
+    for key, t in keep.items():
+        if not t.requires_grad:
+            continue
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+        t.grad += work[key]
+
+
+_GRAPH_OPS = {
+    "add": lambda p, q, k: T.add(p, q),
+    "sub": lambda p, q, k: T.sub(p, q),
+    "mul": lambda p, q, k: T.mul(p, q),
+    "square": lambda p, q, k: T.mul(p, p),
+    "matmul": lambda p, q, k: T.matmul(p, q),
+    "transpose": lambda p, q, k: T.transpose(p),
+    "scale": lambda p, q, k: T.scale(p, 0.75),
+    "add_rowvec": lambda p, q, k: T.add_rowvec(p, k["vec"]),
+    "mul_rowvec": lambda p, q, k: T.mul_rowvec(p, k["vec"]),
+    "scale_rows": lambda p, q, k: T.scale_rows(p, T.logsumexp_last_dim(q)),
+    "take_per_row": lambda p, q, k: T.scale_rows(p, T.take_per_row(q, [2, 0, 1])),
+    "concat_last_dim": lambda p, q, k: T.matmul(T.concat_last_dim(p, q), k["w"]),
+    "concat_rows": lambda p, q, k: T.gather_rows(T.concat_rows(p, q), [5, 0, 3]),
+    "repeat_rows": lambda p, q, k: T.gather_rows(T.repeat_rows(p, 2), [1, 4, 4]),
+    "embedding": lambda p, q, k: T.add(p, T.embedding_lookup(k["table"], [4, 0, 4])),
+    "softmax": lambda p, q, k: T.softmax_last_dim(p),
+    "log_softmax": lambda p, q, k: T.log_softmax_last_dim(p),
+    "layer_norm": lambda p, q, k: T.layer_norm_last_dim(p),
+    "sigmoid": lambda p, q, k: T.sigmoid(p),
+    "softplus": lambda p, q, k: T.softplus(p),
+    "relu": lambda p, q, k: T.relu(p),
+}
+_SCALAR_OPS = {
+    "sum": lambda p: T.tsum(p),
+    "mean": lambda p: T.tmean(p),
+    "ctc": lambda p: ctc_loss(T.log_softmax_last_dim(p), [1]),
+}
+
+
+def _run_graph(seed, ops, backward_fn):
+    """Build one random graph over [3, 3] tensors, backprop twice; return
+    every leaf and the intermediates of the active tape."""
+    rng = np.random.default_rng(seed)
+    leaves = [Tensor(rng.normal(0.0, 1.0, (3, 3)), requires_grad=True)
+              for _ in range(3)]
+    extra = {"vec": Tensor(rng.normal(0.0, 1.0, 3), requires_grad=True),
+             "w": Tensor(rng.normal(0.0, 0.5, (6, 3)), requires_grad=True),
+             "table": Tensor(rng.normal(0.0, 1.0, (5, 3)), requires_grad=True)}
+    with T.fresh_tape() as tape:
+        # built before reset_tape(): its node_id now names an unrelated node
+        stale = T.add(T.mul(leaves[0], leaves[1]), leaves[2])
+        T.reset_tape()
+        with T.fresh_tape():
+            foreign = T.softmax_last_dim(T.mul(leaves[1], leaves[2]))
+        pool = [*leaves, stale, foreign]
+        scalars = []
+        for name, i, j in ops:
+            p, q = pool[i % len(pool)], pool[j % len(pool)]
+            if name in _SCALAR_OPS:
+                scalars.append(_SCALAR_OPS[name](p))
+            else:
+                pool.append(_GRAPH_OPS[name](p, q, extra))
+        # an add chain hands every pool entry the same gradient array,
+        # so an in-place accumulation anywhere would show in the others
+        total = pool[0]
+        for p in pool[1:]:
+            total = T.add(total, p)
+        loss = T.mean([T.tsum(total), *scalars])
+        backward_fn(loss)
+        backward_fn(loss)
+        inner = [node.out for node in tape.nodes]
+    return [*leaves, *extra.values(), stale, foreign], inner
+
+
+@given(seed=st.integers(0, 2**31 - 1),
+       ops=st.lists(st.tuples(st.sampled_from(sorted(_GRAPH_OPS) + sorted(_SCALAR_OPS)),
+                              st.integers(0, 63), st.integers(0, 63)),
+                    max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_backward_matches_dict_traversal_bit_for_bit(seed, ops):
+    got, inner = _run_graph(seed, ops, T.backward)
+    want, _ = _run_graph(seed, ops, _dict_backward)
+    for g, w in zip(got, want):
+        assert (g.grad is None) == (w.grad is None)
+        if g.grad is not None:
+            assert np.array_equal(g.grad, w.grad, equal_nan=True)
+    # .grad is populated on leaves only
+    assert all(t.grad is None for t in inner)
+
+
+def test_backward_rejects_loss_left_over_from_before_reset():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with T.fresh_tape():
+        loss = T.tsum(T.mul(x, x))
+        T.reset_tape()
+        T.tsum(T.scale(x, 2.0))
+        with pytest.raises(ContractError):
+            T.backward(loss)
+    assert x.grad is None
+
+
+def _alias_cases():
+    rng = np.random.default_rng(7)
+
+    def r(*shape):
+        return Tensor(rng.normal(0.0, 1.0, shape), requires_grad=True)
+
+    sq = r(3, 3)
+    return [
+        ("matmul", T.matmul, (r(2, 3), r(3, 2))),
+        ("transpose", T.transpose, (r(2, 3),)),
+        ("transpose_row", T.transpose, (r(1, 3),)),
+        ("transpose_col", T.transpose, (r(3, 1),)),
+        ("add", T.add, (sq, r(3, 3))),
+        ("sub", T.sub, (sq, r(3, 3))),
+        ("mul", T.mul, (sq, sq)),
+        ("scale", lambda x: T.scale(x, 1.0), (sq,)),
+        ("add_rowvec", T.add_rowvec, (sq, r(3))),
+        ("add_rowvec_1d", T.add_rowvec, (r(3), r(3))),
+        ("mul_rowvec", T.mul_rowvec, (sq, r(3))),
+        ("scale_rows", T.scale_rows, (sq, r(3))),
+        ("concat_last_dim", T.concat_last_dim, (sq, r(3, 2))),
+        ("concat_last_dim_one", T.concat_last_dim, (sq,)),
+        ("concat_rows", T.concat_rows, (sq, r(1, 3))),
+        ("concat_rows_one", T.concat_rows, (sq,)),
+        ("repeat_rows", lambda x: T.repeat_rows(x, 1), (sq,)),
+        ("embedding_lookup", lambda t: T.embedding_lookup(t, [2, 0]), (sq,)),
+        ("embedding_lookup_scalar", lambda t: T.embedding_lookup(t, 1), (sq,)),
+        ("gather_rows", lambda x: T.gather_rows(x, [0, 1, 2]), (sq,)),
+        ("gather_rows_scalar", lambda x: T.gather_rows(x, 2), (sq,)),
+        ("take_per_row", lambda x: T.take_per_row(x, [0, 1, 2]), (sq,)),
+        ("softmax", T.softmax_last_dim, (sq,)),
+        ("log_softmax", T.log_softmax_last_dim, (sq,)),
+        ("logsumexp", T.logsumexp_last_dim, (sq,)),
+        ("layer_norm", T.layer_norm_last_dim, (sq,)),
+        ("sigmoid", T.sigmoid, (sq,)),
+        ("softplus", T.softplus, (sq,)),
+        ("relu", T.relu, (Tensor(np.abs(sq.data) + 1.0),)),
+        ("sum", T.tsum, (sq,)),
+        ("mean", T.tmean, (sq,)),
+        ("sum_scalar", T.tsum, (Tensor(2.0),)),
+        ("ctc_loss", lambda x: ctc_loss(T.log_softmax_last_dim(x), [1]), (sq,)),
+    ]
+
+
+@pytest.mark.parametrize("case", _alias_cases(), ids=lambda c: c[0])
+def test_op_output_shares_no_memory_with_inputs(case):
+    # ops wrap their result without copying it; AdamW and callers write
+    # leaf .data in place, so an output must never view an input
+    _, fn, inputs = case
+    with T.fresh_tape():
+        out = fn(*inputs)
+    assert out.data.flags.c_contiguous
+    for inp in inputs:
+        assert not np.shares_memory(out.data, inp.data)
