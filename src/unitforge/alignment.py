@@ -11,13 +11,14 @@ as speech during instruction tuning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import nn
 from . import tensor as T
-from .checkpoint import assign_parameters, load_checkpoint, save_checkpoint
+from .checkpoint import (assign_parameters, expect_keys, load_checkpoint,
+                         save_checkpoint)
 from .data import AlignmentSpec, AlignmentVocab, decode_f32
 from .errors import ContractError, DataError, SequencingError
 from .tensor import Tensor
@@ -105,6 +106,7 @@ class OmniModel:
 
     def __init__(self, spec: AlignmentSpec, d=32, layers=2, heads=2, seed=0):
         self.spec = spec
+        self.arch = {"d": d, "layers": layers, "heads": heads}
         self.vocab = AlignmentVocab(spec)
         rng = np.random.default_rng(seed)
         self.backbone = Backbone(rng, self.vocab.size, d=d, layers=layers,
@@ -122,21 +124,25 @@ class OmniModel:
     def backbone_parameters(self):
         return self.backbone.parameters("llm")
 
-    def save(self, path, completed=None):
+    def save(self, path):
+        """Completed stages go in the binary, as a ``meta.stages`` record."""
         params = dict(self.parameters())
-        stages = sorted(s for s in
-                        (self.completed_stages if completed is None else completed)
-                        if s in STAGES)
-        params["meta.stages"] = Tensor(
-            np.array([STAGES.index(s) for s in stages], dtype=np.float64)
-            if stages else np.zeros(0))
-        save_checkpoint(path, params)
+        params["meta.stages"] = Tensor(np.array(sorted(
+            STAGES.index(s) for s in self.completed_stages if s in STAGES)))
+        save_checkpoint(path, params, {"alignment_spec": asdict(self.spec),
+                                       "arch": self.arch})
 
-    def load(self, path):
-        params, _ = load_checkpoint(path)
-        meta = params.pop("meta.stages", np.zeros(0))
-        assign_parameters(self.parameters(), params)
-        self.completed_stages = {STAGES[int(i)] for i in meta.reshape(-1)}
+    @classmethod
+    def load(cls, path) -> "OmniModel":
+        params, meta = load_checkpoint(path, "alignment_spec")
+        expect_keys(path, meta, ("alignment_spec", "arch"))
+        spec = expect_keys(path, meta["alignment_spec"], AlignmentSpec)
+        model = cls(AlignmentSpec(**dict(spec, seq_len=tuple(spec["seq_len"]))),
+                    **expect_keys(path, meta["arch"], ("d", "layers", "heads")))
+        stages = params.pop("meta.stages", np.zeros(0))
+        assign_parameters(model.parameters(), params)
+        model.completed_stages = {STAGES[int(i)] for i in stages.reshape(-1)}
+        return model
 
     # -- sequence assembly --------------------------------------------------
 

@@ -1,89 +1,103 @@
-"""Bit-exact binary checkpoint format.
+"""Model files: a bit-exact parameter binary plus a JSON sidecar.
 
-Layout: magic "OOMN", u32 version = 1, u32 record count, then per
-record: u16 name length, UTF-8 name, u8 rank, rank x u64 dims, raw
-little-endian f64 data. Optimizer moments are stored as additional
-records named "<param>.m" / "<param>.v". All integers little-endian.
+``path``: magic "OOMN", u32 version = 1, u32 record count, then per
+record: u16 name length, UTF-8 name, u8 rank, rank x u64 dims, raw f64
+data; all little-endian. Every record is a parameter, whatever its name.
+``path + ".meta.json"``: sorted-key JSON that rebuilds the model; one
+top-level key marks its kind (``mode`` for a speech decoder,
+``alignment_spec`` for an alignment model). No other module reads or
+writes either file. Missing binary: ``FileNotFoundError``; missing or
+foreign sidecar: ``KindMismatchError``; unreadable sidecar, truncated or
+corrupt binary: ``DataError``.
 """
 
 from __future__ import annotations
 
+import json
+import math
+import os
 import struct
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, KindMismatchError
 
 MAGIC = b"OOMN"
 VERSION = 1
 
 
-def _records(params, optimizer_state):
-    for name, value in params.items():
-        yield name, np.asarray(value.data if hasattr(value, "data") else value)
-    if optimizer_state:
-        for name, (m, v) in optimizer_state.items():
-            yield name + ".m", np.asarray(m)
-            yield name + ".v", np.asarray(v)
+def meta_path(path) -> str:
+    return str(path) + ".meta.json"
 
 
-def save_checkpoint(path, params: dict, optimizer_state: dict | None = None):
-    recs = list(_records(params, optimizer_state))
+def save_checkpoint(path, params: dict, meta: dict):
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(recs)))
-        for name, arr in recs:
-            arr = np.ascontiguousarray(arr, dtype="<f8")
+        fh.write(struct.pack("<II", VERSION, len(params)))
+        for name, value in params.items():
+            arr = np.asarray(value.data if hasattr(value, "data") else value,
+                             dtype="<f8")
             nb = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<Q", dim))
+            fh.write(struct.pack("<H", len(nb)) + nb)
+            fh.write(struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape))
             fh.write(arr.tobytes())
+    with open(meta_path(path), "w") as fh:
+        json.dump(meta, fh, sort_keys=True, indent=0)
+        fh.write("\n")
 
 
-def load_checkpoint(path):
-    """Returns (params, optimizer_state) with plain float64 arrays."""
+def load_checkpoint(path, kind: str):
+    """Returns (params, meta); the sidecar object must have key ``kind``."""
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"checkpoint not found: {path}")
+    if not os.path.exists(meta_path(path)):
+        raise KindMismatchError(f"{path}: no sidecar {meta_path(path)}")
+    try:
+        with open(meta_path(path), encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except ValueError as exc:
+        raise DataError(f"{meta_path(path)}: unreadable sidecar ({exc})") from exc
+    if not isinstance(meta, dict) or kind not in meta:
+        raise KindMismatchError(f"{path}: sidecar has no {kind!r}, wrong "
+                                f"checkpoint kind")
+    return _read_params(path), meta
+
+
+def _read_params(path) -> dict:
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise DataError(f"{path}: bad checkpoint magic")
-    version, count = struct.unpack_from("<II", blob, 4)
-    if version != VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {version}")
-    off = 12
-    flat = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off:off + nlen].decode("utf-8")
-        off += nlen
-        (rank,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        dims = struct.unpack_from("<" + "Q" * rank, blob, off)
-        off += 8 * rank
-        n = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=off).reshape(dims)
-        off += 8 * n
-        flat[name] = arr.astype(np.float64)
+    try:
+        version, count = struct.unpack_from("<II", blob, 4)
+        if version != VERSION:
+            raise DataError(f"{path}: unsupported checkpoint version {version}")
+        off, params = 12, {}
+        for _ in range(count):
+            (nlen,) = struct.unpack_from("<H", blob, off)
+            name = blob[off + 2:off + 2 + nlen].decode("utf-8")
+            off += 2 + nlen
+            (rank,) = struct.unpack_from("<B", blob, off)
+            dims = struct.unpack_from(f"<{rank}Q", blob, off + 1)
+            off += 1 + 8 * rank
+            arr = np.frombuffer(blob, "<f8", math.prod(dims), off)
+            params[name] = arr.reshape(dims).astype(np.float64)
+            off += arr.nbytes
+    except (struct.error, ValueError, OverflowError) as exc:
+        raise DataError(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
     if off != len(blob):
         raise DataError(f"{path}: trailing bytes in checkpoint")
+    return params
 
-    params = {k: v for k, v in flat.items()
-              if not (k.endswith(".m") or k.endswith(".v"))}
-    moments = {}
-    for k, v in flat.items():
-        if k.endswith(".m"):
-            moments.setdefault(k[:-2], [None, None])[0] = v
-        elif k.endswith(".v"):
-            moments.setdefault(k[:-2], [None, None])[1] = v
-    opt_state = {}
-    for k, (m, v) in moments.items():
-        if m is None or v is None:
-            raise DataError(f"{path}: incomplete optimizer state for {k!r}")
-        opt_state[k] = (m, v)
-    return params, opt_state
+
+def expect_keys(path, entry, keys) -> dict:
+    """``entry`` if it is an object with exactly ``keys`` (or their fields)."""
+    names = {f.name for f in fields(keys)} if is_dataclass(keys) else set(keys)
+    if not isinstance(entry, dict) or set(entry) != names:
+        raise DataError(f"{meta_path(path)}: expected keys {sorted(names)}, "
+                        f"got {entry!r}")
+    return entry
 
 
 def assign_parameters(params: dict, loaded: dict):

@@ -60,6 +60,8 @@ GENERATORS = {
                                               rng_seed=spec.seed + 1),
 }
 UNIT_KINDS = ("supervised", "preference", "emotion-eval")
+SCHEDULE_KEYS = {"lr": "lr", "steps": "steps", "batch": "batch",
+                 "warmup": "warmup_ratio"}  # config key -> schedule field
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +118,7 @@ def build_spec(cls, cfg: dict, aliases=None):
         if name not in names:
             raise ConfigurationError(f"unknown config key {key!r} for "
                                      f"{cls.__name__}")
-        kwargs[name] = value
+        kwargs[name] = tuple(value) if isinstance(value, list) else value
     return cls(**kwargs)
 
 
@@ -215,54 +217,18 @@ def _require(path, what):
     return path
 
 
-def load_speech_decoder(path) -> SpeechDecoder:
-    _require(path, "decoder checkpoint")
-    meta_path = str(path) + ".meta.json"
-    if not os.path.exists(meta_path):
-        raise KindMismatchError(f"{path}: not a decoder checkpoint "
-                                "(missing .meta.json)")
-    with open(meta_path) as fh:
-        if "mode" not in json.load(fh):
-            raise KindMismatchError(f"{path}: not a decoder checkpoint")
-    return SpeechDecoder.load(path)
-
-
-def save_align_model(model: al.OmniModel, path, arch: dict):
-    model.save(path)
-    spec = asdict(model.spec)
-    spec["seq_len"] = list(spec["seq_len"])
-    with open(str(path) + ".meta.json", "w") as fh:
-        json.dump({"alignment_spec": spec, "arch": arch}, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_align_model(path) -> tuple:
-    _require(path, "alignment checkpoint")
-    meta_path = str(path) + ".meta.json"
-    if not os.path.exists(meta_path):
-        raise KindMismatchError(f"{path}: not an alignment checkpoint")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    if "alignment_spec" not in meta:
-        raise KindMismatchError(f"{path}: not an alignment checkpoint")
-    spec_dict = dict(meta["alignment_spec"])
-    spec_dict["seq_len"] = tuple(spec_dict["seq_len"])
-    spec = AlignmentSpec(**spec_dict)
-    model = al.OmniModel(spec, **meta["arch"])
-    model.load(path)
-    return model, meta["arch"]
-
-
 def corpus_spec_from_sidecar(corpus_path, cls):
     sidecar = str(corpus_path) + ".manifest.json"
-    if os.path.exists(sidecar):
-        with open(sidecar) as fh:
-            spec_dict = json.load(fh).get("spec", {})
-        for key in ("seq_len", "len_a", "len_b"):
-            if key in spec_dict:
-                spec_dict[key] = tuple(spec_dict[key])
-        return cls(**spec_dict)
-    return cls()
+    if not os.path.exists(sidecar):
+        return cls()
+    try:
+        with open(sidecar, encoding="utf-8") as fh:
+            spec = json.load(fh).get("spec", {})
+    except (ValueError, AttributeError) as exc:
+        raise DataError(f"{sidecar}: unreadable corpus sidecar ({exc})") from exc
+    if not isinstance(spec, dict):
+        raise DataError(f"{sidecar}: corpus spec is not a JSON object")
+    return build_spec(cls, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +253,8 @@ def cmd_gen_data(args) -> int:
     records = GENERATORS[kind](spec)
     corpus_path = os.path.join(out, f"{kind}.jsonl")
     write_jsonl(corpus_path, records)
-    spec_dict = asdict(spec)
-    for key in ("len_a", "len_b", "seq_len"):
-        if key in spec_dict:
-            spec_dict[key] = list(spec_dict[key])
     with open(corpus_path + ".manifest.json", "w") as fh:
-        json.dump({"kind": kind, "spec": spec_dict,
+        json.dump({"kind": kind, "spec": asdict(spec),
                    "counts": corpus_manifest(records)},
                   fh, sort_keys=True)
         fh.write("\n")
@@ -317,9 +279,7 @@ def _decoder_config(cfg: dict, mode: str) -> SpeechDecoderConfig:
 def _train_decoder_stage(args, mode: str) -> int:
     out = ensure_out(args)
     cfg = load_config(args)
-    sched_kw = _take(cfg, {"lr": "lr", "steps": "steps", "batch": "batch",
-                           "warmup": "warmup_ratio",
-                           "weight_decay": "weight_decay"})
+    sched_kw = _take(cfg, {**SCHEDULE_KEYS, "weight_decay": "weight_decay"})
     sched_kw["seed"] = cfg.get("seed", 0)
     schedule = TrainSchedule(**sched_kw)
     config = _decoder_config(cfg, mode)
@@ -338,36 +298,32 @@ def _train_decoder_stage(args, mode: str) -> int:
     return EXIT_OK
 
 
-def _align_arch(cfg: dict) -> dict:
-    return {"d": cfg.pop("d", 32), "layers": cfg.pop("layers", 2),
-            "heads": cfg.pop("heads", 2), "seed": cfg.pop("seed", 0)}
-
-
 def _train_align_stage(args, stage: str) -> int:
     out = ensure_out(args)
     cfg = load_config(args)
     corpus_kind = {"I": "speech_text", "II": "image_text",
                    "III": "instruct"}[stage]
     records = load_corpus(args.corpus, (corpus_kind,))
-    sched_kw = _take(cfg, {"lr": "lr", "steps": "steps", "batch": "batch",
-                           "warmup": "warmup_ratio"})
-    pretrain_steps = cfg.pop("pretrain_steps", 500)
-    pretrain_lr = cfg.pop("pretrain_lr", 1e-3)
+    sched_kw = _take(cfg, SCHEDULE_KEYS)
+    seed = cfg.pop("seed", 0)  # stage I only: init and pretraining
     if stage == "I":
-        arch = _align_arch(cfg)
-        seed = arch.pop("seed")
+        pretrain_kw = _take(cfg, {"pretrain_steps": "steps",
+                                  "pretrain_lr": "lr"})
+        arch = _take(cfg, {"d": "d", "layers": "layers", "heads": "heads"})
+    if cfg:
+        raise ConfigurationError(
+            f"unknown config keys {sorted(cfg)} for {args.stage}")
+    if stage == "I":
         spec = corpus_spec_from_sidecar(args.corpus, AlignmentSpec)
         model = al.OmniModel(spec, seed=seed, **arch)
-        al.pretrain_backbone(model, steps=pretrain_steps, lr=pretrain_lr,
-                             seed=seed, seq_len=spec.seq_len)
+        al.pretrain_backbone(model, seed=seed, seq_len=spec.seq_len,
+                             **pretrain_kw)
     else:
-        model, arch = load_align_model(_require(args.init, "--init checkpoint"))
-        arch = dict(arch)
-        arch.pop("seed", None)
+        model = al.OmniModel.load(_require(args.init, "--init checkpoint"))
     schedule = al.default_schedule(stage, **sched_kw)
     metrics = al.run_stage(model, schedule, records)
     ckpt = os.path.join(out, "align.ckpt")
-    save_align_model(model, ckpt, arch)
+    model.save(ckpt)
     outputs = write_report(out, "metrics", ["step", "stage", "loss", "lr"],
                            [[s, st, f"{v:.6f}", f"{lr:.2e}"]
                             for s, st, v, lr in metrics], args.format)
@@ -380,15 +336,13 @@ def _train_align_stage(args, stage: str) -> int:
 def _train_dpo(args) -> int:
     out = ensure_out(args)
     cfg = load_config(args)
-    reference = load_speech_decoder(_require(args.init,
-                                             "--init reference checkpoint"))
+    reference = SpeechDecoder.load(_require(args.init, "--init checkpoint"))
     if reference.config.mode != "nar":
         raise KindMismatchError("preference training expects a NAR reference")
     reference.set_trainable(False)
-    policy = load_speech_decoder(args.init)
+    policy = SpeechDecoder.load(args.init)
     pairs = pairs_from_records(load_corpus(args.corpus, ("preference",)))
-    sched_kw = _take(cfg, {"lr": "lr", "steps": "steps", "batch": "batch",
-                           "warmup": "warmup_ratio", "log_every": "log_every"})
+    sched_kw = _take(cfg, {**SCHEDULE_KEYS, "log_every": "log_every"})
     sched_kw["seed"] = cfg.pop("seed", 0)
     dpo_cfg = DpoConfig(beta=cfg.pop("beta", 0.1))
     if cfg:
@@ -431,7 +385,7 @@ def _generate_units(decoder: SpeechDecoder, cond):
 
 
 def _eval_uer(args, out):
-    decoder = load_speech_decoder(args.checkpoint)
+    decoder = SpeechDecoder.load(_require(args.checkpoint, "--checkpoint"))
     records = load_corpus(args.corpus, ("supervised_units",))
     scores = evaluate_uer(decoder, records)
     rows = [[key, f"{val:.4f}"] for key, val in sorted(scores.items())]
@@ -439,7 +393,7 @@ def _eval_uer(args, out):
 
 
 def _eval_emotion_acc(args, out):
-    decoder = load_speech_decoder(args.checkpoint)
+    decoder = SpeechDecoder.load(_require(args.checkpoint, "--checkpoint"))
     records = load_corpus(args.corpus, ("supervised_units",))
     buckets = {}
     for rec in records:
@@ -458,7 +412,7 @@ def _eval_emotion_acc(args, out):
 
 
 def _eval_pref_acc(args, out):
-    decoder = load_speech_decoder(args.checkpoint)
+    decoder = SpeechDecoder.load(_require(args.checkpoint, "--checkpoint"))
     records = load_corpus(args.corpus, ("preference",))
     pairs = pairs_from_records(records)
     by_lang = {}
@@ -474,7 +428,7 @@ def _eval_pref_acc(args, out):
 
 
 def _eval_zero_shot(args, out):
-    model, _ = load_align_model(args.checkpoint)
+    model = al.OmniModel.load(_require(args.checkpoint, "--checkpoint"))
     records = load_corpus(args.corpus, ("instruct",))
     if not all("q_speech" in rec for rec in records):
         raise KindMismatchError("zero-shot eval needs a probe corpus with "
@@ -520,8 +474,8 @@ def cmd_eval(args) -> int:
 
 def cmd_bench_latency(args) -> int:
     out = ensure_out(args)
-    ar = load_speech_decoder(args.checkpoint_ar)
-    nar = load_speech_decoder(args.checkpoint_nar)
+    ar = SpeechDecoder.load(args.checkpoint_ar)
+    nar = SpeechDecoder.load(args.checkpoint_nar)
     if ar.config.mode != "ar" or nar.config.mode != "nar":
         raise KindMismatchError("bench-latency needs one AR and one NAR "
                                 "checkpoint, in that order")
@@ -606,9 +560,7 @@ def cmd_ablate(args) -> int:
     if not cells:
         raise ConfigurationError("empty ablation grid")
 
-    sched_kw = _take(cfg, {"lr": "lr", "steps": "steps", "batch": "batch",
-                           "warmup": "warmup_ratio",
-                           "weight_decay": "weight_decay"})
+    sched_kw = _take(cfg, {**SCHEDULE_KEYS, "weight_decay": "weight_decay"})
     sched_kw["seed"] = cfg.get("seed", 0)
     base_cfg = asdict(_decoder_config(cfg, "nar"))
     sched = asdict(TrainSchedule(**sched_kw))
@@ -650,7 +602,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_decode(args) -> int:
     out = ensure_out(args)
-    decoder = load_speech_decoder(args.checkpoint)
+    decoder = SpeechDecoder.load(args.checkpoint)
     records = load_corpus(args.contexts)
     cfg = decoder.config
     # every context is checked before any is decoded, so a bad record

@@ -7,14 +7,14 @@ text embeddings during training only.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import nn
 from . import tensor as T
-from .checkpoint import assign_parameters, load_checkpoint, save_checkpoint
+from .checkpoint import (assign_parameters, expect_keys, load_checkpoint,
+                         save_checkpoint)
 from .ctc import UnitSequence, ctc_loss, greedy_decode, min_frames
 from .data import UnitTextVocab
 from .errors import (ConfigurationError, ContractError, DataError,
@@ -213,18 +213,14 @@ class SpeechDecoder:
 
     # -- persistence --------------------------------------------------------
 
-    def save(self, path, optimizer_state=None):
-        save_checkpoint(path, self.parameters(), optimizer_state)
-        with open(str(path) + ".meta.json", "w") as fh:
-            json.dump(asdict(self.config), fh, sort_keys=True, indent=0)
-            fh.write("\n")
+    def save(self, path):
+        save_checkpoint(path, self.parameters(), asdict(self.config))
 
     @classmethod
     def load(cls, path) -> "SpeechDecoder":
-        with open(str(path) + ".meta.json") as fh:
-            config = SpeechDecoderConfig(**json.load(fh))
-        decoder = cls(config)
-        params, _ = load_checkpoint(path)
+        params, meta = load_checkpoint(path, "mode")
+        decoder = cls(SpeechDecoderConfig(
+            **expect_keys(path, meta, SpeechDecoderConfig)))
         assign_parameters(decoder.parameters(), params)
         return decoder
 

@@ -4,10 +4,12 @@ import csv
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from unitforge.alignment import OmniModel
 from unitforge.cli import (EXIT_INVALID_SPEC, EXIT_KIND_MISMATCH,
                            EXIT_MISSING_INPUT, EXIT_OK, EXIT_SEQUENCING,
                            build_parser, build_spec, file_digest, main,
@@ -213,13 +215,147 @@ def test_align_chain_and_stage_two_freezes_backbone(tmp_path):
                  "--init", str(ck1),
                  "--config", cfg2, "--out", str(tmp_path / "s2")]) == EXIT_OK
     # frozen-backbone stage: backbone weights bit-identical across stage II
-    from unitforge.cli import load_align_model
-    import numpy as np
-    m1, _ = load_align_model(str(ck1))
-    m2, _ = load_align_model(str(tmp_path / "s2" / "align.ckpt"))
+    m1 = OmniModel.load(str(ck1))
+    m2 = OmniModel.load(str(tmp_path / "s2" / "align.ckpt"))
     for k, v in m1.backbone_parameters().items():
         assert np.array_equal(v.data, m2.backbone_parameters()[k].data), k
     assert m2.completed_stages >= {"I", "II"}
+
+
+@pytest.fixture(scope="module")
+def align_dir(tmp_path_factory):
+    """Small corpora for every alignment stage and a stage I checkpoint."""
+    root = tmp_path_factory.mktemp("align")
+    for kind, size_key in (("speech-text", "n_speech_text"),
+                           ("image-text", "n_image_text"),
+                           ("instruct", "n_instruct")):
+        cfg = write_cfg(root / f"{kind}.cfg", kind=kind, seed=2,
+                        **{size_key: 6})
+        assert main(["gen-data", "--config", cfg,
+                     "--out", str(root)]) == EXIT_OK
+    cfg = write_cfg(root / "s1.cfg", steps=1, batch=2, pretrain_steps=1,
+                    d=8, layers=1)
+    assert main(["train", "align-1",
+                 "--corpus", str(root / "speech-text.jsonl"),
+                 "--config", cfg, "--out", str(root / "s1")]) == EXIT_OK
+    return root
+
+
+ALIGN_CORPUS = {"align-1": "speech-text", "align-2": "image-text",
+                "align-3": "instruct"}
+
+
+@pytest.mark.parametrize("stage, keys", [
+    ("align-1", dict(wibble=3)),
+    ("align-1", dict(weight_decay=0.5)),
+    ("align-1", dict(dim=64)),
+    ("align-2", dict(d=16)),
+    ("align-2", dict(pretrain_steps=3)),
+    ("align-3", dict(layers=1, heads=2)),
+    ("align-3", dict(pretrain_lr=0.1)),
+], ids=["1-wibble", "1-weight_decay", "1-dim", "2-d", "2-pretrain_steps",
+        "3-layers_heads", "3-pretrain_lr"])
+def test_align_stage_rejects_config_keys_it_does_not_read(align_dir, tmp_path,
+                                                          stage, keys):
+    cfg = write_cfg(tmp_path / "a.cfg", steps=1, batch=2, **keys)
+    out = tmp_path / "out"
+    assert main(["train", stage,
+                 "--corpus", str(align_dir / f"{ALIGN_CORPUS[stage]}.jsonl"),
+                 "--init", str(align_dir / "s1" / "align.ckpt"),
+                 "--config", cfg, "--out", str(out)]) == EXIT_INVALID_SPEC
+    assert not (out / "align.ckpt").exists()
+
+
+@pytest.mark.parametrize("stage", ["decoder-nar", "decoder-ar", "dpo"])
+def test_train_stage_rejects_unknown_config_key(workdir, tmp_path, stage):
+    corpus = "pref/preference.jsonl" if stage == "dpo" else \
+        "sup/supervised.jsonl"
+    cfg = write_cfg(tmp_path / "a.cfg", steps=1, batch=2, wibble=3)
+    out = tmp_path / "out"
+    assert main(["train", stage, "--corpus", str(workdir / corpus),
+                 "--init", str(workdir / "nar" / "decoder.ckpt"),
+                 "--config", cfg, "--out", str(out)]) == EXIT_INVALID_SPEC
+    assert not out.exists() or not any(out.glob("*.ckpt"))
+
+
+def test_align_two_accepts_seed_without_effect(align_dir, tmp_path):
+    cfg = write_cfg(tmp_path / "a.cfg", steps=1, batch=2)
+    ckpts = []
+    for sub, seed in (("plain", []), ("seeded", ["--seed", "9"])):
+        assert main(["train", "align-2",
+                     "--corpus", str(align_dir / "image-text.jsonl"),
+                     "--init", str(align_dir / "s1" / "align.ckpt"),
+                     "--config", cfg, "--out", str(tmp_path / sub)]
+                    + seed) == EXIT_OK
+        ckpts.append((tmp_path / sub / "align.ckpt").read_bytes())
+    assert ckpts[0] == ckpts[1]
+
+
+@pytest.mark.parametrize("sidecar", [
+    '{"kind": "speech-text", "spec": {"wibble": 1}}\n',
+    '{"kind": "speech-text", "spec": \n', '[1]\n',
+    '{"kind": "speech-text", "spec": [4, 10]}\n',
+], ids=["unknown_spec_key", "not_json", "not_an_object", "spec_not_object"])
+def test_align_one_bad_corpus_sidecar_exits_3(align_dir, tmp_path, sidecar):
+    corpus = tmp_path / "speech-text.jsonl"
+    shutil.copy(align_dir / "speech-text.jsonl", corpus)
+    (tmp_path / "speech-text.jsonl.manifest.json").write_text(sidecar)
+    cfg = write_cfg(tmp_path / "a.cfg", steps=1, batch=2, pretrain_steps=1)
+    assert main(["train", "align-1", "--corpus", str(corpus),
+                 "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == EXIT_INVALID_SPEC
+
+
+def _truncate(ckpt):
+    ckpt.write_bytes(ckpt.read_bytes()[:-9])
+
+
+def _edit_sidecar(ckpt, edit):
+    sidecar = ckpt.parent / (ckpt.name + ".meta.json")
+    meta = json.loads(sidecar.read_text())
+    edit(meta)
+    sidecar.write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("corrupt, code", [
+    (_truncate, EXIT_INVALID_SPEC),
+    (lambda c: (c.parent / (c.name + ".meta.json")).write_text("{mode"),
+     EXIT_INVALID_SPEC),
+    (lambda c: _edit_sidecar(c, lambda m: m.update(wibble=1)),
+     EXIT_INVALID_SPEC),
+    (lambda c: _edit_sidecar(c, lambda m: m.pop("heads")),
+     EXIT_INVALID_SPEC),
+    (lambda c: (c.parent / (c.name + ".meta.json")).unlink(),
+     EXIT_KIND_MISMATCH),
+], ids=["truncated_binary", "sidecar_not_json", "unknown_sidecar_key",
+        "missing_sidecar_key", "no_sidecar"])
+def test_corrupt_decoder_checkpoint_exit_code(workdir, tmp_path, corrupt,
+                                              code):
+    ckpt = tmp_path / "decoder.ckpt"
+    for name in ("decoder.ckpt", "decoder.ckpt.meta.json"):
+        shutil.copy(workdir / "nar" / name, tmp_path / name)
+    corrupt(ckpt)
+    assert main(["eval", "uer", "--checkpoint", str(ckpt),
+                 "--corpus", str(workdir / "sup" / "supervised.jsonl"),
+                 "--out", str(tmp_path / "out")]) == code
+
+
+def test_alignment_checkpoint_rejected_for_decoder_eval(workdir, align_dir,
+                                                        tmp_path):
+    assert main(["eval", "uer",
+                 "--checkpoint", str(align_dir / "s1" / "align.ckpt"),
+                 "--corpus", str(workdir / "sup" / "supervised.jsonl"),
+                 "--out", str(tmp_path)]) == EXIT_KIND_MISMATCH
+
+
+def test_corrupt_alignment_checkpoint_exits_3(align_dir, tmp_path):
+    for name in ("align.ckpt", "align.ckpt.meta.json"):
+        shutil.copy(align_dir / "s1" / name, tmp_path / name)
+    _truncate(tmp_path / "align.ckpt")
+    assert main(["train", "align-2",
+                 "--corpus", str(align_dir / "image-text.jsonl"),
+                 "--init", str(tmp_path / "align.ckpt"),
+                 "--out", str(tmp_path / "out")]) == EXIT_INVALID_SPEC
 
 
 # ---------------------------------------------------------------------------
