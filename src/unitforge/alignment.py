@@ -135,13 +135,17 @@ class OmniModel:
     @classmethod
     def load(cls, path) -> "OmniModel":
         params, meta = load_checkpoint(path, "alignment_spec")
-        expect_keys(path, meta, ("alignment_spec", "arch"))
+        expect_keys(path, meta, {"alignment_spec": dict, "arch": dict})
         spec = expect_keys(path, meta["alignment_spec"], AlignmentSpec)
         model = cls(AlignmentSpec(**dict(spec, seq_len=tuple(spec["seq_len"]))),
-                    **expect_keys(path, meta["arch"], ("d", "layers", "heads")))
-        stages = params.pop("meta.stages", np.zeros(0))
+                    **expect_keys(path, meta["arch"],
+                                  {"d": int, "layers": int, "heads": int}))
+        stages = params.pop("meta.stages", np.zeros(0)).reshape(-1)
+        if not np.isin(stages, np.arange(len(STAGES))).all():
+            raise DataError(f"{path}: meta.stages {stages.tolist()} are not "
+                            f"stage indices 0..{len(STAGES) - 1}")
         assign_parameters(model.parameters(), params)
-        model.completed_stages = {STAGES[int(i)] for i in stages.reshape(-1)}
+        model.completed_stages = {STAGES[int(i)] for i in stages}
         return model
 
     # -- sequence assembly --------------------------------------------------

@@ -8,7 +8,10 @@ top-level key marks its kind (``mode`` for a speech decoder,
 ``alignment_spec`` for an alignment model). No other module reads or
 writes either file. Missing binary: ``FileNotFoundError``; missing or
 foreign sidecar: ``KindMismatchError``; unreadable sidecar, truncated or
-corrupt binary: ``DataError``.
+corrupt binary: ``DataError``. Files written before attention and the
+MoE experts were stacked name each head's ``q{h}``/``k{h}``/``v{h}``
+weight and each ``expert{e}``'s layers; ``assign_parameters`` stacks
+them.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import struct
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 
@@ -91,17 +95,62 @@ def _read_params(path) -> dict:
     return params
 
 
-def expect_keys(path, entry, keys) -> dict:
-    """``entry`` if it is an object with exactly ``keys`` (or their fields)."""
-    names = {f.name for f in fields(keys)} if is_dataclass(keys) else set(keys)
-    if not isinstance(entry, dict) or set(entry) != names:
-        raise DataError(f"{meta_path(path)}: expected keys {sorted(names)}, "
+def _fits(value, kind) -> bool:
+    if kind is tuple:
+        return type(value) is list and all(type(v) is int for v in value)
+    return type(value) is kind or (kind is float and type(value) is int)
+
+
+def expect_keys(path, entry, types) -> dict:
+    """``entry`` if it is an object with exactly the keys of ``types``, a
+    dict of key to type or a dataclass typed by its defaults, each value of
+    that type (an int passes for a float, a list of ints for a tuple)."""
+    if is_dataclass(types):
+        types = {f.name: type(f.default_factory() if f.default is MISSING
+                              else f.default) for f in fields(types)}
+    if not isinstance(entry, dict) or set(entry) != set(types):
+        raise DataError(f"{meta_path(path)}: expected keys {sorted(types)}, "
                         f"got {entry!r}")
+    for key, kind in types.items():
+        if not _fits(entry[key], kind):
+            raise DataError(f"{meta_path(path)}: {key!r} must be of type "
+                            f"{kind.__name__}, got {entry[key]!r}")
     return entry
+
+
+_OLDER_NAME = re.compile(r"(.+)\.(?:([qkv])(\d+)\.w|expert(\d+)\.(fc[12]\.[wb]))")
+
+
+def _stack_older_names(loaded: dict) -> dict:
+    """``P.q{h}.w``/``k{h}``/``v{h}`` records become ``P.qkv.w`` (q heads,
+    then k, then v, side by side) and ``P.expert{e}.fcN.w``/``.b`` records
+    ``P.experts.fcN.w``/``.b`` stacked over e; other names pass through."""
+    out, groups = {}, {}
+    for name, arr in loaded.items():
+        m = _OLDER_NAME.fullmatch(name)
+        if m is None:
+            out[name] = arr
+        elif m[2]:
+            groups.setdefault(f"{m[1]}.qkv.w", {})[("qkv".index(m[2]), int(m[3]))] = arr
+        else:
+            groups.setdefault(f"{m[1]}.experts.{m[5]}", {})[(0, int(m[4]))] = arr
+    for key, parts in groups.items():
+        n_parts = 3 if key.endswith(".qkv.w") else 1
+        order = [(p, i) for p in range(n_parts) for i in range(len(parts) // n_parts)]
+        try:
+            if sorted(parts) != order:
+                raise ValueError(f"records {sorted(parts)}")
+            arrays = [parts[k] for k in order]
+            out[key] = np.concatenate(arrays, axis=1) if n_parts == 3 else np.stack(arrays)
+        except ValueError as exc:
+            raise DataError(f"checkpoint: per-head or per-expert records for "
+                            f"{key!r} do not stack ({exc})") from exc
+    return out
 
 
 def assign_parameters(params: dict, loaded: dict):
     """Copy loaded arrays into live tensors; shapes must match exactly."""
+    loaded = _stack_older_names(loaded)
     missing = set(params) - set(loaded)
     extra = set(loaded) - set(params)
     if missing or extra:

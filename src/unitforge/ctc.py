@@ -1,5 +1,5 @@
 """Exact CTC: lattice loss with analytic gradient, collapse rules,
-greedy / prefix-beam decoding, and a path-enumeration brute-force oracle.
+greedy decoding, and a path-enumeration brute-force oracle.
 
 Blank id is 0. The loss consumes log-probabilities (callers apply
 log_softmax); the lattice is purely additive in log space. Structurally
@@ -216,42 +216,3 @@ def greedy_decode(log_probs):
     lp = log_probs.data if isinstance(log_probs, Tensor) else np.asarray(log_probs)
     alignment = [int(i) for i in lp.argmax(axis=1)]
     return collapse(alignment), alignment
-
-
-def prefix_beam_decode(log_probs, beam: int) -> UnitSequence:
-    """Prefix beam search over collapsed sequences maximizing marginal P(y)."""
-    if beam < 1:
-        raise ConfigurationError("prefix_beam_decode: beam must be >= 1")
-    lp = log_probs.data if isinstance(log_probs, Tensor) else np.asarray(log_probs)
-    t_len, v = lp.shape
-    ninf = -np.inf
-    # prefix -> [log P(prefix, ends in blank), log P(prefix, ends in label)]
-    beams = {(): [0.0, ninf]}
-    for t in range(t_len):
-        nxt: dict[tuple, list] = {}
-
-        def bump(prefix, which, value):
-            cell = nxt.setdefault(prefix, [ninf, ninf])
-            cell[which] = np.logaddexp(cell[which], value)
-
-        for prefix, (pb, pnb) in beams.items():
-            total = np.logaddexp(pb, pnb)
-            for c in range(v):
-                p = lp[t, c]
-                if c == BLANK:
-                    bump(prefix, 0, p + total)
-                elif prefix and c == prefix[-1]:
-                    bump(prefix, 1, p + pnb)
-                    bump(prefix + (c,), 1, p + pb)
-                else:
-                    bump(prefix + (c,), 1, p + total)
-        ranked = sorted(
-            nxt.items(),
-            key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0]),
-        )
-        beams = dict(ranked[:beam])
-    best = max(
-        beams.items(),
-        key=lambda kv: (np.logaddexp(kv[1][0], kv[1][1]), tuple(-u for u in kv[0])),
-    )
-    return UnitSequence(best[0])

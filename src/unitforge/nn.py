@@ -1,9 +1,12 @@
 """Neural building blocks assembled by the decoder and alignment models.
 
-Everything is desk scale: explicit per-head weight matrices, pre-norm
-transformer blocks, dense soft MoE routing and a single-head text-guided
-cross-attention module whose output projection starts at zero so the
-fused path is exactly the identity until trained.
+Everything is desk scale: pre-norm transformer blocks whose attention
+holds one [d, 3d] query/key/value weight and runs its heads as a tensor
+axis, dense soft MoE routing over experts stacked into [E, ...] weights,
+and a single-head text-guided cross-attention module whose output
+projection starts at zero so the fused path is exactly the identity
+until trained. Attention, biased Linear, LayerNorm and the expert mix
+are one tape node each (see ``tensor``).
 """
 
 from __future__ import annotations
@@ -17,20 +20,20 @@ from .errors import ConfigurationError
 from .tensor import Tensor
 
 
+def _normal(rng, d_in, d_out):
+    return rng.normal(0.0, 1.0 / math.sqrt(d_in), (d_in, d_out))
+
+
 class Linear:
     def __init__(self, rng, d_in, d_out, bias=True, zero_init=False):
-        if zero_init:
-            w = np.zeros((d_in, d_out))
-        else:
-            w = rng.normal(0.0, 1.0 / math.sqrt(d_in), (d_in, d_out))
+        w = np.zeros((d_in, d_out)) if zero_init else _normal(rng, d_in, d_out)
         self.w = Tensor(w, requires_grad=True)
         self.b = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
 
     def __call__(self, x):
-        y = T.matmul(x, self.w)
-        if self.b is not None:
-            y = T.add_rowvec(y, self.b)
-        return y
+        if self.b is None:
+            return T.matmul(x, self.w)
+        return T.linear(x, self.w, self.b)
 
     def parameters(self, prefix):
         out = {f"{prefix}.w": self.w}
@@ -57,55 +60,30 @@ class LayerNorm:
         self.eps = eps
 
     def __call__(self, x):
-        return T.add_rowvec(T.mul_rowvec(T.layer_norm_last_dim(x, self.eps), self.g), self.b)
+        return T.layer_norm(x, self.g, self.b, self.eps)
 
     def parameters(self, prefix):
         return {f"{prefix}.g": self.g, f"{prefix}.b": self.b}
 
 
-def causal_mask(t: int) -> Tensor:
-    m = np.zeros((t, t))
-    m[np.triu_indices(t, k=1)] = T.NEG_INF
-    return Tensor(m)
-
-
 class SelfAttention:
-    """Multi-head attention with optional causal mask; per-head weights."""
+    """Multi-head attention with optional causal mask; fused QKV weight."""
 
     def __init__(self, rng, d, heads):
         if d % heads != 0:
             raise ConfigurationError(f"model dim {d} not divisible by {heads} heads")
-        self.d = d
         self.heads = heads
-        dh = d // heads
-        self.wq = [Linear(rng, d, dh, bias=False) for _ in range(heads)]
-        self.wk = [Linear(rng, d, dh, bias=False) for _ in range(heads)]
-        self.wv = [Linear(rng, d, dh, bias=False) for _ in range(heads)]
-        self.wo = Linear(rng, d, d, bias=False)
+        # drawn per head, q heads then k then v, as separate projections were
+        self.qkv = Tensor(np.concatenate(
+            [_normal(rng, d, d // heads) for _ in range(3 * heads)], axis=1),
+            requires_grad=True)
+        self.out = Tensor(_normal(rng, d, d), requires_grad=True)
 
     def __call__(self, x, causal: bool):
-        t = x.shape[0]
-        dh = self.d // self.heads
-        mask = causal_mask(t) if causal else None
-        outs = []
-        for h in range(self.heads):
-            q = self.wq[h](x)
-            k = self.wk[h](x)
-            v = self.wv[h](x)
-            scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(dh))
-            if mask is not None:
-                scores = T.add(scores, mask)
-            outs.append(T.matmul(T.softmax_last_dim(scores), v))
-        return self.wo(T.concat_last_dim(*outs))
+        return T.attention(x, self.qkv, self.out, self.heads, causal)
 
     def parameters(self, prefix):
-        out = {}
-        for h in range(self.heads):
-            out.update(self.wq[h].parameters(f"{prefix}.q{h}"))
-            out.update(self.wk[h].parameters(f"{prefix}.k{h}"))
-            out.update(self.wv[h].parameters(f"{prefix}.v{h}"))
-        out.update(self.wo.parameters(f"{prefix}.out"))
-        return out
+        return {f"{prefix}.qkv.w": self.qkv, f"{prefix}.out.w": self.out}
 
 
 class Mlp:
@@ -145,32 +123,35 @@ class DecoderBlock:
 
 
 class MoELayer:
-    """Dense soft routing over E feed-forward experts (x4 hidden widening)."""
+    """Dense soft routing over E feed-forward experts (x4 hidden widening),
+    stacked into [E, ...] weights."""
 
     def __init__(self, rng, d, experts):
         if experts < 1:
             raise ConfigurationError("MoELayer needs at least one expert")
-        self.d = d
-        self.experts = [Mlp(rng, d) for _ in range(experts)]
+        w1, w2 = [], []
+        for _ in range(experts):  # drawn per expert, as separate Mlps were
+            w1.append(_normal(rng, d, 4 * d))
+            w2.append(_normal(rng, 4 * d, d))
+        self.w1 = Tensor(np.stack(w1), requires_grad=True)
+        self.b1 = Tensor(np.zeros((experts, 4 * d)), requires_grad=True)
+        self.w2 = Tensor(np.stack(w2), requires_grad=True)
+        self.b2 = Tensor(np.zeros((experts, d)), requires_grad=True)
         self.router = Linear(rng, d, experts, bias=False)
 
     def routing_weights(self, x):
         return T.softmax_last_dim(self.router(x))
 
     def __call__(self, x):
-        weights = self.routing_weights(x)
-        t = x.shape[0]
-        out = None
-        for e, expert in enumerate(self.experts):
-            w_e = T.take_per_row(weights, np.full(t, e, dtype=np.int64))
-            term = T.scale_rows(expert(x), w_e)
-            out = term if out is None else T.add(out, term)
-        return out
+        return T.expert_mix(x, self.w1, self.b1, self.w2, self.b2,
+                            self.routing_weights(x))
 
     def parameters(self, prefix="moe"):
         out = self.router.parameters(f"{prefix}.router")
-        for e, expert in enumerate(self.experts):
-            out.update(expert.parameters(f"{prefix}.expert{e}"))
+        out.update({f"{prefix}.experts.fc1.w": self.w1,
+                    f"{prefix}.experts.fc1.b": self.b1,
+                    f"{prefix}.experts.fc2.w": self.w2,
+                    f"{prefix}.experts.fc2.b": self.b2})
         return out
 
 

@@ -5,9 +5,10 @@ require gradients. ``backward`` replays the tape in reverse creation
 order, which is a valid topological order by construction. Parameters
 (leaf tensors) survive tape clearing; intermediate activations do not.
 
-All math is float64. ``glog`` guards against -inf so that log-space
-lattice code stays finite; structurally unreachable lattice cells use
-the ``NEG_INF`` sentinel instead.
+All math is float64. Structurally unreachable lattice cells and masked
+attention scores use the ``NEG_INF`` sentinel. Attention, biased
+Linear, LayerNorm, the MoE expert mix and the mean of loss terms are one
+node each, with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -20,17 +21,6 @@ import numpy as np
 from .errors import ContractError, DomainError, OracleError, ShapeError
 
 NEG_INF = -1.0e30
-GUARDED_LOG_FLOOR = -690.0  # ~ log of the smallest normal double
-_LOG_TINY = 1e-300
-
-
-def glog(x):
-    """log(x) clipped below at GUARDED_LOG_FLOOR for x < 1e-300 (incl. 0)."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.full(x.shape, GUARDED_LOG_FLOOR)
-    mask = x >= _LOG_TINY
-    out[mask] = np.log(x[mask])
-    return out
 
 
 class _Node:
@@ -109,17 +99,10 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError("item() on non-scalar tensor")
         return float(self.data.reshape(()))
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -228,70 +211,6 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     return add(a, scale(b, -1.0))
-
-
-def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
-    """x[..., d] + b[d]; the one sanctioned broadcast besides scale."""
-    _check_nonempty("add_rowvec", x, b)
-    if b.data.ndim != 1 or x.data.shape[-1] != b.data.shape[0]:
-        raise ShapeError(f"add_rowvec: {x.data.shape} + {b.data.shape}")
-    out = _wrap(x.data + b.data)
-
-    def bwd(g):
-        axes = tuple(range(g.ndim - 1))
-        return [(x, g), (b, g.sum(axis=axes) if axes else g.copy())]
-
-    return _record("add_rowvec", out, bwd, x, b)
-
-
-def mul_rowvec(x: Tensor, w: Tensor) -> Tensor:
-    """x[..., d] * w[d] elementwise along the trailing dim."""
-    _check_nonempty("mul_rowvec", x, w)
-    if w.data.ndim != 1 or x.data.shape[-1] != w.data.shape[0]:
-        raise ShapeError(f"mul_rowvec: {x.data.shape} * {w.data.shape}")
-    out = _wrap(x.data * w.data)
-
-    def bwd(g):
-        axes = tuple(range(g.ndim - 1))
-        gw = g * x.data
-        return [(x, g * w.data), (w, gw.sum(axis=axes) if axes else gw.copy())]
-
-    return _record("mul_rowvec", out, bwd, x, w)
-
-
-def scale_rows(x: Tensor, s: Tensor) -> Tensor:
-    """Row t of x[T, d] scaled by scalar s[t]."""
-    _check_nonempty("scale_rows", x, s)
-    if x.data.ndim != 2 or s.data.ndim != 1 or x.data.shape[0] != s.data.shape[0]:
-        raise ShapeError(f"scale_rows: {x.data.shape} by {s.data.shape}")
-    out = _wrap(x.data * s.data[:, None])
-
-    def bwd(g):
-        return [(x, g * s.data[:, None]), (s, (g * x.data).sum(axis=1))]
-
-    return _record("scale_rows", out, bwd, x, s)
-
-
-def concat_last_dim(*xs: Tensor) -> Tensor:
-    _check_nonempty("concat_last_dim", *xs)
-    lead = xs[0].data.shape[:-1]
-    for x in xs:
-        if x.data.shape[:-1] != lead:
-            raise ShapeError(
-                f"concat_last_dim: leading shapes differ "
-                f"({[x.data.shape for x in xs]})"
-            )
-    out = _wrap(np.concatenate([x.data for x in xs], axis=-1))
-    widths = [x.data.shape[-1] for x in xs]
-    offsets = np.cumsum([0] + widths)
-
-    def bwd(g):
-        return [
-            (x, g[..., offsets[i]:offsets[i + 1]].copy())
-            for i, x in enumerate(xs)
-        ]
-
-    return _record("concat_last_dim", out, bwd, *xs)
 
 
 def concat_rows(*xs: Tensor) -> Tensor:
@@ -425,24 +344,6 @@ def logsumexp_last_dim(x: Tensor) -> Tensor:
     return _record("logsumexp_last_dim", out, bwd, x)
 
 
-def layer_norm_last_dim(x: Tensor, eps: float = 1e-5) -> Tensor:
-    _check_nonempty("layer_norm_last_dim", x)
-    if eps <= 0:
-        raise ContractError("layer_norm_last_dim: eps must be > 0")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = _wrap(xhat)
-
-    def bwd(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gxm = (g * xhat).mean(axis=-1, keepdims=True)
-        return [(x, inv * (g - gm - xhat * gxm))]
-
-    return _record("layer_norm_last_dim", out, bwd, x)
-
-
 def sigmoid(x: Tensor) -> Tensor:
     _check_nonempty("sigmoid", x)
     d = x.data
@@ -500,6 +401,135 @@ def tmean(x: Tensor) -> Tensor:
         return [(x, np.full_like(x.data, float(g) / n))]
 
     return _record("mean", out, bwd, x)
+
+
+# ---------------------------------------------------------------------------
+# fused layers: one node each, with a hand-written backward
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x[T, i] @ w[i, o] + b[o]."""
+    _check_nonempty("linear", x, w, b)
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]
+            or b.data.shape != w.data.shape[1:]):
+        raise ShapeError(f"linear: {x.data.shape} @ {w.data.shape} + {b.data.shape}")
+    out = x.data @ w.data
+    out += b.data
+
+    def bwd(g):
+        return [(x, g @ w.data.T), (w, x.data.T @ g), (b, g.sum(axis=0))]
+
+    return _record("linear", _wrap(out), bwd, x, w, b)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Last dim normalised to zero mean and unit variance, ``* gain + bias``."""
+    _check_nonempty("layer_norm", x, gain, bias)
+    if eps <= 0:
+        raise ContractError("layer_norm: eps must be > 0")
+    d = x.data.shape[-1:]
+    if gain.data.shape != d or bias.data.shape != d:
+        raise ShapeError(f"layer_norm: {x.data.shape} with gain {gain.data.shape}, "
+                         f"bias {bias.data.shape}")
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data - mu) * inv
+    axes = tuple(range(x.data.ndim - 1))
+
+    def bwd(g):
+        gh = g * gain.data
+        gm = gh.mean(axis=-1, keepdims=True)
+        gxm = (gh * xhat).mean(axis=-1, keepdims=True)
+        return [(x, inv * (gh - gm - xhat * gxm)),
+                (gain, (g * xhat).sum(axis=axes)), (bias, g.sum(axis=axes))]
+
+    return _record("layer_norm", _wrap(xhat * gain.data + bias.data), bwd,
+                   x, gain, bias)
+
+
+def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int,
+              causal: bool) -> Tensor:
+    """Multi-head self-attention over x[T, d].
+
+    ``w_qkv[d, 3d]`` holds the query, key and value projections side by
+    side, each as ``heads`` column blocks of width d/heads; ``w_o[d, d]``
+    maps the concatenated heads back. Heads run as a leading axis of
+    batched matmuls, which sum in another order than one matmul per head
+    (results agree to about 1e-15). With ``causal``, row t sees rows <= t.
+    """
+    _check_nonempty("attention", x, w_qkv, w_o)
+    t, d = x.data.shape if x.data.ndim == 2 else (0, 0)
+    if (not d or heads < 1 or d % heads or w_qkv.data.shape != (d, 3 * d)
+            or w_o.data.shape != (d, d)):
+        raise ShapeError(f"attention: x {x.data.shape}, w_qkv {w_qkv.data.shape}, "
+                         f"w_o {w_o.data.shape}, {heads} heads")
+    dh = d // heads
+    c = 1.0 / math.sqrt(dh)
+    # [T, 3d] -> [3, H, T, dh]: q, k, v, each with a head axis
+    q, k, v = (x.data @ w_qkv.data).reshape(t, 3, heads, dh).transpose(1, 2, 0, 3)
+    s = (q @ k.transpose(0, 2, 1)) * c
+    if causal:
+        upper = np.triu_indices(t, k=1)
+        s[:, upper[0], upper[1]] = NEG_INF
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    heads_out = (p @ v).transpose(1, 0, 2).reshape(t, d)
+
+    def bwd(g):
+        g_o = (g @ w_o.data.T).reshape(t, heads, dh).transpose(1, 0, 2)
+        g_p = g_o @ v.transpose(0, 2, 1)
+        g_s = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * c
+        g_qkv = np.stack([g_s @ k, g_s.transpose(0, 2, 1) @ q,
+                          p.transpose(0, 2, 1) @ g_o])
+        g_qkv = g_qkv.transpose(2, 0, 1, 3).reshape(t, 3 * d)
+        return [(x, g_qkv @ w_qkv.data.T), (w_qkv, x.data.T @ g_qkv),
+                (w_o, heads_out.T @ g)]
+
+    return _record("attention", _wrap(heads_out @ w_o.data), bwd, x, w_qkv, w_o)
+
+
+def expert_mix(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+               weights: Tensor) -> Tensor:
+    """sum_e weights[:, e] * (relu(x @ w1[e] + b1[e]) @ w2[e] + b2[e]).
+
+    Stacked experts: w1[E, d, h], b1[E, h], w2[E, h, d], b2[E, d]; x[T, d]
+    and routing weights[T, E]. Experts are added in index order.
+    """
+    _check_nonempty("expert_mix", x, w1, b1, w2, b2, weights)
+    shapes = [t.data.shape for t in (x, w1, b1, w2, b2, weights)]
+    n_exp, d, hid = shapes[1] if len(shapes[1]) == 3 else (0, 0, 0)
+    rows = x.data.shape[:1]
+    if shapes != [(*rows, d), (n_exp, d, hid), (n_exp, hid), (n_exp, hid, d),
+                  (n_exp, d), (*rows, n_exp)]:
+        raise ShapeError(f"expert_mix: x, w1, b1, w2, b2, weights shapes {shapes}")
+    cache, out = [], None
+    for e in range(n_exp):
+        a = x.data @ w1.data[e] + b1.data[e]
+        r = np.maximum(a, 0.0)
+        h = r @ w2.data[e] + b2.data[e]
+        term = h * weights.data[:, e][:, None]
+        out = term if out is None else out + term
+        cache.append((a, r, h))
+
+    def bwd(g):
+        grads = [np.empty_like(t.data) for t in (w1, b1, w2, b2, weights)]
+        gw1, gb1, gw2, gb2, gwt = grads
+        gx = None
+        for e in reversed(range(n_exp)):
+            a, r, h = cache[e]
+            gwt[:, e] = (g * h).sum(axis=1)
+            gh = g * weights.data[:, e][:, None]
+            gb2[e] = gh.sum(axis=0)
+            gw2[e] = r.T @ gh
+            ga = (gh @ w2.data[e].T) * (a > 0).astype(np.float64)
+            gb1[e] = ga.sum(axis=0)
+            gw1[e] = x.data.T @ ga
+            gxe = ga @ w1.data[e].T
+            gx = gxe if gx is None else gx + gxe
+        return [(x, gx), *zip((w1, b1, w2, b2, weights), grads)]
+
+    return _record("expert_mix", _wrap(out), bwd, x, w1, b1, w2, b2, weights)
 
 
 def record_custom(kind, out: Tensor, backward_fn, *inputs) -> Tensor:
@@ -571,72 +601,35 @@ def backward(loss: Tensor):
 
 
 def finite_difference_check(f, x: Tensor, h: float = 1e-5) -> float:
-    """Max relative error between backward() and central differences.
-
-    ``f`` maps the tensor to a scalar Tensor and must be deterministic.
-    Relative error is |analytic - numeric| / max(1, |numeric|).
-    """
-    if not (1e-6 <= h <= 1e-3):
-        raise ContractError(f"finite_difference_check: h={h} outside [1e-6, 1e-3]")
-
-    def eval_value(t):
-        with fresh_tape(), no_grad():
-            return float(f(t).item())
-
-    probe = Tensor(x.data.copy())
-    if eval_value(probe) != eval_value(probe):
-        raise OracleError("finite_difference_check: f is not deterministic")
-    v1 = eval_value(probe)
-    v2 = eval_value(probe)
-    if v1 != v2:
-        raise OracleError("finite_difference_check: f is not deterministic")
-
+    """Max relative error between backward() and central differences of
+    ``f``, which maps a copy of ``x`` to a scalar Tensor."""
     xg = Tensor(x.data.copy(), requires_grad=True)
-    with fresh_tape():
-        y = f(xg)
-        backward(y)
-    analytic = xg.grad if xg.grad is not None else np.zeros_like(xg.data)
-
-    flat = probe.data.reshape(-1)
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = eval_value(probe)
-        flat[i] = orig - h
-        fm = eval_value(probe)
-        flat[i] = orig
-        numeric[i] = (fp - fm) / (2.0 * h)
-    numeric = numeric.reshape(x.data.shape)
-
-    denom = np.maximum(1.0, np.abs(numeric))
-    return float(np.max(np.abs(analytic - numeric) / denom))
+    return check_parameter_gradients(lambda: f(xg), {"x": xg}, h)
 
 
 def check_parameter_gradients(loss_fn, params: dict, h: float = 1e-5) -> float:
     """Central-difference check of d(loss)/d(param) for every named
-    parameter; returns the max relative error across all elements."""
+    parameter: the max over all elements of |analytic - numeric| /
+    max(1, |numeric|), NaN if any is NaN. ``loss_fn`` must be deterministic."""
     if not (1e-6 <= h <= 1e-3):
-        raise ContractError(f"check_parameter_gradients: h={h} outside [1e-6, 1e-3]")
-    for p in params.values():
-        p.grad = None
-    with fresh_tape():
-        backward(loss_fn())
-    analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-        for name, p in params.items()
-    }
-    for p in params.values():
-        p.grad = None
+        raise ContractError(f"gradient check: h={h} outside [1e-6, 1e-3]")
 
     def value():
         with fresh_tape(), no_grad():
             return float(loss_fn().item())
 
-    worst = 0.0
-    for name, p in params.items():
+    if value() != value():
+        raise OracleError("gradient check: the loss is not deterministic")
+    for p in params.values():
+        p.grad = None
+    with fresh_tape():
+        backward(loss_fn())
+    errors = []
+    for p in params.values():
+        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
+        p.grad = None
         flat = p.data.reshape(-1)
-        aflat = analytic[name].reshape(-1)
+        numeric = np.zeros_like(flat)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
@@ -644,10 +637,10 @@ def check_parameter_gradients(loss_fn, params: dict, h: float = 1e-5) -> float:
             flat[i] = orig - h
             fm = value()
             flat[i] = orig
-            numeric = (fp - fm) / (2.0 * h)
-            err = abs(aflat[i] - numeric) / max(1.0, abs(numeric))
-            worst = max(worst, err)
-    return worst
+            numeric[i] = (fp - fm) / (2.0 * h)
+        errors.append(np.abs(analytic.reshape(-1) - numeric)
+                      / np.maximum(1.0, np.abs(numeric)))
+    return float(np.max(np.concatenate(errors)))
 
 
 # ---------------------------------------------------------------------------
@@ -705,20 +698,25 @@ def warmup_lr(base_lr: float, step: int, total_steps: int, warmup_ratio: float =
 
 
 def mean(terms) -> Tensor:
-    """Mean of scalar loss terms: summed left to right, then one scale.
-
-    ``terms`` may be a generator; each term is added as soon as it is
-    built, so every partial sum follows its term on the tape.
-    """
-    it = iter(terms)
-    total = next(it, None)
-    if total is None:
+    """Mean of scalar loss terms as one node: summed left to right, then
+    scaled by 1/n, the float operations of an ``add`` chain and a
+    ``scale``. ``terms`` may be a generator."""
+    terms = list(terms)
+    if not terms:
         raise ContractError("mean: no terms")
-    n = 1
-    for term in it:
-        total = add(total, term)
-        n += 1
-    return scale(total, 1.0 / n)
+    _check_nonempty("mean_terms", *terms)
+    total = terms[0].data
+    for term in terms[1:]:
+        if term.data.shape != total.shape:
+            raise ShapeError(f"mean: {term.data.shape} vs {total.shape}")
+        total = total + term.data
+    s = 1.0 / len(terms)
+
+    def bwd(g):
+        gs = g * s
+        return [(term, gs) for term in terms]
+
+    return _record("mean_terms", _wrap(total * s), bwd, *terms)
 
 
 def fit(params: dict, loss_fn, steps: int, lr: float, warmup_ratio: float = 0.3,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from unitforge.alignment import OmniModel
+from unitforge.checkpoint import load_checkpoint, save_checkpoint
 from unitforge.cli import (EXIT_INVALID_SPEC, EXIT_KIND_MISMATCH,
                            EXIT_MISSING_INPUT, EXIT_OK, EXIT_SEQUENCING,
                            build_parser, build_spec, file_digest, main,
@@ -327,8 +328,12 @@ def _edit_sidecar(ckpt, edit):
      EXIT_INVALID_SPEC),
     (lambda c: (c.parent / (c.name + ".meta.json")).unlink(),
      EXIT_KIND_MISMATCH),
+    (lambda c: _edit_sidecar(c, lambda m: m.update(layers="1")),
+     EXIT_INVALID_SPEC),
+    (lambda c: _edit_sidecar(c, lambda m: m.update(tgm=1)),
+     EXIT_INVALID_SPEC),
 ], ids=["truncated_binary", "sidecar_not_json", "unknown_sidecar_key",
-        "missing_sidecar_key", "no_sidecar"])
+        "missing_sidecar_key", "no_sidecar", "string_layers", "int_tgm"])
 def test_corrupt_decoder_checkpoint_exit_code(workdir, tmp_path, corrupt,
                                               code):
     ckpt = tmp_path / "decoder.ckpt"
@@ -352,6 +357,24 @@ def test_corrupt_alignment_checkpoint_exits_3(align_dir, tmp_path):
     for name in ("align.ckpt", "align.ckpt.meta.json"):
         shutil.copy(align_dir / "s1" / name, tmp_path / name)
     _truncate(tmp_path / "align.ckpt")
+    assert main(["train", "align-2",
+                 "--corpus", str(align_dir / "image-text.jsonl"),
+                 "--init", str(tmp_path / "align.ckpt"),
+                 "--out", str(tmp_path / "out")]) == EXIT_INVALID_SPEC
+
+
+@pytest.mark.parametrize("edit", [
+    lambda params, meta: params.update({"meta.stages": np.array([7.0])}),
+    lambda params, meta: params.update({"meta.stages": np.array([0.5])}),
+    lambda params, meta: meta["arch"].update(heads="2"),
+    lambda params, meta: meta["alignment_spec"].update(seq_len=[4, "x"]),
+], ids=["stage_out_of_range", "stage_not_integer", "string_heads",
+        "bad_seq_len"])
+def test_alignment_checkpoint_bad_values_exit_3(align_dir, tmp_path, edit):
+    params, meta = load_checkpoint(align_dir / "s1" / "align.ckpt",
+                                   "alignment_spec")
+    edit(params, meta)
+    save_checkpoint(tmp_path / "align.ckpt", params, meta)
     assert main(["train", "align-2",
                  "--corpus", str(align_dir / "image-text.jsonl"),
                  "--init", str(tmp_path / "align.ckpt"),

@@ -11,7 +11,7 @@ import unitforge.tensor as T
 from unitforge.ctc import (BLANK, UnitSequence, brute_force_marginals,
                            collapse, compute_lattice, ctc_brute_force,
                            ctc_loss, extended_target, greedy_decode,
-                           min_frames, prefix_beam_decode)
+                           min_frames)
 from unitforge.errors import (ConfigurationError, DomainError,
                               InfeasibleAlignmentError, OracleError)
 from unitforge.tensor import NEG_INF, Tensor, finite_difference_check
@@ -336,44 +336,3 @@ def test_greedy_decode_tie_prefers_smaller_id():
     units, alignment = greedy_decode(uniform_lp(3, 3))
     assert alignment == [0, 0, 0]
     assert units.units == ()
-
-
-def test_beam_decode_finds_marginal_argmax():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        t = int(rng.integers(1, 6))
-        v = int(rng.integers(2, 4))
-        lp = random_lp(rng, t, v)
-        marginals = brute_force_marginals(lp)
-        best = max(marginals.items(), key=lambda kv: kv[1])
-        got = prefix_beam_decode(lp, beam=64)
-        assert marginals[got.units] == pytest.approx(best[1], abs=1e-9)
-
-
-def test_beam_widening_is_monotone():
-    rng = np.random.default_rng(6)
-    lp = random_lp(rng, 5, 3)
-    marginals = brute_force_marginals(lp)
-    scores = [marginals[prefix_beam_decode(lp, beam=b).units]
-              for b in (1, 2, 4, 8, 16)]
-    assert all(b >= a - 1e-12 for a, b in zip(scores, scores[1:]))
-
-
-def test_beam_rejects_bad_width():
-    with pytest.raises(ConfigurationError):
-        prefix_beam_decode(uniform_lp(2, 2), beam=0)
-
-
-def test_beam_can_beat_greedy():
-    # classic case: greedy picks the single best path, the beam sums
-    # alignments; blank-heavy frames make them disagree
-    lp = np.log(np.array([
-        [0.4, 0.35, 0.25],
-        [0.4, 0.35, 0.25],
-    ]))
-    greedy_units, _ = greedy_decode(lp)
-    beam_units = prefix_beam_decode(lp, beam=8)
-    marginals = brute_force_marginals(lp)
-    assert marginals[beam_units.units] >= marginals[greedy_units.units]
-    assert beam_units.units == (1,)
-    assert greedy_units.units == ()

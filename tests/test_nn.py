@@ -13,6 +13,12 @@ def rand_x(rng, t, d):
     return Tensor(rng.normal(0.0, 1.0, (t, d)))
 
 
+def expert(moe, e, x):
+    """Expert e of a MoE layer on its own: relu(x W1 + b1) W2 + b2."""
+    h = np.maximum(x.data @ moe.w1.data[e] + moe.b1.data[e], 0.0)
+    return h @ moe.w2.data[e] + moe.b2.data[e]
+
+
 # ---------------------------------------------------------------------------
 # MoE
 
@@ -30,7 +36,7 @@ def test_single_expert_routing_is_identity_weighting():
     rng = np.random.default_rng(1)
     moe = nn.MoELayer(rng, 8, 1)
     x = rand_x(rng, 5, 8)
-    expected = moe.experts[0](x).data
+    expected = expert(moe, 0, x)
     assert np.allclose(moe(x).data, expected, atol=1e-12)
 
 
@@ -39,7 +45,7 @@ def test_moe_matches_manual_weighted_sum():
     moe = nn.MoELayer(rng, 8, 3)
     x = rand_x(rng, 4, 8)
     weights = moe.routing_weights(x).data
-    manual = sum(weights[:, e:e + 1] * moe.experts[e](x).data
+    manual = sum(weights[:, e:e + 1] * expert(moe, e, x)
                  for e in range(3))
     assert np.allclose(moe(x).data, manual, atol=1e-12)
 
@@ -47,13 +53,10 @@ def test_moe_matches_manual_weighted_sum():
 def test_identical_experts_make_expert_count_irrelevant():
     rng = np.random.default_rng(3)
     moe = nn.MoELayer(rng, 8, 3)
-    for e in (1, 2):
-        moe.experts[e].fc1.w.data[:] = moe.experts[0].fc1.w.data
-        moe.experts[e].fc1.b.data[:] = moe.experts[0].fc1.b.data
-        moe.experts[e].fc2.w.data[:] = moe.experts[0].fc2.w.data
-        moe.experts[e].fc2.b.data[:] = moe.experts[0].fc2.b.data
+    for p in (moe.w1, moe.b1, moe.w2, moe.b2):
+        p.data[:] = p.data[0]
     x = rand_x(rng, 4, 8)
-    assert np.allclose(moe(x).data, moe.experts[0](x).data, atol=1e-12)
+    assert np.allclose(moe(x).data, expert(moe, 0, x), atol=1e-12)
 
 
 def test_moe_rejects_zero_experts():
@@ -99,9 +102,17 @@ def test_tgm_gradient_reaches_attention_weights():
 
 
 def test_causal_mask_layout():
-    m = nn.causal_mask(3).data
-    assert (m[np.triu_indices(3, k=1)] == T.NEG_INF).all()
-    assert (m[np.tril_indices(3)] == 0).all()
+    # zero queries make every allowed score equal, and identity value and
+    # output weights make row t the mean of the rows it may attend to
+    attn = nn.SelfAttention(np.random.default_rng(0), 3, 1)
+    attn.qkv.data[:] = np.hstack([np.zeros((3, 3)), np.eye(3), np.eye(3)])
+    attn.out.data[:] = np.eye(3)
+    x = np.arange(9.0).reshape(3, 3)
+    out = attn(Tensor(x), causal=True).data
+    expected = np.cumsum(x, axis=0) / np.arange(1, 4)[:, None]
+    assert np.abs(out - expected).max() < 1e-12
+    full = attn(Tensor(x), causal=False).data
+    assert np.abs(full - x.mean(axis=0)).max() < 1e-12
 
 
 def test_causal_attention_ignores_future_bitwise():
@@ -192,10 +203,13 @@ def test_two_block_stack_parameter_gradients():
 def test_parameter_names_are_stable():
     rng = np.random.default_rng(12)
     moe = nn.MoELayer(rng, 8, 2)
-    names = set(moe.parameters("moe"))
-    assert "moe.router.w" in names
-    assert "moe.expert0.fc1.w" in names
-    assert "moe.expert1.fc2.b" in names
+    assert {k: p.shape for k, p in moe.parameters("moe").items()} == {
+        "moe.router.w": (8, 2),
+        "moe.experts.fc1.w": (2, 8, 32), "moe.experts.fc1.b": (2, 32),
+        "moe.experts.fc2.w": (2, 32, 8), "moe.experts.fc2.b": (2, 8)}
+    attn = nn.SelfAttention(rng, 8, 2)
+    assert {k: p.shape for k, p in attn.parameters("attn").items()} == {
+        "attn.qkv.w": (8, 24), "attn.out.w": (8, 8)}
     tgm = nn.TextGuidedModule(rng, 8)
     assert set(tgm.parameters("tgm")) == {
         "tgm.xattn.q.w", "tgm.xattn.k.w", "tgm.xattn.v.w", "tgm.proj.w"}

@@ -13,6 +13,8 @@ from unitforge.errors import ContractError, DomainError, OracleError, ShapeError
 from unitforge.tensor import AdamW, Tensor, finite_difference_check, warmup_lr
 
 FD_TOL = 1e-4
+GAIN = Tensor(np.linspace(0.5, 1.5, 4))
+BIAS = Tensor(np.linspace(-0.2, 0.3, 4))
 
 
 def rand(rng, *shape):
@@ -30,7 +32,7 @@ UNARY_CASES = [
     ("softmax", lambda x: T.tsum(T.mul(T.softmax_last_dim(x), x)), (3, 4)),
     ("log_softmax", lambda x: T.tsum(T.log_softmax_last_dim(x)), (3, 4)),
     ("logsumexp", lambda x: T.tsum(T.logsumexp_last_dim(x)), (3, 4)),
-    ("layer_norm", lambda x: T.tsum(T.mul(T.layer_norm_last_dim(x), x)), (3, 4)),
+    ("layer_norm", lambda x: T.tsum(T.mul(T.layer_norm(x, GAIN, BIAS), x)), (3, 4)),
     ("sigmoid", lambda x: T.tsum(T.sigmoid(x)), (3, 4)),
     ("softplus", lambda x: T.tsum(T.softplus(x)), (3, 4)),
     ("sum", T.tsum, (3, 4)),
@@ -57,21 +59,30 @@ def test_binary_primitive_gradients(seed):
     b = rand(rng, 4, 2)
     other = Tensor(rng.normal(0.0, 1.0, (3, 4)))
     vec = Tensor(rng.normal(0.0, 1.0, 4))
-    srow = Tensor(rng.normal(0.0, 1.0, 3))
+    bias = Tensor(rng.normal(0.0, 1.0, 2))
 
     cases = [
         (lambda x: T.tsum(T.matmul(x, b)), a),
         (lambda x: T.tsum(T.matmul(a, x)), b),
         (lambda x: T.tsum(T.add(x, other)), a),
         (lambda x: T.tsum(T.mul(x, other)), a),
-        (lambda x: T.tsum(T.add_rowvec(a, x)), vec),
-        (lambda x: T.tsum(T.mul_rowvec(x, vec)), a),
-        (lambda x: T.tsum(T.mul_rowvec(a, x)), vec),
-        (lambda x: T.tsum(T.scale_rows(x, srow)), a),
-        (lambda x: T.tsum(T.scale_rows(a, x)), srow),
+        (lambda x: T.tsum(T.mul(T.linear(x, b, bias), T.matmul(other, b))), a),
+        (lambda x: T.tsum(T.mul(T.linear(a, x, bias), T.matmul(other, b))), b),
+        (lambda x: T.tsum(T.mul(T.linear(a, b, x), T.matmul(other, b))), bias),
+        (lambda x: T.tsum(T.mul(T.layer_norm(a, x, vec), other)), vec),
+        (lambda x: T.tsum(T.mul(T.layer_norm(a, vec, x), other)), vec),
         (lambda x: T.tsum(T.concat_rows(x, other)), a),
-        (lambda x: T.tsum(T.concat_last_dim(x, other)), a),
+        (lambda x: T.mean([T.tsum(T.mul(x, x)), T.tsum(T.mul(x, other))]), a),
     ]
+    qkv, out_w = rand(rng, 4, 12), rand(rng, 4, 4)
+    experts = [rand(rng, 2, 4, 16), rand(rng, 2, 16), rand(rng, 2, 16, 4), rand(rng, 2, 4)]
+    fused = [(lambda *t: T.attention(*t, 2, False), [a, qkv, out_w]),
+             (lambda *t: T.attention(*t, 2, True), [a, qkv, out_w]),
+             (T.expert_mix, [a, *experts, T.softmax_last_dim(rand(rng, 3, 2))])]
+    for op, args in fused:  # every input of each fused layer
+        for i in range(len(args)):
+            cases.append((lambda x, op=op, args=args, i=i: T.tsum(
+                T.mul(op(*args[:i], x, *args[i + 1:]), other)), args[i]))
     for fn, x in cases:
         assert finite_difference_check(fn, x) < FD_TOL
 
@@ -121,13 +132,6 @@ def test_logsumexp_property(vals):
     out = T.logsumexp_last_dim(x)
     expected = math.log(sum(math.exp(v) for v in vals))
     assert out.item() == pytest.approx(expected, rel=1e-10, abs=1e-10)
-
-
-def test_glog_floor():
-    assert T.glog(0.0) == T.GUARDED_LOG_FLOOR
-    assert T.glog(1e-301) == T.GUARDED_LOG_FLOOR
-    assert T.glog(1.0) == 0.0
-    assert T.glog(math.e) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +218,7 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         T.add(a, Tensor(np.ones((3, 2))))
     with pytest.raises(ShapeError):
-        T.add_rowvec(a, Tensor(np.ones(2)))
+        T.linear(a, Tensor(np.ones((3, 2))), Tensor(np.ones(3)))
     with pytest.raises(ShapeError):
         T.embedding_lookup(a, [5])
 
@@ -379,17 +383,17 @@ _GRAPH_OPS = {
     "matmul": lambda p, q, k: T.matmul(p, q),
     "transpose": lambda p, q, k: T.transpose(p),
     "scale": lambda p, q, k: T.scale(p, 0.75),
-    "add_rowvec": lambda p, q, k: T.add_rowvec(p, k["vec"]),
-    "mul_rowvec": lambda p, q, k: T.mul_rowvec(p, k["vec"]),
-    "scale_rows": lambda p, q, k: T.scale_rows(p, T.logsumexp_last_dim(q)),
-    "take_per_row": lambda p, q, k: T.scale_rows(p, T.take_per_row(q, [2, 0, 1])),
-    "concat_last_dim": lambda p, q, k: T.matmul(T.concat_last_dim(p, q), k["w"]),
+    "linear": lambda p, q, k: T.linear(p, q, k["vec"]),
+    "layer_norm": lambda p, q, k: T.layer_norm(p, k["vec"], T.take_per_row(q, [2, 0, 1])),
+    "logsumexp": lambda p, q, k: T.layer_norm(q, k["vec"], T.logsumexp_last_dim(p)),
+    "attention": lambda p, q, k: T.attention(p, k["qkv"], q, 1, False),
+    "attention_causal": lambda p, q, k: T.attention(p, k["qkv"], q, 3, True),
+    "expert_mix": lambda p, q, k: T.expert_mix(p, *k["experts"], T.softmax_last_dim(q)),
     "concat_rows": lambda p, q, k: T.gather_rows(T.concat_rows(p, q), [5, 0, 3]),
     "repeat_rows": lambda p, q, k: T.gather_rows(T.repeat_rows(p, 2), [1, 4, 4]),
     "embedding": lambda p, q, k: T.add(p, T.embedding_lookup(k["table"], [4, 0, 4])),
     "softmax": lambda p, q, k: T.softmax_last_dim(p),
     "log_softmax": lambda p, q, k: T.log_softmax_last_dim(p),
-    "layer_norm": lambda p, q, k: T.layer_norm_last_dim(p),
     "sigmoid": lambda p, q, k: T.sigmoid(p),
     "softplus": lambda p, q, k: T.softplus(p),
     "relu": lambda p, q, k: T.relu(p),
@@ -408,8 +412,10 @@ def _run_graph(seed, ops, backward_fn):
     leaves = [Tensor(rng.normal(0.0, 1.0, (3, 3)), requires_grad=True)
               for _ in range(3)]
     extra = {"vec": Tensor(rng.normal(0.0, 1.0, 3), requires_grad=True),
-             "w": Tensor(rng.normal(0.0, 0.5, (6, 3)), requires_grad=True),
-             "table": Tensor(rng.normal(0.0, 1.0, (5, 3)), requires_grad=True)}
+             "qkv": Tensor(rng.normal(0.0, 0.5, (3, 9)), requires_grad=True),
+             "table": Tensor(rng.normal(0.0, 1.0, (5, 3)), requires_grad=True),
+             "experts": [Tensor(rng.normal(0.0, 0.5, shape), requires_grad=True)
+                         for shape in ((3, 3, 4), (3, 4), (3, 4, 3), (3, 3))]}
     with T.fresh_tape() as tape:
         # built before reset_tape(): its node_id now names an unrelated node
         stale = T.add(T.mul(leaves[0], leaves[1]), leaves[2])
@@ -433,7 +439,8 @@ def _run_graph(seed, ops, backward_fn):
         backward_fn(loss)
         backward_fn(loss)
         inner = [node.out for node in tape.nodes]
-    return [*leaves, *extra.values(), stale, foreign], inner
+    return [*leaves, extra["vec"], extra["qkv"], extra["table"], *extra["experts"],
+            stale, foreign], inner
 
 
 @given(seed=st.integers(0, 2**31 - 1),
@@ -479,12 +486,12 @@ def _alias_cases():
         ("sub", T.sub, (sq, r(3, 3))),
         ("mul", T.mul, (sq, sq)),
         ("scale", lambda x: T.scale(x, 1.0), (sq,)),
-        ("add_rowvec", T.add_rowvec, (sq, r(3))),
-        ("add_rowvec_1d", T.add_rowvec, (r(3), r(3))),
-        ("mul_rowvec", T.mul_rowvec, (sq, r(3))),
-        ("scale_rows", T.scale_rows, (sq, r(3))),
-        ("concat_last_dim", T.concat_last_dim, (sq, r(3, 2))),
-        ("concat_last_dim_one", T.concat_last_dim, (sq,)),
+        ("linear", T.linear, (sq, r(3, 2), r(2))),
+        ("expert_mix", T.expert_mix, (sq, r(2, 3, 4), r(2, 4), r(2, 4, 3), r(2, 3), r(3, 2))),
+        ("attention", lambda x, w, o: T.attention(x, w, o, 3, False), (sq, r(3, 9), r(3, 3))),
+        ("attention_causal", lambda x, w, o: T.attention(x, w, o, 1, True),
+         (sq, r(3, 9), r(3, 3))),
+        ("mean_terms", lambda *xs: T.mean(xs), (sq, r(3, 3))),
         ("concat_rows", T.concat_rows, (sq, r(1, 3))),
         ("concat_rows_one", T.concat_rows, (sq,)),
         ("repeat_rows", lambda x: T.repeat_rows(x, 1), (sq,)),
@@ -496,7 +503,7 @@ def _alias_cases():
         ("softmax", T.softmax_last_dim, (sq,)),
         ("log_softmax", T.log_softmax_last_dim, (sq,)),
         ("logsumexp", T.logsumexp_last_dim, (sq,)),
-        ("layer_norm", T.layer_norm_last_dim, (sq,)),
+        ("layer_norm", T.layer_norm, (sq, r(3), r(3))),
         ("sigmoid", T.sigmoid, (sq,)),
         ("softplus", T.softplus, (sq,)),
         ("relu", T.relu, (Tensor(np.abs(sq.data) + 1.0),)),
