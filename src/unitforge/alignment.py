@@ -24,6 +24,7 @@ from .errors import ContractError, DataError, SequencingError
 from .tensor import Tensor
 
 STAGES = ("I", "II", "III")
+ARCH_TYPES = {"d": int, "layers": int, "heads": int}  # OmniModel's shape keys
 
 
 @dataclass
@@ -105,6 +106,7 @@ class OmniModel:
     """Backbone plus speech/image projectors and stage bookkeeping."""
 
     def __init__(self, spec: AlignmentSpec, d=32, layers=2, heads=2, seed=0):
+        nn.check_dims(d, heads)
         self.spec = spec
         self.arch = {"d": d, "layers": layers, "heads": heads}
         self.vocab = AlignmentVocab(spec)
@@ -138,8 +140,7 @@ class OmniModel:
         expect_keys(path, meta, {"alignment_spec": dict, "arch": dict})
         spec = expect_keys(path, meta["alignment_spec"], AlignmentSpec)
         model = cls(AlignmentSpec(**dict(spec, seq_len=tuple(spec["seq_len"]))),
-                    **expect_keys(path, meta["arch"],
-                                  {"d": int, "layers": int, "heads": int}))
+                    **expect_keys(path, meta["arch"], ARCH_TYPES))
         stages = params.pop("meta.stages", np.zeros(0)).reshape(-1)
         if not np.isin(stages, np.arange(len(STAGES))).all():
             raise DataError(f"{path}: meta.stages {stages.tolist()} are not "
@@ -312,7 +313,7 @@ def eval_stage_loss(model: OmniModel, stage: str, records, batch=16) -> float:
         _set_freeze(model, True)
     try:
         vals = []
-        with T.fresh_tape(), T.no_grad():
+        with T.no_grad():
             for i in range(0, len(records), batch):
                 vals.append(loss_fn(model, records[i:i + batch]).item())
         return float(np.mean(vals))
@@ -327,7 +328,7 @@ def eval_stage_loss(model: OmniModel, stage: str, records, batch=16) -> float:
 
 def answer_question(model: OmniModel, image_feats, q_rows: Tensor) -> int:
     """Greedy single-token answer given image prefix and question rows."""
-    with T.fresh_tape(), T.no_grad():
+    with T.no_grad():
         rows = T.concat_rows(model.image(image_feats), model._sep_row(), q_rows)
         logits = model.backbone.logits(rows)
     return int(logits.data[-1].argmax())
@@ -368,7 +369,7 @@ def speech_text_similarity(model: OmniModel, probe_records) -> float:
     if not probe_records:
         raise ContractError("speech_text_similarity: empty probe set")
     by_token: dict = {}
-    with T.fresh_tape(), T.no_grad():
+    with T.no_grad():
         for rec in probe_records:
             rows = model.speech(decode_f32(rec["q_speech"])).data
             for tok, row in zip(rec["q_tokens"], rows):

@@ -10,8 +10,9 @@ writes either file. Missing binary: ``FileNotFoundError``; missing or
 foreign sidecar: ``KindMismatchError``; unreadable sidecar, truncated or
 corrupt binary: ``DataError``. Files written before attention and the
 MoE experts were stacked name each head's ``q{h}``/``k{h}``/``v{h}``
-weight and each ``expert{e}``'s layers; ``assign_parameters`` stacks
-them.
+weight and each ``expert{e}``'s layers, and files written before the
+text-guided module ran on ``tensor.attention`` name its head-less
+``tgm.xattn.q``/``k``/``v`` weights; ``assign_parameters`` stacks them.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ import math
 import os
 import re
 import struct
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import is_dataclass
+from typing import get_type_hints
 
 import numpy as np
 
-from .errors import DataError, KindMismatchError
+from .errors import ConfigurationError, DataError, KindMismatchError
 
 MAGIC = b"OOMN"
 VERSION = 1
@@ -97,41 +99,46 @@ def _read_params(path) -> dict:
 
 def _fits(value, kind) -> bool:
     if kind is tuple:
-        return type(value) is list and all(type(v) is int for v in value)
+        return type(value) in (list, tuple) and all(type(v) is int for v in value)
     return type(value) is kind or (kind is float and type(value) is int)
 
 
-def expect_keys(path, entry, types) -> dict:
-    """``entry`` if it is an object with exactly the keys of ``types``, a
-    dict of key to type or a dataclass typed by its defaults, each value of
-    that type (an int passes for a float, a list of ints for a tuple)."""
-    if is_dataclass(types):
-        types = {f.name: type(f.default_factory() if f.default is MISSING
-                              else f.default) for f in fields(types)}
-    if not isinstance(entry, dict) or set(entry) != set(types):
-        raise DataError(f"{meta_path(path)}: expected keys {sorted(types)}, "
-                        f"got {entry!r}")
-    for key, kind in types.items():
-        if not _fits(entry[key], kind):
-            raise DataError(f"{meta_path(path)}: {key!r} must be of type "
-                            f"{kind.__name__}, got {entry[key]!r}")
+def check_types(entry: dict, types, error=ConfigurationError, where="") -> dict:
+    """``entry`` if each value whose key ``types`` (a dict, or a dataclass's
+    annotations) names is of that type: an int passes for a float, a list
+    or tuple of ints for a tuple. Otherwise ``error``."""
+    types = get_type_hints(types) if is_dataclass(types) else types
+    for key, value in entry.items():
+        if key in types and not _fits(value, types[key]):
+            raise error(f"{where}{key!r} must be of type "
+                        f"{types[key].__name__}, got {value!r}")
     return entry
 
 
-_OLDER_NAME = re.compile(r"(.+)\.(?:([qkv])(\d+)\.w|expert(\d+)\.(fc[12]\.[wb]))")
+def expect_keys(path, entry, types) -> dict:
+    """``entry`` if it has exactly the keys of ``types``, each value typed."""
+    types = get_type_hints(types) if is_dataclass(types) else types
+    if not isinstance(entry, dict) or set(entry) != set(types):
+        raise DataError(f"{meta_path(path)}: expected keys {sorted(types)}, "
+                        f"got {entry!r}")
+    return check_types(entry, types, DataError, f"{meta_path(path)}: ")
+
+
+_OLDER_NAME = re.compile(r"(.+)\.(?:([qkv])(\d*)\.w|expert(\d+)\.(fc[12]\.[wb]))")
 
 
 def _stack_older_names(loaded: dict) -> dict:
-    """``P.q{h}.w``/``k{h}``/``v{h}`` records become ``P.qkv.w`` (q heads,
-    then k, then v, side by side) and ``P.expert{e}.fcN.w``/``.b`` records
-    ``P.experts.fcN.w``/``.b`` stacked over e; other names pass through."""
+    """``P.q{h}.w``/``k{h}``/``v{h}`` records (``{h}`` may be absent) become
+    ``P.qkv.w`` (q heads, then k, then v, side by side) and ``P.expert{e}.
+    fcN.w``/``.b`` records ``P.experts.fcN.w``/``.b`` stacked over e."""
     out, groups = {}, {}
     for name, arr in loaded.items():
         m = _OLDER_NAME.fullmatch(name)
         if m is None:
             out[name] = arr
         elif m[2]:
-            groups.setdefault(f"{m[1]}.qkv.w", {})[("qkv".index(m[2]), int(m[3]))] = arr
+            part = ("qkv".index(m[2]), int(m[3] or 0))  # head-less: one head
+            groups.setdefault(f"{m[1]}.qkv.w", {})[part] = arr
         else:
             groups.setdefault(f"{m[1]}.experts.{m[5]}", {})[(0, int(m[4]))] = arr
     for key, parts in groups.items():

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import alignment as al
 from . import tensor as T
+from .checkpoint import check_types
 from .data import (AlignmentSpec, CorpusSpec, corpus_manifest,
                    emotion_oracle_classify, gen_emotion_eval_corpus,
                    gen_image_text_corpus, gen_instruct_corpus,
@@ -48,6 +49,10 @@ EXIT_MISSING_INPUT = 2
 EXIT_INVALID_SPEC = 3
 EXIT_SEQUENCING = 4
 EXIT_KIND_MISMATCH = 5
+EXIT_CODES = ((FileNotFoundError, EXIT_MISSING_INPUT),  # first match wins
+              ((ConfigurationError, DataError), EXIT_INVALID_SPEC),
+              (SequencingError, EXIT_SEQUENCING),
+              (KindMismatchError, EXIT_KIND_MISMATCH), (UnitforgeError, 1))
 
 GENERATORS = {
     "supervised": gen_supervised_corpus,
@@ -103,11 +108,12 @@ def load_config(args) -> dict:
     cfg = parse_config(args.config) if args.config else {}
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
-    return cfg
+    return check_types(cfg, {"seed": int})
 
 
 def build_spec(cls, cfg: dict, aliases=None):
-    """Populate a dataclass from config keys; unknown keys are rejected."""
+    """Populate a dataclass from config keys; unknown keys and values of
+    the wrong type are rejected."""
     aliases = aliases or {}
     names = {f.name for f in fields(cls)}
     kwargs = {}
@@ -118,16 +124,19 @@ def build_spec(cls, cfg: dict, aliases=None):
         if name not in names:
             raise ConfigurationError(f"unknown config key {key!r} for "
                                      f"{cls.__name__}")
-        kwargs[name] = tuple(value) if isinstance(value, list) else value
-    return cls(**kwargs)
+        kwargs[name] = value
+    check_types(kwargs, cls)
+    return cls(**{k: tuple(v) if isinstance(v, list) else v
+                  for k, v in kwargs.items()})
 
 
-def _take(cfg: dict, keys: dict) -> dict:
-    """Pop cfg entries named in keys (alias map), return the popped dict."""
-    out = {}
-    for key, name in keys.items():
-        if key in cfg:
-            out[name] = cfg.pop(key)
+def _take(cfg: dict, keys: dict, types) -> dict:
+    """Pop cfg entries named in keys (alias map), return the popped dict,
+    typed as ``check_types`` checks them; lr must be > 0 and batch >= 1."""
+    out = check_types({name: cfg.pop(key) for key, name in keys.items()
+                       if key in cfg}, types)
+    if out.get("lr", 1) <= 0 or out.get("batch", 1) < 1:
+        raise ConfigurationError(f"lr must be > 0 and batch >= 1, got {out}")
     return out
 
 
@@ -246,7 +255,7 @@ def cmd_gen_data(args) -> int:
     cls = CorpusSpec if kind in UNIT_KINDS else AlignmentSpec
     for key in ("len_a", "len_b", "seq_len"):
         if key in cfg and isinstance(cfg[key], str):
-            cfg[key] = tuple(int(v) for v in cfg[key].split(","))
+            cfg[key] = [_coerce(v) for v in cfg[key].split(",")]
     spec = build_spec(cls, cfg)
     if hasattr(spec, "validate"):
         spec.validate()
@@ -279,9 +288,9 @@ def _decoder_config(cfg: dict, mode: str) -> SpeechDecoderConfig:
 def _train_decoder_stage(args, mode: str) -> int:
     out = ensure_out(args)
     cfg = load_config(args)
-    sched_kw = _take(cfg, {**SCHEDULE_KEYS, "weight_decay": "weight_decay"})
-    sched_kw["seed"] = cfg.get("seed", 0)
-    schedule = TrainSchedule(**sched_kw)
+    sched_kw = _take(cfg, {**SCHEDULE_KEYS, "weight_decay": "weight_decay"},
+                     TrainSchedule)
+    schedule = TrainSchedule(**sched_kw, seed=cfg.get("seed", 0))
     config = _decoder_config(cfg, mode)
     records = load_corpus(args.corpus, ("supervised_units",))
     decoder, curve = train_decoder(records, config, schedule)
@@ -304,12 +313,12 @@ def _train_align_stage(args, stage: str) -> int:
     corpus_kind = {"I": "speech_text", "II": "image_text",
                    "III": "instruct"}[stage]
     records = load_corpus(args.corpus, (corpus_kind,))
-    sched_kw = _take(cfg, SCHEDULE_KEYS)
+    sched_kw = _take(cfg, SCHEDULE_KEYS, al.StageSchedule)
     seed = cfg.pop("seed", 0)  # stage I only: init and pretraining
     if stage == "I":
-        pretrain_kw = _take(cfg, {"pretrain_steps": "steps",
-                                  "pretrain_lr": "lr"})
-        arch = _take(cfg, {"d": "d", "layers": "layers", "heads": "heads"})
+        pretrain_kw = _take(cfg, {"pretrain_steps": "steps", "pretrain_lr": "lr"},
+                            {"steps": int, "lr": float})
+        arch = _take(cfg, {k: k for k in al.ARCH_TYPES}, al.ARCH_TYPES)
     if cfg:
         raise ConfigurationError(
             f"unknown config keys {sorted(cfg)} for {args.stage}")
@@ -342,9 +351,10 @@ def _train_dpo(args) -> int:
     reference.set_trainable(False)
     policy = SpeechDecoder.load(args.init)
     pairs = pairs_from_records(load_corpus(args.corpus, ("preference",)))
-    sched_kw = _take(cfg, {**SCHEDULE_KEYS, "log_every": "log_every"})
+    sched_kw = _take(cfg, {**SCHEDULE_KEYS, "log_every": "log_every"},
+                     DpoSchedule)
     sched_kw["seed"] = cfg.pop("seed", 0)
-    dpo_cfg = DpoConfig(beta=cfg.pop("beta", 0.1))
+    dpo_cfg = DpoConfig(**_take(cfg, {"beta": "beta"}, DpoConfig))
     if cfg:
         raise ConfigurationError(f"unknown config keys {sorted(cfg)} for dpo")
     metrics = train_dpo(policy, reference, pairs, dpo_cfg,
@@ -378,12 +388,6 @@ def cmd_train(args) -> int:
 # eval
 
 
-def _generate_units(decoder: SpeechDecoder, cond):
-    if decoder.config.mode == "nar":
-        return decoder.nar_generate(cond)
-    return decoder.ar_generate(cond)
-
-
 def _eval_uer(args, out):
     decoder = SpeechDecoder.load(_require(args.checkpoint, "--checkpoint"))
     records = load_corpus(args.corpus, ("supervised_units",))
@@ -400,7 +404,7 @@ def _eval_emotion_acc(args, out):
         cond = decode_f32(rec["features"])
         if not feasible(decoder, rec, cond.shape[0]):
             continue
-        pred = emotion_oracle_classify(_generate_units(decoder, cond).units)
+        pred = emotion_oracle_classify(decoder.generate(cond).units)
         hit = int(pred == rec["emotion"])
         for key in ("overall", f"lang={rec['lang']}",
                     f"emotion={rec['emotion']}"):
@@ -442,9 +446,10 @@ def _eval_zero_shot(args, out):
 
 
 def _eval_partition_check(args, out):
-    cfg = load_config(args)
-    frames = cfg.pop("t", 2)
-    vocab = cfg.pop("v", 2)
+    cfg = check_types(load_config(args), {"t": int, "v": int})
+    frames, vocab = cfg.pop("t", 2), cfg.pop("v", 2)
+    if cfg:
+        raise ConfigurationError(f"partition-check reads only t and v, got {cfg}")
     lp = np.full((frames, vocab), -np.log(vocab))
     total = float(sum(np.exp(v) for v in brute_force_marginals(lp).values()))
     rows = [["frames", frames], ["vocab", vocab],
@@ -560,10 +565,10 @@ def cmd_ablate(args) -> int:
     if not cells:
         raise ConfigurationError("empty ablation grid")
 
-    sched_kw = _take(cfg, {**SCHEDULE_KEYS, "weight_decay": "weight_decay"})
-    sched_kw["seed"] = cfg.get("seed", 0)
+    sched_kw = _take(cfg, {**SCHEDULE_KEYS, "weight_decay": "weight_decay"},
+                     TrainSchedule)
     base_cfg = asdict(_decoder_config(cfg, "nar"))
-    sched = asdict(TrainSchedule(**sched_kw))
+    sched = asdict(TrainSchedule(**sched_kw, seed=cfg.get("seed", 0)))
     _require(args.corpus, "corpus")
     payloads = [(args.corpus, base_cfg, sched, cell, i)
                 for i, cell in enumerate(cells)]
@@ -625,7 +630,7 @@ def cmd_decode(args) -> int:
         contexts.append(feats)
     results = []
     for rec, feats in zip(records, contexts):
-        result = _generate_units(decoder, feats)
+        result = decoder.generate(feats)
         results.append({
             "schema": 1,
             "id": rec["id"],
@@ -645,11 +650,11 @@ def cmd_decode(args) -> int:
 # entry point
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--config", default=None)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--format", choices=("csv", "text"), default="csv")
+def _add_common(parser, *flags):
+    """``--out`` and those of ``--seed``, ``--config``, ``--format`` given."""
+    for flag in ("--out", *flags):
+        parser.add_argument(flag, **{"--seed": dict(type=int), "--format": dict(
+            choices=("csv", "text"), default="csv")}.get(flag, {}))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -660,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic corpus")
-    _add_common(p)
+    _add_common(p, "--seed", "--config")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="run one training stage")
@@ -669,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--init", default=None,
                    help="checkpoint from the prerequisite stage")
-    _add_common(p)
+    _add_common(p, "--seed", "--config", "--format")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -677,21 +682,21 @@ def build_parser() -> argparse.ArgumentParser:
                                       "zero-shot", "partition-check"))
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--corpus", default=None)
-    _add_common(p)
+    _add_common(p, "--config", "--format")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench-latency", help="AR vs NAR step-count benchmark")
     p.add_argument("--checkpoint-ar", required=True)
     p.add_argument("--checkpoint-nar", required=True)
     p.add_argument("--corpus", required=True)
-    _add_common(p)
+    _add_common(p, "--format")
     p.set_defaults(func=cmd_bench_latency)
 
     p = sub.add_parser("ablate", help="experts/layers/tgm grid")
     p.add_argument("--corpus", required=True)
     p.add_argument("--workers", type=int, default=1,
                    help="grid cells trained in parallel")
-    _add_common(p)
+    _add_common(p, "--seed", "--config", "--format")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("decode", help="checkpoint + contexts to unit JSONL")
@@ -710,21 +715,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, UnitforgeError) as exc:
         log.error("%s", exc)
-        return EXIT_MISSING_INPUT
-    except (ConfigurationError, DataError) as exc:
-        log.error("%s", exc)
-        return EXIT_INVALID_SPEC
-    except SequencingError as exc:
-        log.error("%s", exc)
-        return EXIT_SEQUENCING
-    except KindMismatchError as exc:
-        log.error("%s", exc)
-        return EXIT_KIND_MISMATCH
-    except UnitforgeError as exc:
-        log.error("%s", exc)
-        return 1
+        return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
     finally:
         T.reset_tape()
 

@@ -43,6 +43,7 @@ class SpeechDecoderConfig:
     def validate(self):
         if self.mode not in ("nar", "ar"):
             raise ConfigurationError(f"unknown decoder mode {self.mode!r}")
+        nn.check_dims(self.model_dim, self.heads)
         if self.experts < 1:
             raise ConfigurationError("experts must be >= 1")
         if self.vocab_ar <= self.vocab_nar:
@@ -211,6 +212,11 @@ class SpeechDecoder:
             truncated=truncated,
         )
 
+    def generate(self, cond) -> GenerationResult:
+        """Greedy generation in the decoder's own mode."""
+        run = self.nar_generate if self.config.mode == "nar" else self.ar_generate
+        return run(cond)
+
     # -- persistence --------------------------------------------------------
 
     def save(self, path):
@@ -292,11 +298,7 @@ def evaluate_uer(decoder: SpeechDecoder, records) -> dict:
         cond = decode_f32(rec["features"])
         if not feasible(decoder, rec, cond.shape[0]):
             continue
-        if decoder.config.mode == "nar":
-            hyp = decoder.nar_generate(cond).units
-        else:
-            hyp = decoder.ar_generate(cond).units
-        uer = unit_error_rate(rec["units"], hyp.units)
+        uer = unit_error_rate(rec["units"], decoder.generate(cond).units.units)
         totals.setdefault("overall", []).append(uer)
         totals.setdefault(rec.get("lang", "?"), []).append(uer)
     return {k: float(np.mean(v)) for k, v in totals.items()}

@@ -3,10 +3,11 @@
 Everything is desk scale: pre-norm transformer blocks whose attention
 holds one [d, 3d] query/key/value weight and runs its heads as a tensor
 axis, dense soft MoE routing over experts stacked into [E, ...] weights,
-and a single-head text-guided cross-attention module whose output
-projection starts at zero so the fused path is exactly the identity
-until trained. Attention, biased Linear, LayerNorm and the expert mix
-are one tape node each (see ``tensor``).
+and a text-guided module: single-head cross-attention through the same
+``tensor.attention``, keys and values taken from the response text, whose
+output projection starts at zero so the fused path is exactly the
+identity until trained. Attention (self and cross), biased Linear,
+LayerNorm and the expert mix are one tape node each (see ``tensor``).
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ from .tensor import Tensor
 
 def _normal(rng, d_in, d_out):
     return rng.normal(0.0, 1.0 / math.sqrt(d_in), (d_in, d_out))
+
+
+def check_dims(d, heads):
+    if heads < 1 or d < 1 or d % heads:
+        raise ConfigurationError(f"model dim {d} must be >= 1 and a multiple "
+                                 f"of the number of heads {heads} >= 1")
 
 
 class Linear:
@@ -70,8 +77,7 @@ class SelfAttention:
     """Multi-head attention with optional causal mask; fused QKV weight."""
 
     def __init__(self, rng, d, heads):
-        if d % heads != 0:
-            raise ConfigurationError(f"model dim {d} not divisible by {heads} heads")
+        check_dims(d, heads)
         self.heads = heads
         # drawn per head, q heads then k then v, as separate projections were
         self.qkv = Tensor(np.concatenate(
@@ -159,33 +165,27 @@ class TextGuidedModule:
     """Cross-attention fusion of decoder conditioning with response text.
 
     Queries come from the conditioning hidden states, keys/values from
-    ground-truth response text embeddings. The output projection is
+    ground-truth response text embeddings, through one [d, 3d] weight and
+    one ``tensor.attention`` node. The output projection is
     zero-initialized, so before any training the module is exactly the
     identity on its hidden-state input. With no text (inference), the
     module is bypassed.
     """
 
     def __init__(self, rng, d):
-        self.d = d
-        self.wq = Linear(rng, d, d, bias=False)
-        self.wk = Linear(rng, d, d, bias=False)
-        self.wv = Linear(rng, d, d, bias=False)
+        # drawn q, k, v in turn, as separate projections were
+        self.qkv = Tensor(np.concatenate([_normal(rng, d, d) for _ in range(3)],
+                                         axis=1), requires_grad=True)
         self.proj = Linear(rng, d, d, bias=False, zero_init=True)
 
     def __call__(self, hidden, text_embed=None):
         if text_embed is None:
             return hidden
-        q = self.wq(hidden)
-        k = self.wk(text_embed)
-        v = self.wv(text_embed)
-        scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(self.d))
-        fused = T.matmul(T.softmax_last_dim(scores), v)
-        return T.add(hidden, self.proj(fused))
+        return T.add(hidden, T.attention(hidden, self.qkv, self.proj.w, 1, False,
+                                         context=text_embed))
 
     def parameters(self, prefix="tgm"):
-        out = self.wq.parameters(f"{prefix}.xattn.q")
-        out.update(self.wk.parameters(f"{prefix}.xattn.k"))
-        out.update(self.wv.parameters(f"{prefix}.xattn.v"))
+        out = {f"{prefix}.xattn.qkv.w": self.qkv}
         out.update(self.proj.parameters(f"{prefix}.proj"))
         return out
 

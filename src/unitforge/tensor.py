@@ -162,18 +162,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", out, bwd, a, b)
 
 
-def transpose(a: Tensor) -> Tensor:
-    _check_nonempty("transpose", a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected 2-D, got {a.data.shape}")
-    out = _wrap(a.data.T.copy())
-
-    def bwd(g):
-        return [(a, g.T)]
-
-    return _record("transpose", out, bwd, a)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_nonempty("add", a, b)
     if a.data.shape != b.data.shape:
@@ -449,28 +437,33 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int,
-              causal: bool) -> Tensor:
-    """Multi-head self-attention over x[T, d].
+              causal: bool, context: Tensor | None = None) -> Tensor:
+    """Multi-head attention of x[T, d] over context[S, d] (default: x).
 
     ``w_qkv[d, 3d]`` holds the query, key and value projections side by
     side, each as ``heads`` column blocks of width d/heads; ``w_o[d, d]``
-    maps the concatenated heads back. Heads run as a leading axis of
-    batched matmuls, which sum in another order than one matmul per head
-    (results agree to about 1e-15). With ``causal``, row t sees rows <= t.
+    maps the concatenated heads back. One matmul projects the rows
+    ``[x; context]``, queries from x's, keys and values from the context's.
+    Heads run as a leading axis of batched matmuls (sums in another order
+    than per head; about 1e-15). With ``causal``, row t sees rows <= t.
     """
-    _check_nonempty("attention", x, w_qkv, w_o)
+    ctx = () if context is None else (context,)
+    _check_nonempty("attention", x, w_qkv, w_o, *ctx)
     t, d = x.data.shape if x.data.ndim == 2 else (0, 0)
+    kv = (context if ctx else x).data.shape
     if (not d or heads < 1 or d % heads or w_qkv.data.shape != (d, 3 * d)
-            or w_o.data.shape != (d, d)):
+            or w_o.data.shape != (d, d) or kv[1:] != (d,)):
         raise ShapeError(f"attention: x {x.data.shape}, w_qkv {w_qkv.data.shape}, "
-                         f"w_o {w_o.data.shape}, {heads} heads")
-    dh = d // heads
+                         f"w_o {w_o.data.shape}, {heads} heads, context {kv}")
+    rows = np.concatenate([x.data, context.data]) if ctx else x.data
+    n, s0, dh = len(rows), len(rows) - kv[0], d // heads  # s0: first k/v row
     c = 1.0 / math.sqrt(dh)
-    # [T, 3d] -> [3, H, T, dh]: q, k, v, each with a head axis
-    q, k, v = (x.data @ w_qkv.data).reshape(t, 3, heads, dh).transpose(1, 2, 0, 3)
+    # [rows, 3d] -> [3, H, rows, dh]: q, k, v, each with a head axis
+    proj = (rows @ w_qkv.data).reshape(n, 3, heads, dh).transpose(1, 2, 0, 3)
+    q, k, v = proj[0, :, :t], proj[1, :, s0:], proj[2, :, s0:]
     s = (q @ k.transpose(0, 2, 1)) * c
     if causal:
-        upper = np.triu_indices(t, k=1)
+        upper = np.triu_indices(t, k=1, m=kv[0])
         s[:, upper[0], upper[1]] = NEG_INF
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
@@ -480,13 +473,16 @@ def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int,
         g_o = (g @ w_o.data.T).reshape(t, heads, dh).transpose(1, 0, 2)
         g_p = g_o @ v.transpose(0, 2, 1)
         g_s = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * c
-        g_qkv = np.stack([g_s @ k, g_s.transpose(0, 2, 1) @ q,
-                          p.transpose(0, 2, 1) @ g_o])
-        g_qkv = g_qkv.transpose(2, 0, 1, 3).reshape(t, 3 * d)
-        return [(x, g_qkv @ w_qkv.data.T), (w_qkv, x.data.T @ g_qkv),
-                (w_o, heads_out.T @ g)]
+        g_rows = np.zeros((n, 3, heads, dh))
+        g_rows[:t, 0] = (g_s @ k).transpose(1, 0, 2)
+        g_rows[s0:, 1] = (g_s.transpose(0, 2, 1) @ q).transpose(1, 0, 2)
+        g_rows[s0:, 2] = (p.transpose(0, 2, 1) @ g_o).transpose(1, 0, 2)
+        g_rows = g_rows.reshape(n, 3 * d)
+        g_in = g_rows @ w_qkv.data.T
+        return [(x, g_in[:t]), *[(cx, g_in[t:]) for cx in ctx],
+                (w_qkv, rows.T @ g_rows), (w_o, heads_out.T @ g)]
 
-    return _record("attention", _wrap(heads_out @ w_o.data), bwd, x, w_qkv, w_o)
+    return _record("attention", _wrap(heads_out @ w_o.data), bwd, x, w_qkv, w_o, *ctx)
 
 
 def expert_mix(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
@@ -615,7 +611,7 @@ def check_parameter_gradients(loss_fn, params: dict, h: float = 1e-5) -> float:
         raise ContractError(f"gradient check: h={h} outside [1e-6, 1e-3]")
 
     def value():
-        with fresh_tape(), no_grad():
+        with no_grad():
             return float(loss_fn().item())
 
     if value() != value():

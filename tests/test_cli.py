@@ -475,6 +475,86 @@ def test_workers_accepted_only_by_ablate(capsys):
     assert "--workers" in capsys.readouterr().err
 
 
+DECODER_ARGS = ["--checkpoint", "c.ckpt", "--contexts", "x.jsonl"]
+BENCH_ARGS = ["--checkpoint-ar", "a.ckpt", "--checkpoint-nar", "n.ckpt",
+              "--corpus", "c.jsonl"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gen-data", "--format", "text"], "--format"),
+    (["decode", *DECODER_ARGS, "--format", "text"], "--format"),
+    (["eval", "uer", "--seed", "1"], "--seed"),
+    (["bench-latency", *BENCH_ARGS, "--seed", "1"], "--seed"),
+    (["decode", *DECODER_ARGS, "--seed", "1"], "--seed"),
+    (["bench-latency", *BENCH_ARGS, "--config", "c.cfg"], "--config"),
+    (["decode", *DECODER_ARGS, "--config", "c.cfg"], "--config"),
+], ids=["gen-data-format", "decode-format", "eval-seed", "bench-latency-seed",
+        "decode-seed", "bench-latency-config", "decode-config"])
+def test_subcommand_rejects_flags_it_does_not_read(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_subcommands_keep_the_flags_they_read():
+    parser = build_parser()
+    for argv in (["gen-data", "--seed", "1", "--config", "c.cfg"],
+                 ["train", "dpo", "--corpus", "c", "--seed", "1", "--config",
+                  "c.cfg", "--format", "text"],
+                 ["eval", "partition-check", "--config", "c.cfg", "--format", "text"],
+                 ["bench-latency", *BENCH_ARGS, "--format", "text"],
+                 ["ablate", "--corpus", "c", "--seed", "1", "--config", "c.cfg",
+                  "--format", "text"],
+                 ["decode", *DECODER_ARGS]):
+        assert parser.parse_args([*argv, "--out", "o"]).out == "o"
+
+
+# ---------------------------------------------------------------------------
+# bad config and sidecar values
+
+
+@pytest.mark.parametrize("target, key, value", [
+    ("decoder-nar", "heads", 0), ("decoder-nar", "dim", 0),
+    ("decoder-nar", "layers", "abc"), ("decoder-nar", "lr", "abc"),
+    ("decoder-nar", "warmup", "x"), ("decoder-nar", "batch", 0),
+    ("decoder-nar", "lr", -1),
+    ("align-1", "heads", 0), ("align-1", "d", 0), ("align-1", "layers", "abc"),
+    ("align-1", "steps", "abc"), ("align-1", "pretrain_steps", "x"),
+    ("align-1", "batch", 0),
+    ("sidecar", "heads", 0), ("sidecar", "model_dim", -1),
+], ids=lambda v: str(v))
+def test_bad_config_or_sidecar_value_exits_3(workdir, align_dir, tmp_path,
+                                             target, key, value):
+    out = tmp_path / "out"
+    if target == "sidecar":
+        ckpt = tmp_path / "decoder.ckpt"
+        for name in ("decoder.ckpt", "decoder.ckpt.meta.json"):
+            shutil.copy(workdir / "nar" / name, tmp_path / name)
+        _edit_sidecar(ckpt, lambda m: m.update({key: value}))
+        argv = ["eval", "uer", "--checkpoint", str(ckpt),
+                "--corpus", str(workdir / "sup" / "supervised.jsonl")]
+    elif target == "decoder-nar":
+        cfg = dict(layers=1, experts=1, steps=1, batch=2, lr="1e-3",
+                   max_context=32)
+        argv = ["train", target, "--corpus",
+                str(workdir / "sup" / "supervised.jsonl")]
+    else:
+        cfg = dict(steps=1, batch=2, pretrain_steps=1, d=8, layers=1)
+        argv = ["train", target, "--corpus", str(align_dir / "speech-text.jsonl")]
+    if target != "sidecar":
+        argv += ["--config", write_cfg(tmp_path / "a.cfg", **{**cfg, key: value})]
+    assert main([*argv, "--out", str(out)]) == EXIT_INVALID_SPEC
+    assert not out.exists() or not any(out.glob("*.ckpt"))
+
+
+def test_partition_check_rejects_keys_other_than_t_and_v(tmp_path):
+    for cfg in (dict(t=2, v=2, bogus=1), dict(seed=1), dict(t="x")):
+        assert main(["eval", "partition-check",
+                     "--config", write_cfg(tmp_path / "p.cfg", **cfg),
+                     "--out", str(tmp_path)]) == EXIT_INVALID_SPEC
+
+
 # ---------------------------------------------------------------------------
 # reports and eval without models
 

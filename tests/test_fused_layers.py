@@ -4,8 +4,8 @@
 ``mean`` are one tape node each. The compositions below are the ops the
 layers used before, kept here as the reference: Linear, LayerNorm, the
 expert mix and the mean must match them bit for bit, outputs and every
-gradient; attention sums its matmuls in another order and must match to
-1e-12.
+gradient; attention, self and in the text-guided module, sums its
+matmuls in another order and must match to 1e-12.
 """
 
 import math
@@ -52,6 +52,10 @@ def scale_rows(x, s):
     return _op("scale_rows", x.data * s.data[:, None], bwd, x, s)
 
 
+def transpose(x):
+    return _op("transpose", x.data.T.copy(), lambda g: [(x, g.T)], x)
+
+
 def concat_last_dim(*xs):
     edges = np.cumsum([0] + [x.shape[-1] for x in xs])
 
@@ -89,11 +93,18 @@ def ref_attention(x, wq, wk, wv, wo, causal):
     outs = []
     for q_w, k_w, v_w in zip(wq, wk, wv):
         q, k, v = T.matmul(x, q_w), T.matmul(x, k_w), T.matmul(x, v_w)
-        scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(dh))
+        scores = T.scale(T.matmul(q, transpose(k)), 1.0 / math.sqrt(dh))
         if causal:
             scores = T.add(scores, Tensor(mask))
         outs.append(T.matmul(T.softmax_last_dim(scores), v))
     return T.matmul(concat_last_dim(*outs), wo)
+
+
+def ref_tgm(hidden, text, wq, wk, wv, proj):
+    """The text-guided module as three bias-free Linears and per-op attention."""
+    q, k, v = T.matmul(hidden, wq), T.matmul(text, wk), T.matmul(text, wv)
+    scores = T.scale(T.matmul(q, transpose(k)), 1.0 / math.sqrt(hidden.shape[1]))
+    return T.add(hidden, T.matmul(T.matmul(T.softmax_last_dim(scores), v), proj))
 
 
 def ref_expert_mix(x, router, experts):
@@ -195,6 +206,27 @@ def test_attention_matches_per_head_composition(heads, dh, t, causal, seed):
     assert_close(qkv.grad, ref_qkv, ATTENTION_TOL)
 
 
+@given(d=st.sampled_from([4, 8, 16]), t=st.integers(1, 12), s=st.integers(1, 9),
+       seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=80, deadline=None)
+def test_text_guided_module_matches_per_op_copy(d, t, s, seed):
+    rng = np.random.default_rng(seed)
+    tgm = nn.TextGuidedModule(rng, d)
+    tgm.proj.w.data[:] = rng.normal(0.0, 1.0 / math.sqrt(d), (d, d))
+    h0, text0, up = rng.normal(size=(t, d)), rng.normal(size=(s, d)), rng.normal(size=(t, d))
+    h, text = leaf(h0), leaf(text0)
+    got = run(lambda: tgm(h, text), up)
+    hr, textr, proj = leaf(h0), leaf(text0), leaf(tgm.proj.w.data)
+    (wq,), (wk,), (wv,) = [[leaf(w) for w in part] for part in split_qkv(tgm.qkv.data, 1)]
+    want = run(lambda: ref_tgm(hr, textr, wq, wk, wv, proj), up)
+    assert_close(got, want, ATTENTION_TOL)
+    assert_close(h.grad, hr.grad, ATTENTION_TOL)
+    assert_close(text.grad, textr.grad, ATTENTION_TOL)
+    assert_close(tgm.proj.w.grad, proj.grad, ATTENTION_TOL)
+    assert_close(tgm.qkv.grad, np.concatenate([wq.grad, wk.grad, wv.grad], axis=1),
+                 ATTENTION_TOL)
+
+
 @given(experts=st.sampled_from([1, 2, 3]), t=st.integers(1, 12),
        d=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=60, deadline=None)
@@ -237,16 +269,18 @@ def test_mean_matches_add_chain_and_scale_bit_for_bit(n, seed):
 # tape budget
 
 
-def test_nar_step_records_at_most_300_nodes():
+@pytest.mark.parametrize("mode, budget", [("nar", 240), ("ar", 256)],
+                         ids=["nar", "ar"])
+def test_training_step_stays_within_its_node_budget(mode, budget):
     # the DPO acceptance shapes: d=64, 2 layers, 2 experts, 2 heads, TGM
     spec = CorpusSpec(seed=7777, size=48)
     records = gen_supervised_corpus(spec)[:8]
     decoder = SpeechDecoder(SpeechDecoderConfig(
-        mode="nar", layers=2, experts=2, model_dim=spec.feature_dim, heads=2,
+        mode=mode, layers=2, experts=2, model_dim=spec.feature_dim, heads=2,
         vocab_nar=spec.vocab_nar, upsample=spec.upsample, max_context=32, seed=0))
     with T.fresh_tape() as tape:
         T.mean(sample_loss(decoder, r, decode_f32(r["features"])) for r in records)
-        assert len(tape) <= 300
+        assert len(tape) <= budget
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +296,10 @@ def per_head_layout(params, heads):
     out = {}
     for name, arr in params.items():
         stem = name.rsplit(".", 2)[0]
-        if name.endswith(".qkv.w"):
+        if name == "tgm.xattn.qkv.w":  # one head, named without an index
+            out.update({f"{stem}.{part}.w": w
+                        for part, (w,) in zip("qkv", split_qkv(arr, 1))})
+        elif name.endswith(".qkv.w"):
             for part, blocks in zip("qkv", split_qkv(arr, heads)):
                 out.update({f"{stem}.{part}{h}.w": w for h, w in enumerate(blocks)})
         elif ".experts." in name:
@@ -285,7 +322,15 @@ def per_op_layers(monkeypatch):
             [Tensor(a.data[e]) for a in (self.w1, self.b1, self.w2, self.b2)]
             for e in range(self.w1.shape[0])])
 
+    def tgm(self, hidden, text_embed=None):
+        if text_embed is None:
+            return hidden
+        (wq,), (wk,), (wv,) = [[Tensor(w) for w in part]
+                               for part in split_qkv(self.qkv.data, 1)]
+        return ref_tgm(hidden, text_embed, wq, wk, wv, self.proj.w)
+
     monkeypatch.setattr(nn.SelfAttention, "__call__", attention)
+    monkeypatch.setattr(nn.TextGuidedModule, "__call__", tgm)
     monkeypatch.setattr(nn.MoELayer, "__call__", moe)
     monkeypatch.setattr(nn.LayerNorm, "__call__",
                         lambda self, x: ref_layer_norm(x, self.g, self.b, self.eps))
@@ -324,3 +369,30 @@ def test_decoder_file_with_per_head_names_loads_and_generates_the_same(
     for (units, lp), (ref_units, ref_lp) in zip(got, want):
         assert units == ref_units
         assert np.abs(lp - ref_lp).max() <= ATTENTION_TOL
+
+
+def test_decoder_file_with_separate_tgm_projections_gives_the_same_text_loss(
+        tmp_path, monkeypatch):
+    # generation runs without text and so bypasses the text-guided module;
+    # the text-conditioned training loss goes through it
+    config = SpeechDecoderConfig(mode="nar", seed=5, **TINY)
+    decoder = SpeechDecoder(config)
+    rng = np.random.default_rng(8)
+    for p in decoder.parameters().values():
+        p.data += rng.normal(0.0, 0.1, p.shape)
+    layout = per_head_layout({k: p.data for k, p in decoder.parameters().items()},
+                             config.heads)
+    assert {"tgm.xattn.q.w", "tgm.xattn.k.w", "tgm.xattn.v.w"} <= set(layout)
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, layout, asdict(config))
+    loaded = SpeechDecoder.load(path)
+    cases = [(rng.normal(size=(t, TINY["model_dim"])), units, text)
+             for t, units, text in ((3, [1, 2], [0, 4]), (6, [3, 3, 1, 5], [2, 1, 3, 0]))]
+    with T.no_grad():
+        got = [loaded.nar_loss(c, u, text).item() for c, u, text in cases]
+        bypassed = [loaded.nar_loss(c, u).item() for c, u, _ in cases]
+        with monkeypatch.context() as m:
+            per_op_layers(m)
+            want = [decoder.nar_loss(c, u, text).item() for c, u, text in cases]
+    assert np.abs(np.subtract(got, want)).max() <= ATTENTION_TOL
+    assert min(abs(a - b) for a, b in zip(got, bypassed)) > 1e-6

@@ -86,6 +86,14 @@ def test_tgm_bypassed_without_text():
     assert not np.array_equal(tgm(x, rand_x(rng, 3, 8)).data, x.data)
 
 
+def test_tgm_draws_its_projections_as_separate_linears_did():
+    tgm = nn.TextGuidedModule(np.random.default_rng(9), 8)
+    rng = np.random.default_rng(9)
+    q, k, v = (rng.normal(0.0, 1.0 / np.sqrt(8), (8, 8)) for _ in range(3))
+    assert np.array_equal(tgm.qkv.data, np.concatenate([q, k, v], axis=1))
+    assert not tgm.proj.w.data.any()
+
+
 def test_tgm_gradient_reaches_attention_weights():
     rng = np.random.default_rng(6)
     tgm = nn.TextGuidedModule(rng, 4)
@@ -144,6 +152,12 @@ def test_attention_rejects_indivisible_heads():
 
 # ---------------------------------------------------------------------------
 # layer norm
+
+
+@pytest.mark.parametrize("d, heads", [(8, 0), (0, 2), (-4, 2), (8, -1)])
+def test_attention_rejects_empty_dims_and_head_counts(d, heads):
+    with pytest.raises(ConfigurationError):
+        nn.SelfAttention(np.random.default_rng(0), d, heads)
 
 
 def test_layer_norm_output_statistics():
@@ -211,5 +225,5 @@ def test_parameter_names_are_stable():
     assert {k: p.shape for k, p in attn.parameters("attn").items()} == {
         "attn.qkv.w": (8, 24), "attn.out.w": (8, 8)}
     tgm = nn.TextGuidedModule(rng, 8)
-    assert set(tgm.parameters("tgm")) == {
-        "tgm.xattn.q.w", "tgm.xattn.k.w", "tgm.xattn.v.w", "tgm.proj.w"}
+    assert {k: p.shape for k, p in tgm.parameters("tgm").items()} == {
+        "tgm.xattn.qkv.w": (8, 24), "tgm.proj.w": (8, 8)}

@@ -26,7 +26,6 @@ def rand(rng, *shape):
 
 
 UNARY_CASES = [
-    ("transpose", lambda x: T.tsum(T.transpose(x)), (3, 4)),
     ("scale", lambda x: T.tsum(T.scale(x, 2.5)), (3, 4)),
     ("repeat_rows", lambda x: T.tsum(T.repeat_rows(x, 3)), (3, 4)),
     ("softmax", lambda x: T.tsum(T.mul(T.softmax_last_dim(x), x)), (3, 4)),
@@ -78,6 +77,10 @@ def test_binary_primitive_gradients(seed):
     experts = [rand(rng, 2, 4, 16), rand(rng, 2, 16), rand(rng, 2, 16, 4), rand(rng, 2, 4)]
     fused = [(lambda *t: T.attention(*t, 2, False), [a, qkv, out_w]),
              (lambda *t: T.attention(*t, 2, True), [a, qkv, out_w]),
+             (lambda x, w, o, c: T.attention(x, w, o, 2, False, context=c),
+              [a, qkv, out_w, rand(rng, 5, 4)]),
+             (lambda x, w, o, c: T.attention(x, w, o, 1, True, context=c),
+              [a, qkv, out_w, rand(rng, 2, 4)]),
              (T.expert_mix, [a, *experts, T.softmax_last_dim(rand(rng, 3, 2))])]
     for op, args in fused:  # every input of each fused layer
         for i in range(len(args)):
@@ -221,6 +224,15 @@ def test_shape_errors():
         T.linear(a, Tensor(np.ones((3, 2))), Tensor(np.ones(3)))
     with pytest.raises(ShapeError):
         T.embedding_lookup(a, [5])
+
+
+def test_attention_context_must_match_the_model_dim():
+    x, w, o = Tensor(np.ones((2, 4))), Tensor(np.ones((4, 12))), Tensor(np.ones((4, 4)))
+    for context in (np.ones((3, 5)), np.ones(4), np.ones((1, 3, 4))):
+        with pytest.raises(ShapeError):
+            T.attention(x, w, o, 2, False, context=Tensor(context))
+    with pytest.raises(DomainError):
+        T.attention(x, w, o, 2, False, context=Tensor(np.ones((0, 4))))
 
 
 def test_empty_operand_rejected():
@@ -381,13 +393,14 @@ _GRAPH_OPS = {
     "mul": lambda p, q, k: T.mul(p, q),
     "square": lambda p, q, k: T.mul(p, p),
     "matmul": lambda p, q, k: T.matmul(p, q),
-    "transpose": lambda p, q, k: T.transpose(p),
     "scale": lambda p, q, k: T.scale(p, 0.75),
     "linear": lambda p, q, k: T.linear(p, q, k["vec"]),
     "layer_norm": lambda p, q, k: T.layer_norm(p, k["vec"], T.take_per_row(q, [2, 0, 1])),
     "logsumexp": lambda p, q, k: T.layer_norm(q, k["vec"], T.logsumexp_last_dim(p)),
     "attention": lambda p, q, k: T.attention(p, k["qkv"], q, 1, False),
     "attention_causal": lambda p, q, k: T.attention(p, k["qkv"], q, 3, True),
+    "attention_context": lambda p, q, k: T.attention(p, k["qkv"], k["out"], 1, False,
+                                                     context=q),
     "expert_mix": lambda p, q, k: T.expert_mix(p, *k["experts"], T.softmax_last_dim(q)),
     "concat_rows": lambda p, q, k: T.gather_rows(T.concat_rows(p, q), [5, 0, 3]),
     "repeat_rows": lambda p, q, k: T.gather_rows(T.repeat_rows(p, 2), [1, 4, 4]),
@@ -413,6 +426,7 @@ def _run_graph(seed, ops, backward_fn):
               for _ in range(3)]
     extra = {"vec": Tensor(rng.normal(0.0, 1.0, 3), requires_grad=True),
              "qkv": Tensor(rng.normal(0.0, 0.5, (3, 9)), requires_grad=True),
+             "out": Tensor(rng.normal(0.0, 0.5, (3, 3)), requires_grad=True),
              "table": Tensor(rng.normal(0.0, 1.0, (5, 3)), requires_grad=True),
              "experts": [Tensor(rng.normal(0.0, 0.5, shape), requires_grad=True)
                          for shape in ((3, 3, 4), (3, 4), (3, 4, 3), (3, 3))]}
@@ -439,8 +453,8 @@ def _run_graph(seed, ops, backward_fn):
         backward_fn(loss)
         backward_fn(loss)
         inner = [node.out for node in tape.nodes]
-    return [*leaves, extra["vec"], extra["qkv"], extra["table"], *extra["experts"],
-            stale, foreign], inner
+    return [*leaves, extra["vec"], extra["qkv"], extra["out"], extra["table"],
+            *extra["experts"], stale, foreign], inner
 
 
 @given(seed=st.integers(0, 2**31 - 1),
@@ -479,9 +493,6 @@ def _alias_cases():
     sq = r(3, 3)
     return [
         ("matmul", T.matmul, (r(2, 3), r(3, 2))),
-        ("transpose", T.transpose, (r(2, 3),)),
-        ("transpose_row", T.transpose, (r(1, 3),)),
-        ("transpose_col", T.transpose, (r(3, 1),)),
         ("add", T.add, (sq, r(3, 3))),
         ("sub", T.sub, (sq, r(3, 3))),
         ("mul", T.mul, (sq, sq)),
@@ -491,6 +502,11 @@ def _alias_cases():
         ("attention", lambda x, w, o: T.attention(x, w, o, 3, False), (sq, r(3, 9), r(3, 3))),
         ("attention_causal", lambda x, w, o: T.attention(x, w, o, 1, True),
          (sq, r(3, 9), r(3, 3))),
+        ("attention_context", lambda x, w, o, c: T.attention(x, w, o, 3, False, context=c),
+         (sq, r(3, 9), r(3, 3), r(5, 3))),
+        ("attention_context_one_row", lambda x, w, o, c: T.attention(x, w, o, 1, False,
+                                                                     context=c),
+         (r(1, 3), r(3, 9), r(3, 3), r(1, 3))),
         ("mean_terms", lambda *xs: T.mean(xs), (sq, r(3, 3))),
         ("concat_rows", T.concat_rows, (sq, r(1, 3))),
         ("concat_rows_one", T.concat_rows, (sq,)),
