@@ -2,9 +2,15 @@
 preference optimization, decoding, evaluation, ablation grids, and the
 latency benchmark.
 
-Every command writes a run manifest next to its outputs. Report content
-is a pure function of the input files; wall-clock readings go to the log,
-never into checksummed report fields.
+``main`` runs every command the same way: it creates ``--out``, calls
+the command's handler from ``HANDLERS``, which returns the paths it
+wrote, and writes ``run_manifest.json`` next to them with the digests of
+the file-valued flags given (``FILE_FLAGS``). Handlers read their config
+file through ``read_config``, which rejects a key the command does not
+read, a mistyped value, a tuple of the wrong length or a value outside
+``RANGES`` before any file is written. Report content is a pure function
+of the input files; wall-clock readings go to the log, never into
+checksummed report fields.
 
 Exit codes: 0 ok, 2 missing input, 3 invalid spec/config, 4 stage
 sequencing violation, 5 checkpoint/corpus kind mismatch.
@@ -21,7 +27,8 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, is_dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -33,7 +40,7 @@ from .data import (AlignmentSpec, CorpusSpec, corpus_manifest,
                    gen_image_text_corpus, gen_instruct_corpus,
                    gen_preference_corpus, gen_speech_text_corpus,
                    gen_supervised_corpus, decode_f32, read_jsonl,
-                   unit_error_rate, write_jsonl)
+                   write_jsonl)
 from .ctc import brute_force_marginals
 from .decoder import (SpeechDecoder, SpeechDecoderConfig, TrainSchedule,
                       evaluate_uer, feasible, train_decoder)
@@ -53,6 +60,8 @@ EXIT_CODES = ((FileNotFoundError, EXIT_MISSING_INPUT),  # first match wins
               ((ConfigurationError, DataError), EXIT_INVALID_SPEC),
               (SequencingError, EXIT_SEQUENCING),
               (KindMismatchError, EXIT_KIND_MISMATCH), (UnitforgeError, 1))
+FILE_FLAGS = ("config", "corpus", "init", "checkpoint", "checkpoint_ar",
+              "checkpoint_nar", "contexts")  # digested as a run's inputs
 
 GENERATORS = {
     "supervised": gen_supervised_corpus,
@@ -65,8 +74,29 @@ GENERATORS = {
                                               rng_seed=spec.seed + 1),
 }
 UNIT_KINDS = ("supervised", "preference", "emotion-eval")
+ALIGN_STAGES = {"align-1": ("I", "speech_text"), "align-2": ("II", "image_text"),
+                "align-3": ("III", "instruct")}  # stage, corpus kind
+
+# read_config targets
 SCHEDULE_KEYS = {"lr": "lr", "steps": "steps", "batch": "batch",
-                 "warmup": "warmup_ratio"}  # config key -> schedule field
+                 "warmup": "warmup_ratio"}
+DECODER_SCHEDULE = (TrainSchedule, {**SCHEDULE_KEYS, "seed": "seed",
+                                    "weight_decay": "weight_decay"})
+DECODER_MODEL = (SpeechDecoderConfig, {
+    **{f.name: f.name for f in fields(SpeechDecoderConfig) if f.name != "mode"},
+    "dim": "model_dim", "vocab": "vocab_nar", "lambda": "upsample"})
+DPO_SCHEDULE = (DpoSchedule, {**SCHEDULE_KEYS, "seed": "seed",
+                              "log_every": "log_every"})
+STAGE_SCHEDULE = (al.StageSchedule, SCHEDULE_KEYS)  # batch order keeps seed 0
+PRETRAIN = ({"steps": int, "lr": float, "seed": int},
+            {"pretrain_steps": "steps", "pretrain_lr": "lr", "seed": "seed"})
+OMNI_MODEL = {**al.ARCH_TYPES, "seed": int}
+RANGES = {  # field -> (rule, test), applied to every value a config sets
+    "lr": ("> 0", lambda v: v > 0), "beta": ("> 0", lambda v: v > 0),
+    "batch": (">= 1", lambda v: v >= 1), "steps": (">= 1", lambda v: v >= 1),
+    "log_every": (">= 1", lambda v: v >= 1),
+    "warmup_ratio": ("in [0, 1]", lambda v: 0 <= v <= 1),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -108,35 +138,45 @@ def load_config(args) -> dict:
     cfg = parse_config(args.config) if args.config else {}
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
-    return check_types(cfg, {"seed": int})
+    return cfg
 
 
-def build_spec(cls, cfg: dict, aliases=None):
-    """Populate a dataclass from config keys; unknown keys and values of
-    the wrong type are rejected."""
-    aliases = aliases or {}
-    names = {f.name for f in fields(cls)}
-    kwargs = {}
-    for key, value in cfg.items():
-        name = aliases.get(key, key)
-        if name is None:
-            continue
-        if name not in names:
-            raise ConfigurationError(f"unknown config key {key!r} for "
-                                     f"{cls.__name__}")
-        kwargs[name] = value
-    check_types(kwargs, cls)
-    return cls(**{k: tuple(v) if isinstance(v, list) else v
-                  for k, v in kwargs.items()})
+def read_config(cfg: dict, *targets) -> list:
+    """One dict of keyword arguments per target, split from ``cfg``.
 
-
-def _take(cfg: dict, keys: dict, types) -> dict:
-    """Pop cfg entries named in keys (alias map), return the popped dict,
-    typed as ``check_types`` checks them; lr must be > 0 and batch >= 1."""
-    out = check_types({name: cfg.pop(key) for key, name in keys.items()
-                       if key in cfg}, types)
-    if out.get("lr", 1) <= 0 or out.get("batch", 1) < 1:
-        raise ConfigurationError(f"lr must be > 0 and batch >= 1, got {out}")
+    A target is a dataclass or a type map, read under its own field
+    names, or a ``(types, keys)`` pair whose ``keys`` map config keys to
+    its fields; a key may feed several targets. A key no target reads, a
+    value of the wrong type (``check_types``) or outside ``RANGES``, or a
+    tuple field (``"2,6"`` or a list) that is not as many integers as its
+    default has, is a ``ConfigurationError``.
+    """
+    out, unread = [], set(cfg)
+    for target in targets:
+        types, keys = target if isinstance(target, tuple) else (target, None)
+        sizes = {f.name: len(f.default) for f in fields(types)
+                 if isinstance(f.default, tuple)} if is_dataclass(types) else {}
+        types = get_type_hints(types) if is_dataclass(types) else types
+        kwargs = {}
+        for key, name in (keys or {name: name for name in types}).items():
+            if key not in cfg:
+                continue
+            unread.discard(key)
+            value = cfg[key]
+            if name in sizes and isinstance(value, str):
+                value = [_coerce(v) for v in value.split(",")]
+            check_types({key: value}, {key: types[name]})
+            if name in sizes and len(value) != sizes[name]:
+                raise ConfigurationError(f"{key!r} must be {sizes[name]} "
+                                         f"integers, got {value!r}")
+            if name in RANGES and not RANGES[name][1](value):
+                raise ConfigurationError(f"{key!r} must be {RANGES[name][0]}, "
+                                         f"got {value!r}")
+            kwargs[name] = tuple(value) if name in sizes else value
+        out.append(kwargs)
+    if unread:
+        raise ConfigurationError(f"unknown config keys {sorted(unread)}: "
+                                 f"this command does not read them")
     return out
 
 
@@ -148,11 +188,12 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_dir, command, args_dict, inputs, outputs):
+def write_manifest(out_dir, command, args, outputs):
+    given = vars(args)
+    inputs = [given[f] for f in FILE_FLAGS if given.get(f)]
     body = {
         "command": command,
-        "args": {k: v for k, v in sorted(args_dict.items())
-                 if v is not None and not callable(v)},
+        "args": {k: v for k, v in sorted(given.items()) if v is not None},
         "inputs": {p: file_digest(p) for p in inputs if os.path.exists(p)},
         "outputs": sorted(outputs),
     }
@@ -165,12 +206,6 @@ def write_manifest(out_dir, command, args_dict, inputs, outputs):
         json.dump(body, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return run_id
-
-
-def ensure_out(args) -> str:
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +272,14 @@ def corpus_spec_from_sidecar(corpus_path, cls):
         raise DataError(f"{sidecar}: unreadable corpus sidecar ({exc})") from exc
     if not isinstance(spec, dict):
         raise DataError(f"{sidecar}: corpus spec is not a JSON object")
-    return build_spec(cls, spec)
+    return cls(**read_config(spec, cls)[0])
 
 
 # ---------------------------------------------------------------------------
 # gen-data
 
 
-def cmd_gen_data(args) -> int:
-    out = ensure_out(args)
+def cmd_gen_data(args, out) -> list:
     cfg = load_config(args)
     kind = cfg.pop("kind", None)
     if kind not in GENERATORS:
@@ -253,11 +287,8 @@ def cmd_gen_data(args) -> int:
             f"spec must set kind to one of {sorted(GENERATORS)}, got {kind!r}"
         )
     cls = CorpusSpec if kind in UNIT_KINDS else AlignmentSpec
-    for key in ("len_a", "len_b", "seq_len"):
-        if key in cfg and isinstance(cfg[key], str):
-            cfg[key] = [_coerce(v) for v in cfg[key].split(",")]
-    spec = build_spec(cls, cfg)
-    if hasattr(spec, "validate"):
+    spec = cls(**read_config(cfg, cls)[0])
+    if kind in UNIT_KINDS:
         spec.validate()
     records = GENERATORS[kind](spec)
     corpus_path = os.path.join(out, f"{kind}.jsonl")
@@ -267,121 +298,71 @@ def cmd_gen_data(args) -> int:
                    "counts": corpus_manifest(records)},
                   fh, sort_keys=True)
         fh.write("\n")
-    write_manifest(out, "gen-data", vars(args),
-                   [args.config] if args.config else [],
-                   [corpus_path, corpus_path + ".manifest.json"])
     log.info("wrote %d %s records to %s", len(records), kind, corpus_path)
-    return EXIT_OK
+    return [corpus_path, corpus_path + ".manifest.json"]
 
 
 # ---------------------------------------------------------------------------
 # train
 
 
-def _decoder_config(cfg: dict, mode: str) -> SpeechDecoderConfig:
-    aliases = {"dim": "model_dim", "vocab": "vocab_nar", "lambda": "upsample"}
-    cfg = dict(cfg)
-    cfg["mode"] = mode
-    return build_spec(SpeechDecoderConfig, cfg, aliases)
-
-
-def _train_decoder_stage(args, mode: str) -> int:
-    out = ensure_out(args)
-    cfg = load_config(args)
-    sched_kw = _take(cfg, {**SCHEDULE_KEYS, "weight_decay": "weight_decay"},
-                     TrainSchedule)
-    schedule = TrainSchedule(**sched_kw, seed=cfg.get("seed", 0))
-    config = _decoder_config(cfg, mode)
+def _train_decoder_stage(args, out) -> list:
+    sched, model = read_config(load_config(args), DECODER_SCHEDULE, DECODER_MODEL)
+    mode = args.stage.split("-", 1)[1]
+    config = SpeechDecoderConfig(mode=mode, **model)
     records = load_corpus(args.corpus, ("supervised_units",))
-    decoder, curve = train_decoder(records, config, schedule)
+    decoder, curve = train_decoder(records, config, TrainSchedule(**sched))
     ckpt = os.path.join(out, "decoder.ckpt")
     decoder.save(ckpt)
     tgm_flag = "on" if config.tgm else "off"
-    outputs = write_report(out, "loss_curve",
-                           ["step", "loss", "mode", "tgm_flag"],
-                           [[s, f"{v:.6f}", mode, tgm_flag] for s, v in curve],
-                           args.format)
-    write_manifest(out, f"train-decoder-{mode}", vars(args),
-                   [p for p in (args.config, args.corpus) if p],
-                   [ckpt] + outputs)
-    return EXIT_OK
+    return [ckpt] + write_report(out, "loss_curve",
+                                 ["step", "loss", "mode", "tgm_flag"],
+                                 [[s, f"{v:.6f}", mode, tgm_flag] for s, v in curve],
+                                 args.format)
 
 
-def _train_align_stage(args, stage: str) -> int:
-    out = ensure_out(args)
-    cfg = load_config(args)
-    corpus_kind = {"I": "speech_text", "II": "image_text",
-                   "III": "instruct"}[stage]
+def _train_align_stage(args, out) -> list:
+    stage, corpus_kind = ALIGN_STAGES[args.stage]
+    # seed shapes stage I's model and pretraining; later stages accept it
+    # and ignore it, since their model comes from --init
+    sched, *stage_one = read_config(
+        load_config(args), STAGE_SCHEDULE,
+        *((PRETRAIN, OMNI_MODEL) if stage == "I" else ({"seed": int},)))
     records = load_corpus(args.corpus, (corpus_kind,))
-    sched_kw = _take(cfg, SCHEDULE_KEYS, al.StageSchedule)
-    seed = cfg.pop("seed", 0)  # stage I only: init and pretraining
     if stage == "I":
-        pretrain_kw = _take(cfg, {"pretrain_steps": "steps", "pretrain_lr": "lr"},
-                            {"steps": int, "lr": float})
-        arch = _take(cfg, {k: k for k in al.ARCH_TYPES}, al.ARCH_TYPES)
-    if cfg:
-        raise ConfigurationError(
-            f"unknown config keys {sorted(cfg)} for {args.stage}")
-    if stage == "I":
+        pretrain, arch = stage_one
         spec = corpus_spec_from_sidecar(args.corpus, AlignmentSpec)
-        model = al.OmniModel(spec, seed=seed, **arch)
-        al.pretrain_backbone(model, seed=seed, seq_len=spec.seq_len,
-                             **pretrain_kw)
+        model = al.OmniModel(spec, **arch)
+        al.pretrain_backbone(model, seq_len=spec.seq_len, **pretrain)
     else:
         model = al.OmniModel.load(_require(args.init, "--init checkpoint"))
-    schedule = al.default_schedule(stage, **sched_kw)
-    metrics = al.run_stage(model, schedule, records)
+    metrics = al.run_stage(model, al.default_schedule(stage, **sched), records)
     ckpt = os.path.join(out, "align.ckpt")
     model.save(ckpt)
-    outputs = write_report(out, "metrics", ["step", "stage", "loss", "lr"],
-                           [[s, st, f"{v:.6f}", f"{lr:.2e}"]
-                            for s, st, v, lr in metrics], args.format)
-    write_manifest(out, f"train-align-{stage}", vars(args),
-                   [p for p in (args.config, args.corpus, args.init) if p],
-                   [ckpt] + outputs)
-    return EXIT_OK
+    return [ckpt] + write_report(out, "metrics", ["step", "stage", "loss", "lr"],
+                                 [[s, st, f"{v:.6f}", f"{lr:.2e}"]
+                                  for s, st, v, lr in metrics], args.format)
 
 
-def _train_dpo(args) -> int:
-    out = ensure_out(args)
-    cfg = load_config(args)
+def _train_dpo(args, out) -> list:
+    sched, dpo = read_config(load_config(args), DPO_SCHEDULE, DpoConfig)
     reference = SpeechDecoder.load(_require(args.init, "--init checkpoint"))
     if reference.config.mode != "nar":
         raise KindMismatchError("preference training expects a NAR reference")
     reference.set_trainable(False)
     policy = SpeechDecoder.load(args.init)
     pairs = pairs_from_records(load_corpus(args.corpus, ("preference",)))
-    sched_kw = _take(cfg, {**SCHEDULE_KEYS, "log_every": "log_every"},
-                     DpoSchedule)
-    sched_kw["seed"] = cfg.pop("seed", 0)
-    dpo_cfg = DpoConfig(**_take(cfg, {"beta": "beta"}, DpoConfig))
-    if cfg:
-        raise ConfigurationError(f"unknown config keys {sorted(cfg)} for dpo")
-    metrics = train_dpo(policy, reference, pairs, dpo_cfg,
-                        DpoSchedule(**sched_kw))
+    metrics = train_dpo(policy, reference, pairs, DpoConfig(**dpo),
+                        DpoSchedule(**sched))
     ckpt = os.path.join(out, "policy.ckpt")
     policy.save(ckpt)
     rows = [[s, f"{v:.6f}",
              "" if np.isnan(m) else f"{m:.6f}",
              "" if np.isnan(a) else f"{a:.4f}"]
             for s, v, m, a in metrics]
-    outputs = write_report(out, "dpo_metrics",
-                           ["step", "loss", "mean_margin", "pref_accuracy"],
-                           rows, args.format)
-    write_manifest(out, "train-dpo", vars(args),
-                   [p for p in (args.config, args.corpus, args.init) if p],
-                   [ckpt] + outputs)
-    return EXIT_OK
-
-
-def cmd_train(args) -> int:
-    stage = args.stage
-    if stage.startswith("align-"):
-        return _train_align_stage(args, {"align-1": "I", "align-2": "II",
-                                         "align-3": "III"}[stage])
-    if stage in ("decoder-nar", "decoder-ar"):
-        return _train_decoder_stage(args, stage.split("-", 1)[1])
-    return _train_dpo(args)
+    return [ckpt] + write_report(out, "dpo_metrics",
+                                 ["step", "loss", "mean_margin", "pref_accuracy"],
+                                 rows, args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +427,8 @@ def _eval_zero_shot(args, out):
 
 
 def _eval_partition_check(args, out):
-    cfg = check_types(load_config(args), {"t": int, "v": int})
-    frames, vocab = cfg.pop("t", 2), cfg.pop("v", 2)
-    if cfg:
-        raise ConfigurationError(f"partition-check reads only t and v, got {cfg}")
+    cfg = read_config(load_config(args), {"t": int, "v": int})[0]
+    frames, vocab = cfg.get("t", 2), cfg.get("v", 2)
     lp = np.full((frames, vocab), -np.log(vocab))
     total = float(sum(np.exp(v) for v in brute_force_marginals(lp).values()))
     rows = [["frames", frames], ["vocab", vocab],
@@ -458,27 +437,11 @@ def _eval_partition_check(args, out):
                         args.format)
 
 
-def cmd_eval(args) -> int:
-    out = ensure_out(args)
-    handler = {
-        "uer": _eval_uer,
-        "emotion-acc": _eval_emotion_acc,
-        "pref-acc": _eval_pref_acc,
-        "zero-shot": _eval_zero_shot,
-        "partition-check": _eval_partition_check,
-    }[args.metric]
-    outputs = handler(args, out)
-    inputs = [p for p in (args.config, args.corpus, args.checkpoint) if p]
-    write_manifest(out, f"eval-{args.metric}", vars(args), inputs, outputs)
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # bench-latency
 
 
-def cmd_bench_latency(args) -> int:
-    out = ensure_out(args)
+def cmd_bench_latency(args, out) -> list:
     ar = SpeechDecoder.load(args.checkpoint_ar)
     nar = SpeechDecoder.load(args.checkpoint_nar)
     if ar.config.mode != "ar" or nar.config.mode != "nar":
@@ -504,13 +467,9 @@ def cmd_bench_latency(args) -> int:
         rows.append([rec["id"], len(rec["units"]), ar_result.sequential_steps,
                      nar_result.sequential_steps, f"{ratio:.2f}"])
     rows.append(["median", "", "", "", f"{np.median(ratios):.2f}"])
-    outputs = write_report(out, "latency",
-                           ["context", "ref_len", "ar_steps", "nar_steps",
-                            "step_ratio"], rows, args.format)
-    write_manifest(out, "bench-latency", vars(args),
-                   [args.checkpoint_ar, args.checkpoint_nar, args.corpus],
-                   outputs)
-    return EXIT_OK
+    return write_report(out, "latency",
+                        ["context", "ref_len", "ar_steps", "nar_steps",
+                         "step_ratio"], rows, args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -548,13 +507,15 @@ def _ablate_cell(payload):
                 "uer": {}, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def cmd_ablate(args) -> int:
-    out = ensure_out(args)
+def cmd_ablate(args, out) -> list:
     cfg = load_config(args)
 
     def grid_values(key, default, cast):
         raw = cfg.pop(key, default)
-        return [cast(v) for v in str(raw).split(",")]
+        try:
+            return [cast(v) for v in str(raw).split(",")]
+        except ValueError as exc:
+            raise ConfigurationError(f"{key!r}: {exc}") from exc
 
     experts_axis = grid_values("grid_experts", "1,2,4", int)
     layers_axis = grid_values("grid_layers", "2", int)
@@ -565,13 +526,12 @@ def cmd_ablate(args) -> int:
     if not cells:
         raise ConfigurationError("empty ablation grid")
 
-    sched_kw = _take(cfg, {**SCHEDULE_KEYS, "weight_decay": "weight_decay"},
-                     TrainSchedule)
-    base_cfg = asdict(_decoder_config(cfg, "nar"))
-    sched = asdict(TrainSchedule(**sched_kw, seed=cfg.get("seed", 0)))
+    sched, model = read_config(cfg, DECODER_SCHEDULE, DECODER_MODEL)
+    config = SpeechDecoderConfig(mode="nar", **model)
+    config.validate()  # the dims every cell shares; the grid sets the rest
     _require(args.corpus, "corpus")
-    payloads = [(args.corpus, base_cfg, sched, cell, i)
-                for i, cell in enumerate(cells)]
+    base = (asdict(config), asdict(TrainSchedule(**sched)))
+    payloads = [(args.corpus, *base, cell, i) for i, cell in enumerate(cells)]
 
     if args.workers and args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -594,19 +554,16 @@ def cmd_ablate(args) -> int:
                            ["experts", "layers", "tgm", "final_loss",
                             "converged", "uer_a", "uer_b", "error"],
                            rows, args.format)
-    write_manifest(out, "ablate", vars(args),
-                   [p for p in (args.config, args.corpus) if p], outputs)
     if all(res["error"] for res in results):
         raise UnitforgeError("all ablation cells failed")
-    return EXIT_OK
+    return outputs
 
 
 # ---------------------------------------------------------------------------
 # decode
 
 
-def cmd_decode(args) -> int:
-    out = ensure_out(args)
+def cmd_decode(args, out) -> list:
     decoder = SpeechDecoder.load(args.checkpoint)
     records = load_corpus(args.contexts)
     cfg = decoder.config
@@ -641,9 +598,7 @@ def cmd_decode(args) -> int:
         })
     path = os.path.join(out, "decoded.jsonl")
     write_jsonl(path, results)
-    write_manifest(out, "decode", vars(args),
-                   [args.checkpoint, args.contexts], [path])
-    return EXIT_OK
+    return [path]
 
 
 # ---------------------------------------------------------------------------
@@ -666,16 +621,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic corpus")
     _add_common(p, "--seed", "--config")
-    p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="run one training stage")
-    p.add_argument("stage", choices=("align-1", "align-2", "align-3",
-                                     "decoder-nar", "decoder-ar", "dpo"))
+    p.add_argument("stage", choices=(*ALIGN_STAGES, "decoder-nar",
+                                     "decoder-ar", "dpo"))
     p.add_argument("--corpus", required=True)
     p.add_argument("--init", default=None,
                    help="checkpoint from the prerequisite stage")
     _add_common(p, "--seed", "--config", "--format")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("metric", choices=("uer", "emotion-acc", "pref-acc",
@@ -683,28 +636,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--corpus", default=None)
     _add_common(p, "--config", "--format")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench-latency", help="AR vs NAR step-count benchmark")
     p.add_argument("--checkpoint-ar", required=True)
     p.add_argument("--checkpoint-nar", required=True)
     p.add_argument("--corpus", required=True)
     _add_common(p, "--format")
-    p.set_defaults(func=cmd_bench_latency)
 
     p = sub.add_parser("ablate", help="experts/layers/tgm grid")
     p.add_argument("--corpus", required=True)
     p.add_argument("--workers", type=int, default=1,
                    help="grid cells trained in parallel")
     _add_common(p, "--seed", "--config", "--format")
-    p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("decode", help="checkpoint + contexts to unit JSONL")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--contexts", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_decode)
     return parser
+
+
+HANDLERS = {  # command (with its stage or metric) -> handler(args, out)
+    "gen-data": cmd_gen_data,
+    **{f"train-{stage}": _train_align_stage for stage in ALIGN_STAGES},
+    "train-decoder-nar": _train_decoder_stage,
+    "train-decoder-ar": _train_decoder_stage,
+    "train-dpo": _train_dpo,
+    "eval-uer": _eval_uer,
+    "eval-emotion-acc": _eval_emotion_acc,
+    "eval-pref-acc": _eval_pref_acc,
+    "eval-zero-shot": _eval_zero_shot,
+    "eval-partition-check": _eval_partition_check,
+    "bench-latency": cmd_bench_latency,
+    "ablate": cmd_ablate,
+    "decode": cmd_decode,
+}
 
 
 def main(argv=None) -> int:
@@ -713,8 +679,13 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     args = build_parser().parse_args(argv)
+    command = "-".join(filter(None, (args.command, getattr(args, "stage", None),
+                                     getattr(args, "metric", None))))
     try:
-        return args.func(args)
+        out = args.out or "."
+        os.makedirs(out, exist_ok=True)
+        write_manifest(out, command, args, HANDLERS[command](args, out))
+        return EXIT_OK
     except (FileNotFoundError, UnitforgeError) as exc:
         log.error("%s", exc)
         return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))

@@ -318,33 +318,6 @@ def log_softmax_last_dim(x: Tensor) -> Tensor:
     return _record("log_softmax_last_dim", out, bwd, x)
 
 
-def logsumexp_last_dim(x: Tensor) -> Tensor:
-    _check_nonempty("logsumexp_last_dim", x)
-    m = x.data.max(axis=-1, keepdims=True)
-    e = np.exp(x.data - m)
-    s = e.sum(axis=-1, keepdims=True)
-    out = _wrap((m + np.log(s)).squeeze(-1))
-    sm = e / s
-
-    def bwd(g):
-        return [(x, sm * np.expand_dims(g, -1))]
-
-    return _record("logsumexp_last_dim", out, bwd, x)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    _check_nonempty("sigmoid", x)
-    d = x.data
-    y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                 np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-    out = _wrap(y)
-
-    def bwd(g):
-        return [(x, g * y * (1.0 - y))]
-
-    return _record("sigmoid", out, bwd, x)
-
-
 def softplus(x: Tensor) -> Tensor:
     """log(1 + exp(x)), computed stably; -softplus(-m) is log sigmoid(m)."""
     _check_nonempty("softplus", x)

@@ -13,8 +13,8 @@ from unitforge.alignment import OmniModel
 from unitforge.checkpoint import load_checkpoint, save_checkpoint
 from unitforge.cli import (EXIT_INVALID_SPEC, EXIT_KIND_MISMATCH,
                            EXIT_MISSING_INPUT, EXIT_OK, EXIT_SEQUENCING,
-                           build_parser, build_spec, file_digest, main,
-                           parse_config)
+                           build_parser, file_digest, main, parse_config,
+                           read_config)
 from unitforge.data import CorpusSpec, encode_f32, read_jsonl, write_jsonl
 from unitforge.errors import ConfigurationError
 
@@ -75,9 +75,10 @@ def test_parse_config_rejects_bare_words(tmp_path):
 
 def test_build_spec_rejects_unknown_keys():
     with pytest.raises(ConfigurationError):
-        build_spec(CorpusSpec, {"sizzle": 4})
-    spec = build_spec(CorpusSpec, {"size": 4, "seed": 9})
-    assert spec.size == 4 and spec.seed == 9
+        read_config({"sizzle": 4}, CorpusSpec)
+    spec = CorpusSpec(**read_config({"size": 4, "seed": 9, "len_a": "3,5"},
+                                    CorpusSpec)[0])
+    assert spec.size == 4 and spec.seed == 9 and spec.len_a == (3, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +297,9 @@ def test_align_two_accepts_seed_without_effect(align_dir, tmp_path):
     '{"kind": "speech-text", "spec": {"wibble": 1}}\n',
     '{"kind": "speech-text", "spec": \n', '[1]\n',
     '{"kind": "speech-text", "spec": [4, 10]}\n',
-], ids=["unknown_spec_key", "not_json", "not_an_object", "spec_not_object"])
+    '{"kind": "speech-text", "spec": {"seq_len": [4, 6, 10]}}\n',
+], ids=["unknown_spec_key", "not_json", "not_an_object", "spec_not_object",
+        "three_element_seq_len"])
 def test_align_one_bad_corpus_sidecar_exits_3(align_dir, tmp_path, sidecar):
     corpus = tmp_path / "speech-text.jsonl"
     shutil.copy(align_dir / "speech-text.jsonl", corpus)
@@ -518,10 +521,14 @@ def test_subcommands_keep_the_flags_they_read():
     ("decoder-nar", "heads", 0), ("decoder-nar", "dim", 0),
     ("decoder-nar", "layers", "abc"), ("decoder-nar", "lr", "abc"),
     ("decoder-nar", "warmup", "x"), ("decoder-nar", "batch", 0),
-    ("decoder-nar", "lr", -1),
+    ("decoder-nar", "lr", -1), ("decoder-nar", "steps", -1),
+    ("decoder-nar", "steps", 0), ("decoder-nar", "warmup", 5),
     ("align-1", "heads", 0), ("align-1", "d", 0), ("align-1", "layers", "abc"),
     ("align-1", "steps", "abc"), ("align-1", "pretrain_steps", "x"),
     ("align-1", "batch", 0),
+    ("dpo", "beta", 0), ("dpo", "log_every", 0),
+    ("gen-data", "len_a", "2,3,4"), ("ablate", "grid_experts", "1,x"),
+    ("ablate", "heads", 0),
     ("sidecar", "heads", 0), ("sidecar", "model_dim", -1),
 ], ids=lambda v: str(v))
 def test_bad_config_or_sidecar_value_exits_3(workdir, align_dir, tmp_path,
@@ -539,13 +546,24 @@ def test_bad_config_or_sidecar_value_exits_3(workdir, align_dir, tmp_path,
                    max_context=32)
         argv = ["train", target, "--corpus",
                 str(workdir / "sup" / "supervised.jsonl")]
+    elif target == "dpo":
+        cfg = dict(steps=1, batch=2, lr="1e-4", log_every=1)
+        argv = ["train", target, "--corpus",
+                str(workdir / "pref" / "preference.jsonl"),
+                "--init", str(workdir / "nar" / "decoder.ckpt")]
+    elif target == "gen-data":
+        cfg = dict(kind="supervised", size=4)
+        argv = [target]
+    elif target == "ablate":
+        cfg = dict(steps=1, batch=2, layers=1, experts=1, max_context=32)
+        argv = [target, "--corpus", str(workdir / "sup" / "supervised.jsonl")]
     else:
         cfg = dict(steps=1, batch=2, pretrain_steps=1, d=8, layers=1)
         argv = ["train", target, "--corpus", str(align_dir / "speech-text.jsonl")]
     if target != "sidecar":
         argv += ["--config", write_cfg(tmp_path / "a.cfg", **{**cfg, key: value})]
     assert main([*argv, "--out", str(out)]) == EXIT_INVALID_SPEC
-    assert not out.exists() or not any(out.glob("*.ckpt"))
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_partition_check_rejects_keys_other_than_t_and_v(tmp_path):
@@ -576,7 +594,59 @@ def test_reports_dual_emit(workdir):
     assert txt[0].split() == ["step", "loss", "mode", "tgm_flag"]
 
 
-def test_manifest_digests_inputs(workdir):
-    run = json.loads((workdir / "nar" / "run_manifest.json").read_text())
-    corpus = str(workdir / "sup" / "supervised.jsonl")
-    assert run["inputs"][corpus] == file_digest(corpus)
+TRAIN_OUT = ["decoder.ckpt", "loss_curve.csv", "loss_curve.txt"]
+ALIGN_OUT = ["align.ckpt", "metrics.csv", "metrics.txt"]
+
+
+def test_manifest_digests_inputs(workdir, align_dir, tmp_path):
+    """Every run manifest digests exactly the file-valued flags given and
+    lists the files its command wrote; a checkpoint's sidecar goes with
+    its checkpoint."""
+    sup, pref = (str(workdir / c) for c in ("sup/supervised.jsonl",
+                                            "pref/preference.jsonl"))
+    nar, ar = (str(workdir / m / "decoder.ckpt") for m in ("nar", "ar"))
+    cfg = write_cfg(tmp_path / "a.cfg", steps=1, batch=2)
+    runs = [  # (out dir, file-valued flags given, files written)
+        (workdir / "sup", [str(workdir / "sup.cfg")],
+         ["supervised.jsonl", "supervised.jsonl.manifest.json"]),
+        (workdir / "pref", [str(workdir / "pref.cfg")],
+         ["preference.jsonl", "preference.jsonl.manifest.json"]),
+        (workdir / "nar", [str(workdir / "train.cfg"), sup], TRAIN_OUT),
+        (workdir / "ar", [str(workdir / "train.cfg"), sup], TRAIN_OUT),
+        (align_dir / "s1", [str(align_dir / "s1.cfg"),
+                            str(align_dir / "speech-text.jsonl")], ALIGN_OUT),
+    ]
+    for name, argv, wrote in [
+        ("uer", ["eval", "uer", "--checkpoint", nar, "--corpus", sup],
+         ["uer.csv", "uer.txt"]),
+        ("partition", ["eval", "partition-check", "--config",
+                       write_cfg(tmp_path / "p.cfg", t=2, v=2)],
+         ["partition_check.csv", "partition_check.txt"]),
+        ("decode", ["decode", "--checkpoint", nar, "--contexts", sup],
+         ["decoded.jsonl"]),
+        ("bench", ["bench-latency", "--checkpoint-ar", ar, "--checkpoint-nar",
+                   nar, "--corpus", sup], ["latency.csv", "latency.txt"]),
+        ("dpo", ["train", "dpo", "--corpus", pref, "--init", nar, "--config",
+                 write_cfg(tmp_path / "d.cfg", steps=1, batch=2, log_every=1)],
+         ["policy.ckpt", "dpo_metrics.csv", "dpo_metrics.txt"]),
+        ("ablate", ["ablate", "--corpus", sup, "--config",
+                    write_cfg(tmp_path / "g.cfg", grid_experts=1, grid_layers=1,
+                              steps=1, batch=2, max_context=32)],
+         ["ablation.csv", "ablation.txt"]),
+        ("s2", ["train", "align-2", "--corpus", str(align_dir / "image-text.jsonl"),
+                "--init", str(align_dir / "s1" / "align.ckpt"), "--config", cfg],
+         ALIGN_OUT),
+        ("s3", ["train", "align-3", "--corpus", str(align_dir / "instruct.jsonl"),
+                "--init", str(tmp_path / "s2" / "align.ckpt"), "--config", cfg],
+         ALIGN_OUT),
+    ]:
+        assert main([*argv, "--out", str(tmp_path / name)]) == EXIT_OK
+        given = [v for k, v in zip(argv, argv[1:]) if k.startswith("--")]
+        runs.append((tmp_path / name, given, wrote))
+    for out, given, wrote in runs:
+        run = json.loads((out / "run_manifest.json").read_text())
+        assert run["inputs"] == {p: file_digest(p) for p in given}, out
+        assert run["outputs"] == sorted(str(out / name) for name in wrote), out
+        sidecars = [f"{n}.meta.json" for n in wrote if n.endswith(".ckpt")]
+        assert sorted(os.listdir(out)) == sorted(
+            wrote + sidecars + ["run_manifest.json"]), out
