@@ -95,6 +95,7 @@ RANGES = {  # field -> (rule, test), applied to every value a config sets
     "lr": ("> 0", lambda v: v > 0), "beta": ("> 0", lambda v: v > 0),
     "batch": (">= 1", lambda v: v >= 1), "steps": (">= 1", lambda v: v >= 1),
     "log_every": (">= 1", lambda v: v >= 1),
+    "t": (">= 1", lambda v: v >= 1), "v": (">= 1", lambda v: v >= 1),
     "warmup_ratio": ("in [0, 1]", lambda v: 0 <= v <= 1),
 }
 
@@ -288,9 +289,7 @@ def cmd_gen_data(args, out) -> list:
         )
     cls = CorpusSpec if kind in UNIT_KINDS else AlignmentSpec
     spec = cls(**read_config(cfg, cls)[0])
-    if kind in UNIT_KINDS:
-        spec.validate()
-    records = GENERATORS[kind](spec)
+    records = GENERATORS[kind](spec)  # validates the spec
     corpus_path = os.path.join(out, f"{kind}.jsonl")
     write_jsonl(corpus_path, records)
     with open(corpus_path + ".manifest.json", "w") as fh:
@@ -631,11 +630,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "--seed", "--config", "--format")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
-    p.add_argument("metric", choices=("uer", "emotion-acc", "pref-acc",
-                                      "zero-shot", "partition-check"))
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--corpus", default=None)
-    _add_common(p, "--config", "--format")
+    metrics = p.add_subparsers(dest="metric", required=True)
+    for metric in ("uer", "emotion-acc", "pref-acc", "zero-shot"):
+        p = metrics.add_parser(metric)
+        p.add_argument("--checkpoint", default=None)
+        p.add_argument("--corpus", default=None)
+        _add_common(p, "--format")
+    _add_common(metrics.add_parser("partition-check"), "--config", "--format")
 
     p = sub.add_parser("bench-latency", help="AR vs NAR step-count benchmark")
     p.add_argument("--checkpoint-ar", required=True)

@@ -8,8 +8,13 @@ audio: a per-emotion prosody id is inserted after every 4 content units
 prosody ids, its catch-all stand-in). The token->unit code is invertible
 once prosody units are removed.
 
-All generators are pure functions of (spec, seed): identical specs yield
-byte-identical JSONL.
+Every corpus comes out of one seeded record loop, ``_records``; the three
+unit corpora share one dialogue record, ``_unit_records``, and differ
+only in how they pick the language and cue emotion and which emotion
+each units field is synthesised with. Each generator validates its spec
+(``CorpusSpec.validate``, ``AlignmentSpec.validate``) and raises
+``ConfigurationError`` before it draws anything. All generators are pure
+functions of (spec, seed): identical specs yield byte-identical JSONL.
 """
 
 from __future__ import annotations
@@ -215,6 +220,9 @@ class CorpusSpec:
         return UnitTextVocab(self.n_content, self.n_question)
 
     def validate(self):
+        if self.size < 1 or self.noise < 0:
+            raise ConfigurationError(f"size must be >= 1 and noise >= 0, got "
+                                     f"{self.size} and {self.noise}")
         if not 0.0 <= self.lang_mix <= 1.0:
             raise ConfigurationError("lang_mix must be in [0, 1]")
         if self.vocab().max_unit >= self.vocab_nar:
@@ -223,11 +231,10 @@ class CorpusSpec:
                 f"{self.n_content} content tokens per language"
             )
         for lo, hi in (self.len_a, self.len_b):
-            if lo < 2:
+            if not 2 <= lo <= hi:
                 raise ConfigurationError(
-                    "answer length must be >= 2 so every non-neutral sample "
-                    "carries at least one prosody unit"
-                )
+                    f"answer length range {(lo, hi)} must have 2 <= lo <= hi "
+                    "(lo >= 2 gives every non-neutral sample a prosody unit)")
             max_units = 3 * hi + (3 * hi) // 4
             t_c = (hi + 2) + hi + 1  # question + answer + emotion cue
             if self.upsample * t_c < 2 * max_units + 1:
@@ -272,15 +279,42 @@ def decode_f32(obj: dict) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f4").reshape(obj["shape"]).astype(np.float64)
 
 
-def _sample_dialogue(spec: CorpusSpec, rng, lang):
-    vocab = spec.vocab()
-    lo_len, hi_len = spec.len_a if lang == "a" else spec.len_b
-    a_len = int(rng.integers(lo_len, hi_len + 1))
-    c_lo, c_hi = vocab.content_range(lang)
-    a_tokens = [int(t) for t in rng.integers(c_lo, c_hi, a_len)]
-    q_lo, q_hi = vocab.question_range(lang)
-    q_tokens = [int(t) for t in rng.integers(q_lo, q_hi, a_len + 2)]
-    return q_tokens, a_tokens
+def _records(kind, n, seed, fields) -> list:
+    """The seeded record loop of every corpus: ``n`` records, each with
+    ``schema``, ``id`` and ``kind``, then the fields ``fields(i, rng)``
+    draws from one generator seeded with ``seed``."""
+    rng = np.random.default_rng(seed)
+    return [{"schema": 1, "id": i, "kind": kind, **fields(i, rng)}
+            for i in range(n)]
+
+
+def _unit_records(spec: CorpusSpec, kind, pick, **targets) -> list:
+    """Dialogue records of the unit corpora. ``pick(i, rng)`` gives the
+    language and the cue emotion of record ``i``; each
+    ``targets[key](i, emotion)`` names the emotion synthesised into the
+    answer's units under ``key``."""
+    spec.validate()
+    enc, vocab = FeatureEncoder(spec), spec.vocab()
+
+    def fields(i, rng):
+        lang, emotion = pick(i, rng)
+        lo, hi = spec.len_a if lang == "a" else spec.len_b
+        a_len = int(rng.integers(lo, hi + 1))
+        a_tokens = [int(t) for t in rng.integers(*vocab.content_range(lang), a_len)]
+        q_tokens = [int(t) for t in
+                    rng.integers(*vocab.question_range(lang), a_len + 2)]
+        feats = enc.context(q_tokens, a_tokens, emotion, rng, spec.noise)
+        return {"lang": lang, "emotion": emotion, "text_q": q_tokens,
+                "text_a": a_tokens, "features": encode_f32(feats),
+                **{key: list(synthesize_speech_units(
+                    a_tokens, target(i, emotion), lang, vocab))
+                   for key, target in targets.items()}}
+    return _records(kind, spec.size, spec.seed, fields)
+
+
+def _balanced(labels):
+    """Languages alternate; each label covers two consecutive records."""
+    return lambda i, rng: (LANGS[i % 2], labels[(i // 2) % len(labels)])
 
 
 def gen_supervised_corpus(spec: CorpusSpec) -> list:
@@ -292,86 +326,26 @@ def gen_supervised_corpus(spec: CorpusSpec) -> list:
     association that preference training later sharpens, instead of having
     to invent the pathway from scratch.
     """
-    spec.validate()
-    rng = np.random.default_rng(spec.seed)
-    enc = FeatureEncoder(spec)
-    records = []
-    for i in range(spec.size):
-        lang = "a" if rng.random() < spec.lang_mix else "b"
-        q_tokens, a_tokens = _sample_dialogue(spec, rng, lang)
-        emotion = EMOTIONS[i % len(EMOTIONS)]
-        target_emotion = emotion if i % 2 == 0 else NEUTRAL
-        units = synthesize_speech_units(a_tokens, target_emotion, lang,
-                                        spec.vocab())
-        feats = enc.context(q_tokens, a_tokens, emotion, rng, spec.noise)
-        records.append({
-            "schema": 1,
-            "id": i,
-            "kind": "supervised_units",
-            "lang": lang,
-            "emotion": emotion,
-            "text_q": q_tokens,
-            "text_a": a_tokens,
-            "features": encode_f32(feats),
-            "units": list(units),
-        })
-    return records
+    return _unit_records(
+        spec, "supervised_units",
+        lambda i, rng: ("a" if rng.random() < spec.lang_mix else "b",
+                        EMOTIONS[i % len(EMOTIONS)]),
+        units=lambda i, emotion: emotion if i % 2 == 0 else NEUTRAL)
 
 
 def gen_preference_corpus(spec: CorpusSpec) -> list:
     """Winner = emotion-conditioned synthesis, loser = neutral synthesis
     of the same answer; languages split 50/50, labels balanced."""
-    spec.validate()
-    rng = np.random.default_rng(spec.seed)
-    enc = FeatureEncoder(spec)
-    records = []
-    for i in range(spec.size):
-        lang = LANGS[i % 2]
-        emotion = NON_NEUTRAL[(i // 2) % len(NON_NEUTRAL)]
-        q_tokens, a_tokens = _sample_dialogue(spec, rng, lang)
-        y_w = synthesize_speech_units(a_tokens, emotion, lang, spec.vocab())
-        y_l = synthesize_speech_units(a_tokens, NEUTRAL, lang, spec.vocab())
-        feats = enc.context(q_tokens, a_tokens, emotion, rng, spec.noise)
-        records.append({
-            "schema": 1,
-            "id": i,
-            "kind": "preference",
-            "lang": lang,
-            "emotion": emotion,
-            "text_q": q_tokens,
-            "text_a": a_tokens,
-            "features": encode_f32(feats),
-            "units_w": list(y_w),
-            "units_l": list(y_l),
-        })
-    return records
+    return _unit_records(spec, "preference", _balanced(NON_NEUTRAL),
+                         units_w=lambda i, emotion: emotion,
+                         units_l=lambda i, emotion: NEUTRAL)
 
 
 def gen_emotion_eval_corpus(spec: CorpusSpec) -> list:
     """Held-out contexts with gold emotion labels (incl. neutral) and the
     emotion-consistent reference units, for emotion-accuracy evaluation."""
-    spec.validate()
-    rng = np.random.default_rng(spec.seed)
-    enc = FeatureEncoder(spec)
-    records = []
-    for i in range(spec.size):
-        lang = LANGS[i % 2]
-        emotion = EMOTIONS[(i // 2) % len(EMOTIONS)]
-        q_tokens, a_tokens = _sample_dialogue(spec, rng, lang)
-        units = synthesize_speech_units(a_tokens, emotion, lang, spec.vocab())
-        feats = enc.context(q_tokens, a_tokens, emotion, rng, spec.noise)
-        records.append({
-            "schema": 1,
-            "id": i,
-            "kind": "supervised_units",
-            "lang": lang,
-            "emotion": emotion,
-            "text_q": q_tokens,
-            "text_a": a_tokens,
-            "features": encode_f32(feats),
-            "units": list(units),
-        })
-    return records
+    return _unit_records(spec, "supervised_units", _balanced(EMOTIONS),
+                         units=lambda i, emotion: emotion)
 
 
 # ---------------------------------------------------------------------------
@@ -396,15 +370,23 @@ class AlignmentSpec:
     n_sizes: int = field(default=3, repr=False)
     n_fillers: int = field(default=10, repr=False)  # 2 attrs x 10 = 20 templates/lang
 
+    def validate(self):
+        lo, hi = self.seq_len
+        if not 1 <= lo <= hi:
+            raise ConfigurationError(f"seq_len must have 1 <= lo <= hi, got {(lo, hi)}")
+        for name in ("n_speech_text", "n_image_text", "n_instruct", "n_probe",
+                     "speech_dim", "image_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.noise < 0:
+            raise ConfigurationError(f"noise must be >= 0, got {self.noise}")
+
 
 class AlignmentVocab:
     """Token layout for the alignment world."""
 
     def __init__(self, spec: AlignmentSpec):
-        self.n_objects = spec.n_objects
-        self.n_colors = spec.n_colors
-        self.n_sizes = spec.n_sizes
-        self.n_fillers = spec.n_fillers
         self.objects = range(0, spec.n_objects)
         self.colors = range(spec.n_objects, spec.n_objects + spec.n_colors)
         base = spec.n_objects + spec.n_colors
@@ -431,32 +413,24 @@ class AlignmentEncoders:
         self.speech = rng.normal(0.0, 1.0, (vocab.size, spec.speech_dim))
         self.image = rng.normal(0.0, 1.0, (vocab.size, spec.image_dim))
 
-    def speech_features(self, tokens, rng, noise):
-        feats = self.speech[np.asarray(tokens, dtype=np.int64)]
-        return feats + rng.normal(0.0, noise, feats.shape)
-
-    def image_features(self, tokens, rng, noise):
-        feats = self.image[np.asarray(tokens, dtype=np.int64)]
+    def features(self, table, tokens, rng, noise):
+        """Rows of ``table`` (``self.speech`` or ``self.image``) for
+        ``tokens``, plus Gaussian noise."""
+        feats = table[np.asarray(tokens, dtype=np.int64)]
         return feats + rng.normal(0.0, noise, feats.shape)
 
 
 def gen_speech_text_corpus(spec: AlignmentSpec) -> list:
+    spec.validate()
     enc = AlignmentEncoders(spec)
-    rng = np.random.default_rng(spec.seed)
     lo, hi = spec.seq_len
-    records = []
-    for i in range(spec.n_speech_text):
+
+    def fields(i, rng):
         n = int(rng.integers(lo, hi + 1))
         tokens = [int(t) for t in rng.integers(0, enc.vocab.sep, n)]
-        feats = enc.speech_features(tokens, rng, spec.noise)
-        records.append({
-            "schema": 1,
-            "id": i,
-            "kind": "speech_text",
-            "tokens": tokens,
-            "features": encode_f32(feats),
-        })
-    return records
+        feats = enc.features(enc.speech, tokens, rng, spec.noise)
+        return {"tokens": tokens, "features": encode_f32(feats)}
+    return _records("speech_text", spec.n_speech_text, spec.seed, fields)
 
 
 def _sample_scene(vocab: AlignmentVocab, rng):
@@ -467,25 +441,14 @@ def _sample_scene(vocab: AlignmentVocab, rng):
 
 
 def gen_image_text_corpus(spec: AlignmentSpec) -> list:
+    spec.validate()
     enc = AlignmentEncoders(spec)
-    rng = np.random.default_rng(spec.seed)
-    records = []
-    for i in range(spec.n_image_text):
+
+    def fields(i, rng):
         scene = _sample_scene(enc.vocab, rng)
-        feats = enc.image_features(scene, rng, spec.noise)
-        records.append({
-            "schema": 1,
-            "id": i,
-            "kind": "image_text",
-            "caption": scene,
-            "features": encode_f32(feats),
-        })
-    return records
-
-
-def _sample_question(vocab: AlignmentVocab, rng, lang, attr):
-    filler = int(rng.integers(vocab.fillers[lang].start, vocab.fillers[lang].stop))
-    return [vocab.qhead[(lang, attr)], filler]
+        feats = enc.features(enc.image, scene, rng, spec.noise)
+        return {"caption": scene, "features": encode_f32(feats)}
+    return _records("image_text", spec.n_image_text, spec.seed, fields)
 
 
 def gen_instruct_corpus(spec: AlignmentSpec, with_speech: bool = False,
@@ -494,32 +457,25 @@ def gen_instruct_corpus(spec: AlignmentSpec, with_speech: bool = False,
 
     ``with_speech`` additionally stores the spoken twin of the question
     (probe sets only; instruction tuning itself is image-text)."""
+    spec.validate()
     enc = AlignmentEncoders(spec)
-    rng = np.random.default_rng(spec.seed if rng_seed is None else rng_seed)
-    n = spec.n_probe if with_speech else spec.n_instruct
-    records = []
-    for i in range(n):
-        lang = LANGS[i % 2]
-        attr = (i // 2) % 2
+
+    def fields(i, rng):
+        lang, attr = LANGS[i % 2], (i // 2) % 2  # attr 0 = color, 1 = size
         scene = _sample_scene(enc.vocab, rng)
-        q_tokens = _sample_question(enc.vocab, rng, lang, attr)
-        answer = scene[1] if attr == 0 else scene[2]
-        rec = {
-            "schema": 1,
-            "id": i,
-            "kind": "instruct",
-            "lang": lang,
-            "attr": "color" if attr == 0 else "size",
-            "content": scene,
-            "image": encode_f32(enc.image_features(scene, rng, spec.noise)),
-            "q_tokens": q_tokens,
-            "a_tokens": [answer],
-        }
+        fillers = enc.vocab.fillers[lang]
+        q_tokens = [enc.vocab.qhead[(lang, attr)],
+                    int(rng.integers(fillers.start, fillers.stop))]
+        rec = {"lang": lang, "attr": ("color", "size")[attr], "content": scene,
+               "image": encode_f32(enc.features(enc.image, scene, rng,
+                                                spec.noise)),
+               "q_tokens": q_tokens, "a_tokens": [scene[1 + attr]]}
         if with_speech:
             rec["q_speech"] = encode_f32(
-                enc.speech_features(q_tokens, rng, spec.noise))
-        records.append(rec)
-    return records
+                enc.features(enc.speech, q_tokens, rng, spec.noise))
+        return rec
+    return _records("instruct", spec.n_probe if with_speech else spec.n_instruct,
+                    spec.seed if rng_seed is None else rng_seed, fields)
 
 
 # ---------------------------------------------------------------------------

@@ -253,9 +253,15 @@ def sample_loss(decoder: SpeechDecoder, record: dict, cond: np.ndarray) -> Tenso
 
 
 def feasible(decoder: SpeechDecoder, record: dict, t_c: int) -> bool:
-    if decoder.config.mode != "nar":
-        return len(record["units"]) < decoder.config.max_units
-    return decoder.config.upsample * t_c >= min_frames(tuple(record["units"]))
+    """Whether a ``t_c``-row context fits the decoder and its units can be
+    emitted from it: at most ``max_context`` rows, then enough CTC frames
+    (NAR) or fewer units than ``max_units`` (AR)."""
+    config = decoder.config
+    if t_c > config.max_context:
+        return False
+    if config.mode != "nar":
+        return len(record["units"]) < config.max_units
+    return config.upsample * t_c >= min_frames(tuple(record["units"]))
 
 
 def train_decoder(records, config: SpeechDecoderConfig,
@@ -268,6 +274,10 @@ def train_decoder(records, config: SpeechDecoderConfig,
     rng = np.random.default_rng(schedule.seed)
 
     conds = [decode_f32(rec["features"]) for rec in records]
+    for cond in conds:
+        if cond.ndim != 2 or cond.shape[1] != config.model_dim:
+            raise DataError(f"condition features must be [T_c, "
+                            f"{config.model_dim}], got {cond.shape}")
     usable = [i for i, rec in enumerate(records)
               if feasible(decoder, rec, conds[i].shape[0])]
     skipped = len(records) - len(usable)

@@ -491,8 +491,13 @@ BENCH_ARGS = ["--checkpoint-ar", "a.ckpt", "--checkpoint-nar", "n.ckpt",
     (["decode", *DECODER_ARGS, "--seed", "1"], "--seed"),
     (["bench-latency", *BENCH_ARGS, "--config", "c.cfg"], "--config"),
     (["decode", *DECODER_ARGS, "--config", "c.cfg"], "--config"),
+    *[(["eval", metric, "--config", "c.cfg"], "--config")
+      for metric in ("uer", "emotion-acc", "pref-acc", "zero-shot")],
+    (["eval", "partition-check", "--corpus", "c.jsonl"], "--corpus"),
 ], ids=["gen-data-format", "decode-format", "eval-seed", "bench-latency-seed",
-        "decode-seed", "bench-latency-config", "decode-config"])
+        "decode-seed", "bench-latency-config", "decode-config",
+        "eval-uer-config", "eval-emotion-acc-config", "eval-pref-acc-config",
+        "eval-zero-shot-config", "eval-partition-check-corpus"])
 def test_subcommand_rejects_flags_it_does_not_read(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -529,6 +534,12 @@ def test_subcommands_keep_the_flags_they_read():
     ("dpo", "beta", 0), ("dpo", "log_every", 0),
     ("gen-data", "len_a", "2,3,4"), ("ablate", "grid_experts", "1,x"),
     ("ablate", "heads", 0),
+    ("gen-data", "len_a", "6,2"), ("gen-data", "size", -3),
+    ("speech-text", "seq_len", "9,3"), ("speech-text", "n_speech_text", 0),
+    ("image-text", "image_dim", 0),
+    ("decoder-nar", "max_context", 8), ("decoder-nar", "dim", 32),
+    ("partition-check", "t", 0), ("partition-check", "v", 0),
+    ("partition-check", "v", -1),
     ("sidecar", "heads", 0), ("sidecar", "model_dim", -1),
 ], ids=lambda v: str(v))
 def test_bad_config_or_sidecar_value_exits_3(workdir, align_dir, tmp_path,
@@ -554,6 +565,12 @@ def test_bad_config_or_sidecar_value_exits_3(workdir, align_dir, tmp_path,
     elif target == "gen-data":
         cfg = dict(kind="supervised", size=4)
         argv = [target]
+    elif target in ("speech-text", "image-text"):
+        cfg = dict(kind=target, n_speech_text=4, n_image_text=4)
+        argv = ["gen-data"]
+    elif target == "partition-check":
+        cfg = dict(t=2, v=2)
+        argv = ["eval", target]
     elif target == "ablate":
         cfg = dict(steps=1, batch=2, layers=1, experts=1, max_context=32)
         argv = [target, "--corpus", str(workdir / "sup" / "supervised.jsonl")]

@@ -1,10 +1,13 @@
 """Synthetic corpora: codes, oracles, determinism, balance."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unitforge.cli import GENERATORS, UNIT_KINDS
 from unitforge.data import (CONTENT_BASE, EMOTIONS, LANGS, NEUTRAL, OTHER,
                             AlignmentSpec, CorpusSpec, UnitTextVocab,
                             corpus_manifest, decode_f32, emotion_oracle_classify,
@@ -177,7 +180,25 @@ def test_spec_validation():
         CorpusSpec(len_a=(1, 4)).validate()
     with pytest.raises(ConfigurationError):
         CorpusSpec(upsample=2, len_b=(8, 12)).validate()
+    for bad in (dict(len_a=(6, 2)), dict(len_b=(9, 3)), dict(size=0),
+                dict(size=-3), dict(noise=-0.1)):
+        with pytest.raises(ConfigurationError):
+            CorpusSpec(**bad).validate()
+        with pytest.raises(ConfigurationError):
+            gen_supervised_corpus(CorpusSpec(**bad))
     CorpusSpec().validate()
+    for bad in (dict(seq_len=(9, 3)), dict(seq_len=(0, 3)), dict(n_speech_text=0),
+                dict(n_image_text=0), dict(n_instruct=0), dict(n_probe=-1),
+                dict(speech_dim=0), dict(image_dim=0), dict(noise=-0.1)):
+        with pytest.raises(ConfigurationError):
+            AlignmentSpec(**bad).validate()
+        for gen in (gen_speech_text_corpus, gen_image_text_corpus,
+                    gen_instruct_corpus,
+                    lambda spec: gen_instruct_corpus(spec, with_speech=True)):
+            with pytest.raises(ConfigurationError):
+                gen(AlignmentSpec(**bad))
+    AlignmentSpec().validate()
+    AlignmentSpec(seq_len=(1, 1), noise=0.0).validate()
 
 
 def test_feature_round_trip():
@@ -231,12 +252,32 @@ def test_emotion_eval_corpus_references_carry_label():
         assert emotion_oracle_classify(rec["units"]) == rec["emotion"]
 
 
-def test_regeneration_is_byte_identical(tmp_path):
-    spec = CorpusSpec(seed=4, size=16)
+# sha256 of each kind's JSONL at seed 3 with 12 records, under NumPy 2.4.6
+PINNED_JSONL = {
+    "supervised": "e44d5cecb3e3a8857e7b0f5106ac2fe3f4a5a8298735bb7a377b855ac8163072",
+    "preference": "833984202846cf6f472c91a1dd000dd01d1b9a685ba4a4a016387ac1f353fcfd",
+    "emotion-eval": "95b1e2de7b541559c13ef46d2117ca349bcdc989757e29bf64acc3087c435611",
+    "speech-text": "cf59d5e0b7f364b3f40b2fab6d058dbcf9eaf4f1ccaead4bcdf6acafe181c8b1",
+    "image-text": "26bf380c38268becf9dd87f7120c0d72ec98dc48126d5a9c890e1c3df03a53fb",
+    "instruct": "c21c04a2abd21e3bc70f23e09655c1d04cd909797f44a3d8bfff940026ad8721",
+    "probe": "f6bd36e1cf0eaeeb1fff2a1f9af1b60b380bcff0e17506ee4d1a28591c10ea45",
+}
+
+
+@pytest.mark.parametrize("kind", list(GENERATORS))
+def test_regeneration_is_byte_identical(tmp_path, kind):
+    """Two runs give the same bytes, and those bytes are pinned: a change
+    in draw order, field encoding or record layout changes the digest."""
+    def spec():
+        if kind in UNIT_KINDS:
+            return CorpusSpec(seed=3, size=12)
+        return AlignmentSpec(seed=3, n_speech_text=12, n_image_text=12,
+                             n_instruct=12, n_probe=12)
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_jsonl(p1, gen_supervised_corpus(spec))
-    write_jsonl(p2, gen_supervised_corpus(CorpusSpec(seed=4, size=16)))
+    write_jsonl(p1, GENERATORS[kind](spec()))
+    write_jsonl(p2, GENERATORS[kind](spec()))
     assert p1.read_bytes() == p2.read_bytes()
+    assert hashlib.sha256(p1.read_bytes()).hexdigest() == PINNED_JSONL[kind]
 
 
 def test_different_seed_changes_content():
