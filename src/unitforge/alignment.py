@@ -169,10 +169,7 @@ class OmniModel:
         logits = self.backbone.logits(rows)
         # the separator row emits the first text token
         start = prefix_rows.shape[0] + len(prompt)
-        targets = np.zeros(logits.data.shape[0], dtype=np.int64)
-        targets[start:start + len(tokens)] = tokens
-        positions = np.arange(start, start + len(tokens))
-        return nn.cross_entropy(logits, targets, positions)
+        return nn.cross_entropy(logits, np.arange(start, start + len(tokens)), tokens)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from .decoder import (SpeechDecoder, SpeechDecoderConfig, TrainSchedule,
 from .errors import (ConfigurationError, DataError, KindMismatchError,
                      SequencingError, UnitforgeError)
 from .preference import (DpoConfig, DpoSchedule, pairs_from_records,
-                         preference_accuracy, train_dpo)
+                         preference_hits, train_dpo)
 
 log = logging.getLogger("unitforge")
 
@@ -397,16 +397,13 @@ def _eval_emotion_acc(args, out):
 
 def _eval_pref_acc(args, out):
     decoder = SpeechDecoder.load(_require(args.checkpoint, "--checkpoint"))
-    records = load_corpus(args.corpus, ("preference",))
-    pairs = pairs_from_records(records)
+    pairs = pairs_from_records(load_corpus(args.corpus, ("preference",)))
+    hits = preference_hits(decoder, pairs)
     by_lang = {}
-    for pair in pairs:
-        by_lang.setdefault(pair.lang, []).append(pair)
-    rows = [["overall", len(pairs),
-             f"{preference_accuracy(decoder, pairs):.4f}"]]
-    for lang, group in sorted(by_lang.items()):
-        rows.append([f"lang={lang}", len(group),
-                     f"{preference_accuracy(decoder, group):.4f}"])
+    for pair, hit in zip(pairs, hits):
+        by_lang.setdefault(f"lang={pair.lang}", []).append(hit)
+    rows = [[key, len(group), f"{sum(group) / len(group):.4f}"]
+            for key, group in [("overall", hits), *sorted(by_lang.items())]]
     return write_report(out, "pref_acc", ["group", "n", "accuracy"],
                         rows, args.format)
 
@@ -428,6 +425,10 @@ def _eval_zero_shot(args, out):
 def _eval_partition_check(args, out):
     cfg = read_config(load_config(args), {"t": int, "v": int})[0]
     frames, vocab = cfg.get("t", 2), cfg.get("v", 2)
+    if frames > 20 or vocab ** frames > 10 ** 6:  # t first: no huge power
+        raise ConfigurationError(f"partition-check enumerates v**t paths and "
+                                 f"needs t <= 20 and v**t <= 10**6, got "
+                                 f"t={frames}, v={vocab}")
     lp = np.full((frames, vocab), -np.log(vocab))
     total = float(sum(np.exp(v) for v in brute_force_marginals(lp).values()))
     rows = [["frames", frames], ["vocab", vocab],

@@ -199,6 +199,13 @@ def unit_error_rate(ref, hyp) -> float:
 # corpus specs and feature encoders
 
 
+def _at_least(spec, low, *names):
+    for name in names:
+        if getattr(spec, name) < low:
+            raise ConfigurationError(f"{name} must be >= {low}, got "
+                                     f"{getattr(spec, name)}")
+
+
 @dataclass
 class CorpusSpec:
     """Generator knobs for the speech-unit corpora."""
@@ -220,9 +227,8 @@ class CorpusSpec:
         return UnitTextVocab(self.n_content, self.n_question)
 
     def validate(self):
-        if self.size < 1 or self.noise < 0:
-            raise ConfigurationError(f"size must be >= 1 and noise >= 0, got "
-                                     f"{self.size} and {self.noise}")
+        _at_least(self, 0, "seed", "world_seed", "noise")
+        _at_least(self, 1, "size", "feature_dim", "n_content", "n_question")
         if not 0.0 <= self.lang_mix <= 1.0:
             raise ConfigurationError("lang_mix must be in [0, 1]")
         if self.vocab().max_unit >= self.vocab_nar:
@@ -374,13 +380,10 @@ class AlignmentSpec:
         lo, hi = self.seq_len
         if not 1 <= lo <= hi:
             raise ConfigurationError(f"seq_len must have 1 <= lo <= hi, got {(lo, hi)}")
-        for name in ("n_speech_text", "n_image_text", "n_instruct", "n_probe",
-                     "speech_dim", "image_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(
-                    f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.noise < 0:
-            raise ConfigurationError(f"noise must be >= 0, got {self.noise}")
+        _at_least(self, 0, "seed", "world_seed", "noise")
+        _at_least(self, 1, "n_speech_text", "n_image_text", "n_instruct", "n_probe",
+                  "speech_dim", "image_dim", "n_objects", "n_colors", "n_sizes",
+                  "n_fillers")
 
 
 class AlignmentVocab:

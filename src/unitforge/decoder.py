@@ -181,11 +181,8 @@ class SpeechDecoder:
             raise ContractError("ntp_loss on a NAR-mode decoder")
         units = list(units)
         logits, offset = self._ar_logits(cond, units, text_tokens)
-        targets = np.zeros(logits.data.shape[0], dtype=np.int64)
-        targets[offset:offset + len(units)] = units
-        targets[offset + len(units)] = self.eos_id
-        positions = np.arange(offset, offset + len(units) + 1)
-        return nn.cross_entropy(logits, targets, positions)
+        return nn.cross_entropy(logits, np.arange(offset, offset + len(units) + 1),
+                                units + [self.eos_id])
 
     def ar_generate(self, cond, max_len=None) -> GenerationResult:
         if self.config.mode != "ar":
@@ -278,6 +275,12 @@ def train_decoder(records, config: SpeechDecoderConfig,
         if cond.ndim != 2 or cond.shape[1] != config.model_dim:
             raise DataError(f"condition features must be [T_c, "
                             f"{config.model_dim}], got {cond.shape}")
+    if config.tgm:
+        bad = [t for rec in records for t in rec["text_a"]
+               if not 0 <= t < config.text_vocab]
+        if bad:
+            raise DataError(f"text token {bad[0]} outside the decoder's text "
+                            f"vocabulary [0, {config.text_vocab})")
     usable = [i for i, rec in enumerate(records)
               if feasible(decoder, rec, conds[i].shape[0])]
     skipped = len(records) - len(usable)

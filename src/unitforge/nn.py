@@ -7,7 +7,8 @@ and a text-guided module: single-head cross-attention through the same
 ``tensor.attention``, keys and values taken from the response text, whose
 output projection starts at zero so the fused path is exactly the
 identity until trained. Attention (self and cross), biased Linear,
-LayerNorm and the expert mix are one tape node each (see ``tensor``).
+LayerNorm, the expert mix and the cross-entropy are one tape node each
+(see ``tensor``); an embedding is a row gather of its table.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ShapeError
 from .tensor import Tensor
 
 
@@ -54,7 +55,7 @@ class Embedding:
         self.table = Tensor(rng.normal(0.0, scale, (vocab, d)), requires_grad=True)
 
     def __call__(self, ids):
-        return T.embedding_lookup(self.table, ids)
+        return T.gather_rows(self.table, ids)
 
     def parameters(self, prefix):
         return {f"{prefix}.table": self.table}
@@ -202,13 +203,36 @@ class PositionalEmbedding:
         return {f"{prefix}.table": self.table}
 
 
-def cross_entropy(logits, targets, positions=None):
-    """Mean NLL of ``targets`` rows of log-softmaxed ``logits``.
+def cross_entropy(logits, rows, targets) -> Tensor:
+    """Mean NLL of ``targets[i]`` under log-softmaxed ``logits[rows[i]]``.
 
-    ``positions`` restricts the loss to a subset of rows (loss masking).
+    One tape node that log-softmaxes only the scored rows; every other
+    row of ``logits`` gets an exact zero gradient. ``rows`` must be
+    distinct and in range and ``targets`` in [0, V), one per row, else
+    ``ShapeError``. The float operations are those of a log-softmax over
+    all rows, a per-row pick, a mean and a scale by -1.
     """
-    logp = T.log_softmax_last_dim(logits)
-    picked = T.take_per_row(logp, np.asarray(targets, dtype=np.int64))
-    if positions is not None:
-        picked = T.gather_rows(picked, np.asarray(positions, dtype=np.int64))
-    return T.scale(T.tmean(picked), -1.0)
+    x = logits.data
+    rows = np.asarray(rows, dtype=np.int64)
+    targets = np.asarray(targets, dtype=np.int64)
+    t, v = x.shape if x.ndim == 2 else (0, 0)
+    n = len(rows) if rows.ndim == 1 else 0
+    if (not n or targets.shape != (n,) or rows.min() < 0 or rows.max() >= t
+            or len(np.unique(rows)) != n or targets.min() < 0 or targets.max() >= v):
+        raise ShapeError(f"cross_entropy: logits {x.shape}, rows {rows.shape}, "
+                         f"targets {targets.shape}: need distinct rows in "
+                         f"[0, {t}) and one target in [0, {v}) each")
+    z = x[rows]
+    z = z - z.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    picks = np.arange(n), targets
+
+    def bwd(g):
+        gp = np.zeros((n, v))
+        gp[picks] = float(g * -1.0) / n
+        gx = np.zeros_like(x)
+        gx[rows] = gp - np.exp(logp) * gp.sum(axis=-1, keepdims=True)
+        return [(logits, gx)]
+
+    return T.record_custom("cross_entropy", Tensor(logp[picks].mean() * -1.0),
+                           bwd, logits)

@@ -113,6 +113,11 @@ def pair_margin(policy: SpeechDecoder, reference: SpeechDecoder,
     return _margins(_scores(policy, [pair]), _scores(reference, [pair]))[0]
 
 
+def preference_hits(policy: SpeechDecoder, pairs) -> list:
+    """Per pair, whether the policy prefers the winner."""
+    return [w > l for w, l in _scores(policy, pairs)]
+
+
 def preference_accuracy(policy: SpeechDecoder, pairs) -> float:
     """Fraction of pairs where the policy prefers the winner."""
     pairs = list(pairs)

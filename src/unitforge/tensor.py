@@ -8,7 +8,10 @@ order, which is a valid topological order by construction. Parameters
 All math is float64. Structurally unreachable lattice cells and masked
 attention scores use the ``NEG_INF`` sentinel. Attention, biased
 Linear, LayerNorm, the MoE expert mix and the mean of loss terms are one
-node each, with a hand-written backward.
+node each, with a hand-written backward; so are the cross-entropy
+(``nn.cross_entropy``) and CTC (``ctc.ctc_loss``) losses, registered
+through ``record_custom``. An embedding lookup is a row gather
+(``gather_rows``).
 """
 
 from __future__ import annotations
@@ -236,27 +239,6 @@ def repeat_rows(x: Tensor, k: int) -> Tensor:
     return _record("repeat_rows", out, bwd, x)
 
 
-def embedding_lookup(table: Tensor, ids) -> Tensor:
-    _check_nonempty("embedding_lookup", table)
-    ids = np.asarray(ids, dtype=np.int64)
-    if table.data.ndim != 2:
-        raise ShapeError(f"embedding_lookup: table shape {table.data.shape}")
-    if ids.size == 0:
-        raise DomainError("embedding_lookup: empty id list")
-    if ids.min() < 0 or ids.max() >= table.data.shape[0]:
-        raise ShapeError(
-            f"embedding_lookup: id out of range [0, {table.data.shape[0]})"
-        )
-    out = _wrap(table.data[ids])
-
-    def bwd(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
-        return [(table, gt)]
-
-    return _record("embedding_lookup", out, bwd, table)
-
-
 def gather_rows(x: Tensor, idx) -> Tensor:
     _check_nonempty("gather_rows", x)
     idx = np.asarray(idx, dtype=np.int64)
@@ -272,23 +254,6 @@ def gather_rows(x: Tensor, idx) -> Tensor:
         return [(x, gx)]
 
     return _record("gather_rows", out, bwd, x)
-
-
-def take_per_row(x: Tensor, idx) -> Tensor:
-    """out[t] = x[t, idx[t]] for x[T, V]."""
-    _check_nonempty("take_per_row", x)
-    idx = np.asarray(idx, dtype=np.int64)
-    if x.data.ndim != 2 or idx.shape != (x.data.shape[0],):
-        raise ShapeError(f"take_per_row: {x.data.shape} with idx {idx.shape}")
-    rows = np.arange(x.data.shape[0])
-    out = _wrap(x.data[rows, idx])
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        gx[rows, idx] = g
-        return [(x, gx)]
-
-    return _record("take_per_row", out, bwd, x)
 
 
 def softmax_last_dim(x: Tensor) -> Tensor:
@@ -351,17 +316,6 @@ def tsum(x: Tensor) -> Tensor:
         return [(x, np.full_like(x.data, float(g)))]
 
     return _record("sum", out, bwd, x)
-
-
-def tmean(x: Tensor) -> Tensor:
-    _check_nonempty("mean", x)
-    n = x.data.size
-    out = _wrap(x.data.mean())
-
-    def bwd(g):
-        return [(x, np.full_like(x.data, float(g) / n))]
-
-    return _record("mean", out, bwd, x)
 
 
 # ---------------------------------------------------------------------------

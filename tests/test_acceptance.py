@@ -191,7 +191,7 @@ def _emotion_accuracy(decoder, records):
     return {lang: float(np.mean(v)) for lang, v in hits.items()}
 
 
-def test_dpo_on_64_pairs_lifts_emotion_accuracy_in_both_languages():
+def test_dpo_on_64_pairs_lifts_emotion_accuracy_in_both_languages(record_property):
     spec = CorpusSpec(seed=7777, size=48)
     sup = gen_supervised_corpus(spec)
     pairs = pairs_from_records(gen_preference_corpus(
@@ -214,8 +214,11 @@ def test_dpo_on_64_pairs_lifts_emotion_accuracy_in_both_languages():
                                  log_every=50))
     # untouched policy == reference, so the first logged loss is ln 2
     assert abs(rows[0][1] - math.log(2.0)) < 1e-6
-    assert preference_accuracy(policy, pairs) >= 0.95
+    accuracy = preference_accuracy(policy, pairs)
+    record_property("preference_accuracy", accuracy)
+    assert accuracy >= 0.95
     post = _emotion_accuracy(policy, holdout)
+    record_property("emotion_accuracy_pre_post", (pre, post))
     for lang in ("a", "b"):
         assert post[lang] > pre[lang], (lang, pre, post)
 
@@ -224,7 +227,7 @@ def test_dpo_on_64_pairs_lifts_emotion_accuracy_in_both_languages():
 # AR/NAR step-count gap
 
 
-def test_parallel_decoder_needs_one_step_ar_needs_length_plus_one():
+def test_parallel_decoder_needs_one_step_ar_needs_length_plus_one(record_property):
     spec = CorpusSpec(seed=31, size=24)
     records = gen_supervised_corpus(spec)
     base = dict(layers=1, experts=1, model_dim=spec.feature_dim, heads=2,
@@ -248,6 +251,8 @@ def test_parallel_decoder_needs_one_step_ar_needs_length_plus_one():
             assert ar_res.sequential_steps == len(ar_res.units.units) + 1
         if len(ar_res.units.units) >= 5:
             ratios.append(ar_res.sequential_steps / nar_res.sequential_steps)
+    record_property("ratio_count", len(ratios))
+    record_property("median_ar_nar_step_ratio", float(np.median(ratios)))
     assert len(ratios) >= 5
     assert np.median(ratios) >= 5.0
 
@@ -256,7 +261,7 @@ def test_parallel_decoder_needs_one_step_ar_needs_length_plus_one():
 # expert-count ablation: multilingual capacity under a fixed step budget
 
 
-def test_four_experts_serve_both_languages_while_one_expert_starves():
+def test_four_experts_serve_both_languages_while_one_expert_starves(record_property):
     # strong length mismatch plus a 20% minority share: the unnormalized
     # CTC objective lets the long majority language dominate the shared
     # gradient, so a single expert spends the whole step budget on it
@@ -275,10 +280,12 @@ def test_four_experts_serve_both_languages_while_one_expert_starves():
         return evaluate_uer(decoder, records)
 
     routed = uer_by_lang(4)
+    record_property("uer_4_experts_a_b", (routed["a"], routed["b"]))
     assert routed["a"] < 0.2, routed
     assert routed["b"] < 0.2, routed
 
     shared = uer_by_lang(1)
+    record_property("uer_1_expert_a", shared["a"])
     # the starved minority language stays near-unintelligible
     assert shared["a"] > 0.8, shared
 
@@ -287,7 +294,7 @@ def test_four_experts_serve_both_languages_while_one_expert_starves():
 # text-guided fusion ablation: training-loss advantage in both modes
 
 
-def test_text_fusion_lowers_final_training_loss_in_both_modes():
+def test_text_fusion_lowers_final_training_loss_in_both_modes(record_property):
     # noisy features and a corpus too large to memorize make the clean
     # text pathway genuinely informative
     spec = CorpusSpec(seed=7777, size=96, feature_dim=32, noise=1.0)
@@ -308,6 +315,7 @@ def test_text_fusion_lowers_final_training_loss_in_both_modes():
         wins = sum(
             int(final_loss(mode, True, seed) < final_loss(mode, False, seed))
             for seed in range(5))
+        record_property(f"tgm_wins_of_5_{mode}", wins)
         assert wins >= 4, mode
 
 
@@ -315,7 +323,7 @@ def test_text_fusion_lowers_final_training_loss_in_both_modes():
 # quasi-zero-shot transfer: spoken QA after image-text-only instruction tuning
 
 
-def test_spoken_questions_transfer_after_image_only_instruction_tuning():
+def test_spoken_questions_transfer_after_image_only_instruction_tuning(record_property):
     spec = AlignmentSpec(seed=1, n_speech_text=1536, n_image_text=256,
                          n_instruct=256, n_probe=64, seq_len=(8, 12))
     speech_text = gen_speech_text_corpus(spec)
@@ -324,9 +332,11 @@ def test_spoken_questions_transfer_after_image_only_instruction_tuning():
     probe = gen_instruct_corpus(spec, with_speech=True, rng_seed=spec.seed + 1)
 
     # untrained projector/backbone pairs sit near zero similarity
-    for null_seed in range(100, 105):
-        null = speech_text_similarity(
-            OmniModel(spec, layers=1, seed=null_seed), probe)
+    nulls = {null_seed: speech_text_similarity(
+        OmniModel(spec, layers=1, seed=null_seed), probe)
+        for null_seed in range(100, 105)}
+    record_property("max_abs_null_similarity", max(map(abs, nulls.values())))
+    for null_seed, null in nulls.items():
         assert abs(null) <= 0.1, null_seed
 
     model = OmniModel(spec, layers=1, seed=0)
@@ -342,6 +352,9 @@ def test_spoken_questions_transfer_after_image_only_instruction_tuning():
     run_stage(model, default_schedule("III", steps=1200, seed=0), instruct)
 
     res = quasi_zero_shot_probe(model, probe)
+    record_property("similarity", res.similarity)
+    record_property("speech_accuracy_vs_0.75_text_accuracy",
+                    (res.speech_accuracy, 0.75 * res.text_accuracy))
     assert res.similarity >= 0.8
     assert res.text_accuracy > 0.3
     # instruction tuning never saw speech, yet spoken questions land close
@@ -353,7 +366,7 @@ def test_spoken_questions_transfer_after_image_only_instruction_tuning():
 # alignment stage contracts: freezing and order-swap robustness
 
 
-def test_stage_two_freezes_backbone_and_order_swap_is_benign():
+def test_stage_two_freezes_backbone_and_order_swap_is_benign(record_property):
     spec = AlignmentSpec(seed=2, n_speech_text=96, n_image_text=96,
                          n_instruct=96, n_probe=16)
     data = {
@@ -386,6 +399,8 @@ def test_stage_two_freezes_backbone_and_order_swap_is_benign():
     loss_image_first, qa_image_first = pipeline(["II", "I", "III"], False)
     rel = (abs(loss_speech_first - loss_image_first)
            / max(loss_speech_first, loss_image_first))
+    record_property("relative_loss_gap", rel)
+    record_property("qa_gap", abs(qa_speech_first - qa_image_first))
     assert rel < 0.10
     assert abs(qa_speech_first - qa_image_first) \
         <= 0.10 * max(qa_speech_first, qa_image_first)

@@ -147,6 +147,49 @@ def test_eval_uer_runs(workdir, tmp_path):
     assert "overall" in groups
 
 
+# rows of the tiny corpora, pinned before pref-acc scored each pair once
+EMOTION_ACC_ROWS = {
+    "nar": ["emotion=angry_disgusted,1,0.0000", "emotion=fearful,1,0.0000",
+            "emotion=happy,1,0.0000", "emotion=neutral,1,1.0000",
+            "emotion=other,1,0.0000", "emotion=sad,1,0.0000",
+            "emotion=surprised,1,0.0000", "emotion=trust,1,0.0000",
+            "lang=a,6,0.1667", "lang=b,2,0.0000", "overall,8,0.1250"],
+    "ar": ["emotion=angry_disgusted,1,1.0000", "emotion=fearful,1,0.0000",
+           "emotion=happy,1,0.0000", "emotion=neutral,1,0.0000",
+           "emotion=other,1,0.0000", "emotion=sad,1,1.0000",
+           "emotion=surprised,1,0.0000", "emotion=trust,1,0.0000",
+           "lang=a,6,0.1667", "lang=b,2,0.5000", "overall,8,0.2500"],
+}
+
+
+@pytest.mark.parametrize("mode", ["nar", "ar"])
+def test_eval_emotion_acc_report(workdir, tmp_path, mode):
+    assert main(["eval", "emotion-acc",
+                 "--checkpoint", str(workdir / mode / "decoder.ckpt"),
+                 "--corpus", str(workdir / "sup" / "supervised.jsonl"),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert read_csv(tmp_path / "emotion_acc.csv") == [
+        ["group", "n", "accuracy"], *[r.split(",") for r in EMOTION_ACC_ROWS[mode]]]
+
+
+@pytest.mark.parametrize("swap_lang, rows", [
+    (None, ["overall,6,0.0000", "lang=a,3,0.0000", "lang=b,3,0.0000"]),
+    ("a", ["overall,6,0.5000", "lang=a,3,1.0000", "lang=b,3,0.0000"]),
+], ids=["as-generated", "lang-a-swapped"])
+def test_eval_pref_acc_report(workdir, tmp_path, swap_lang, rows):
+    records = read_jsonl(workdir / "pref" / "preference.jsonl")
+    for rec in records:  # the base decoder prefers the shorter loser
+        if rec["lang"] == swap_lang:
+            rec["units_w"], rec["units_l"] = rec["units_l"], rec["units_w"]
+    write_jsonl(tmp_path / "pref.jsonl", records)
+    assert main(["eval", "pref-acc",
+                 "--checkpoint", str(workdir / "nar" / "decoder.ckpt"),
+                 "--corpus", str(tmp_path / "pref.jsonl"),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert read_csv(tmp_path / "pref_acc.csv") == [
+        ["group", "n", "accuracy"], *[r.split(",") for r in rows]]
+
+
 def test_eval_missing_checkpoint(workdir, tmp_path):
     assert main(["eval", "uer",
                  "--checkpoint", str(tmp_path / "ghost.ckpt"),
@@ -541,6 +584,12 @@ def test_subcommands_keep_the_flags_they_read():
     ("partition-check", "t", 0), ("partition-check", "v", 0),
     ("partition-check", "v", -1),
     ("sidecar", "heads", 0), ("sidecar", "model_dim", -1),
+    ("gen-data", "feature_dim", 0), ("gen-data", "n_content", 0),
+    ("gen-data", "n_question", 0), ("gen-data", "seed", -1),
+    ("gen-data", "world_seed", -2), ("speech-text", "seed", -1),
+    ("speech-text", "world_seed", -2), ("image-text", "n_objects", 0),
+    ("image-text", "n_colors", 0), ("image-text", "n_sizes", 0),
+    ("image-text", "n_fillers", 0), ("wide-text", "text_vocab", 41),
 ], ids=lambda v: str(v))
 def test_bad_config_or_sidecar_value_exits_3(workdir, align_dir, tmp_path,
                                              target, key, value):
@@ -571,6 +620,9 @@ def test_bad_config_or_sidecar_value_exits_3(workdir, align_dir, tmp_path,
     elif target == "partition-check":
         cfg = dict(t=2, v=2)
         argv = ["eval", target]
+    elif target == "wide-text":
+        cfg = dict(vocab=160, steps=2, batch=2, layers=1, experts=1)
+        argv = ["train", "decoder-nar", "--corpus", wide_text_corpus(tmp_path)]
     elif target == "ablate":
         cfg = dict(steps=1, batch=2, layers=1, experts=1, max_context=32)
         argv = [target, "--corpus", str(workdir / "sup" / "supervised.jsonl")]
@@ -580,6 +632,33 @@ def test_bad_config_or_sidecar_value_exits_3(workdir, align_dir, tmp_path,
     if target != "sidecar":
         argv += ["--config", write_cfg(tmp_path / "a.cfg", **{**cfg, key: value})]
     assert main([*argv, "--out", str(out)]) == EXIT_INVALID_SPEC
+    assert not out.exists() or not any(out.iterdir())
+
+
+def wide_text_corpus(root):
+    """A supervised corpus whose text ids run past the default 41-id text
+    vocabulary of the decoder."""
+    cfg = write_cfg(root / "wide.cfg", kind="supervised", n_content=24,
+                    vocab_nar=160, size=16)
+    assert main(["gen-data", "--config", cfg, "--out", str(root / "wide")]) == EXIT_OK
+    return str(root / "wide" / "supervised.jsonl")
+
+
+@pytest.mark.parametrize("setting", [dict(text_vocab=100), dict(tgm="off")],
+                         ids=["text_vocab-100", "tgm-off"])
+def test_decoder_trains_on_text_its_vocab_covers(tmp_path, setting):
+    cfg = write_cfg(tmp_path / "t.cfg", vocab=160, steps=2, batch=2, layers=1,
+                    experts=1, **setting)
+    assert main(["train", "decoder-nar", "--corpus", wide_text_corpus(tmp_path),
+                 "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("t, v", [(12, 10), (21, 2)])
+def test_partition_check_refuses_more_than_a_million_paths(tmp_path, t, v):
+    out = tmp_path / "out"
+    assert main(["eval", "partition-check",
+                 "--config", write_cfg(tmp_path / "p.cfg", t=t, v=v),
+                 "--out", str(out)]) == EXIT_INVALID_SPEC
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -181,7 +181,9 @@ def test_spec_validation():
     with pytest.raises(ConfigurationError):
         CorpusSpec(upsample=2, len_b=(8, 12)).validate()
     for bad in (dict(len_a=(6, 2)), dict(len_b=(9, 3)), dict(size=0),
-                dict(size=-3), dict(noise=-0.1)):
+                dict(size=-3), dict(noise=-0.1), dict(feature_dim=0),
+                dict(n_content=0), dict(n_question=0), dict(seed=-1),
+                dict(world_seed=-2)):
         with pytest.raises(ConfigurationError):
             CorpusSpec(**bad).validate()
         with pytest.raises(ConfigurationError):
@@ -189,7 +191,9 @@ def test_spec_validation():
     CorpusSpec().validate()
     for bad in (dict(seq_len=(9, 3)), dict(seq_len=(0, 3)), dict(n_speech_text=0),
                 dict(n_image_text=0), dict(n_instruct=0), dict(n_probe=-1),
-                dict(speech_dim=0), dict(image_dim=0), dict(noise=-0.1)):
+                dict(speech_dim=0), dict(image_dim=0), dict(noise=-0.1),
+                dict(n_objects=0), dict(n_colors=0), dict(n_sizes=0),
+                dict(n_fillers=0), dict(seed=-1), dict(world_seed=-2)):
         with pytest.raises(ConfigurationError):
             AlignmentSpec(**bad).validate()
         for gen in (gen_speech_text_corpus, gen_image_text_corpus,

@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 
 import unitforge.nn as nn
 import unitforge.tensor as T
+from unitforge.alignment import OmniModel, _set_freeze, speech_text_loss
 from unitforge.checkpoint import save_checkpoint
-from unitforge.data import CorpusSpec, decode_f32, gen_supervised_corpus
+from unitforge.data import (AlignmentSpec, CorpusSpec, decode_f32,
+                            gen_speech_text_corpus, gen_supervised_corpus)
 from unitforge.decoder import SpeechDecoder, SpeechDecoderConfig, sample_loss
 from unitforge.tensor import Tensor
 
@@ -50,6 +52,14 @@ def scale_rows(x, s):
     def bwd(g):
         return [(x, g * s.data[:, None]), (s, (g * x.data).sum(axis=1))]
     return _op("scale_rows", x.data * s.data[:, None], bwd, x, s)
+
+
+def take_column(x, j):
+    def bwd(g):
+        gx = np.zeros_like(x.data)
+        gx[:, j] = g
+        return [(x, gx)]
+    return _op("take_column", x.data[:, j].copy(), bwd, x)
 
 
 def transpose(x):
@@ -112,7 +122,7 @@ def ref_expert_mix(x, router, experts):
     weights = T.softmax_last_dim(T.matmul(x, router))
     out = None
     for e, (w1, b1, w2, b2) in enumerate(experts):
-        w_e = T.take_per_row(weights, np.full(x.shape[0], e))
+        w_e = take_column(weights, e)
         h = ref_linear(T.relu(ref_linear(x, w1, b1)), w2, b2)
         term = scale_rows(h, w_e)
         out = term if out is None else T.add(out, term)
@@ -269,17 +279,32 @@ def test_mean_matches_add_chain_and_scale_bit_for_bit(n, seed):
 # tape budget
 
 
-@pytest.mark.parametrize("mode, budget", [("nar", 240), ("ar", 256)],
-                         ids=["nar", "ar"])
-def test_training_step_stays_within_its_node_budget(mode, budget):
+def decoder_step_loss(mode):
     # the DPO acceptance shapes: d=64, 2 layers, 2 experts, 2 heads, TGM
     spec = CorpusSpec(seed=7777, size=48)
     records = gen_supervised_corpus(spec)[:8]
     decoder = SpeechDecoder(SpeechDecoderConfig(
         mode=mode, layers=2, experts=2, model_dim=spec.feature_dim, heads=2,
         vocab_nar=spec.vocab_nar, upsample=spec.upsample, max_context=32, seed=0))
+    return lambda: T.mean(sample_loss(decoder, r, decode_f32(r["features"]))
+                          for r in records)
+
+
+def align_one_step_loss():
+    # stage I at the perfbench shapes: batch 32, seq_len 8-12, frozen backbone
+    spec = AlignmentSpec(seed=3, n_speech_text=32, seq_len=(8, 12))
+    model = OmniModel(spec, layers=1, seed=1)
+    _set_freeze(model, True)
+    records = gen_speech_text_corpus(spec)
+    return lambda: speech_text_loss(model, records)
+
+
+@pytest.mark.parametrize("case, budget", [("nar", 240), ("ar", 224), ("alignI", 456)],
+                         ids=["nar", "ar", "alignI"])
+def test_training_step_stays_within_its_node_budget(case, budget):
+    step_loss = align_one_step_loss() if case == "alignI" else decoder_step_loss(case)
     with T.fresh_tape() as tape:
-        T.mean(sample_loss(decoder, r, decode_f32(r["features"])) for r in records)
+        step_loss()
         assert len(tape) <= budget
 
 

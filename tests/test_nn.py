@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import unitforge.nn as nn
 import unitforge.tensor as T
-from unitforge.errors import ConfigurationError
+from unitforge.errors import ConfigurationError, ShapeError
 from unitforge.tensor import Tensor, check_parameter_gradients
 
 
@@ -174,18 +176,90 @@ def test_layer_norm_output_statistics():
 
 def test_cross_entropy_uniform_logits():
     logits = Tensor(np.zeros((3, 5)))
-    loss = nn.cross_entropy(logits, [0, 2, 4])
+    loss = nn.cross_entropy(logits, [0, 1, 2], [0, 2, 4])
     assert loss.item() == pytest.approx(np.log(5.0), abs=1e-12)
 
 
 def test_cross_entropy_position_masking():
     rng = np.random.default_rng(10)
     logits = Tensor(rng.normal(0.0, 1.0, (4, 5)))
-    targets = [1, 2, 3, 4]
-    masked = nn.cross_entropy(logits, targets, positions=[1, 3])
+    masked = nn.cross_entropy(logits, [1, 3], [2, 4])
     lp = T.log_softmax_last_dim(logits).data
     expected = -(lp[1, 2] + lp[3, 4]) / 2
     assert masked.item() == pytest.approx(expected, abs=1e-12)
+
+
+def _op(kind, value, bwd, *inputs):
+    return T.record_custom(kind, Tensor(value), bwd, *inputs)
+
+
+def take_per_row(x, idx):
+    """out[t] = x[t, idx[t]]"""
+    rows = np.arange(x.shape[0])
+
+    def bwd(g):
+        gx = np.zeros_like(x.data)
+        gx[rows, idx] = g
+        return [(x, gx)]
+    return _op("take_per_row", x.data[rows, idx], bwd, x)
+
+
+def tmean(x):
+    n = x.data.size
+
+    def bwd(g):
+        return [(x, np.full_like(x.data, float(g) / n))]
+    return _op("mean", x.data.mean(), bwd, x)
+
+
+def five_op_cross_entropy(logits, rows, targets):
+    """The chain ``nn.cross_entropy`` replaced: log-softmax over every row,
+    a per-row pick from a target array padded to all rows, a gather of
+    the scored rows, a mean and a scale by -1."""
+    padded = np.zeros(logits.shape[0], dtype=np.int64)
+    padded[rows] = targets
+    picked = take_per_row(T.log_softmax_last_dim(logits), padded)
+    return T.scale(tmean(T.gather_rows(picked, rows)), -1.0)
+
+
+@given(t=st.integers(1, 12), v=st.integers(2, 40), seed=st.integers(0, 2**31 - 1),
+       data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_cross_entropy_matches_the_five_op_chain_bit_for_bit(t, v, seed, data):
+    rows = data.draw(st.lists(st.integers(0, t - 1), min_size=1, max_size=t,
+                              unique=True))
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(0.0, 3.0, (t, v))
+    targets = rng.integers(0, v, len(rows))
+    got = []
+    for loss_fn in (nn.cross_entropy, five_op_cross_entropy):
+        x = Tensor(x0.copy(), requires_grad=True)
+        with T.fresh_tape():
+            loss = loss_fn(x, rows, targets)
+            T.backward(loss)
+        got.append((loss.data, x.grad))
+    (loss, grad), (want_loss, want_grad) = got
+    assert loss == want_loss
+    assert np.array_equal(grad, want_grad)
+    unscored = np.setdiff1d(np.arange(t), rows)
+    assert not grad[unscored].any()
+
+
+def test_cross_entropy_is_one_tape_node():
+    x = Tensor(np.zeros((4, 3)), requires_grad=True)
+    with T.fresh_tape() as tape:
+        nn.cross_entropy(x, [0, 3], [1, 2])
+        assert [n.kind for n in tape.nodes] == ["cross_entropy"]
+
+
+@pytest.mark.parametrize("rows, targets", [
+    ([], []), ([0, 0], [1, 1]), ([4], [0]), ([-1], [0]), ([[0, 1]], [0, 1]),
+    ([0, 1], [0]), ([0, 1], [0, 3]), ([0, 1], [-1, 0]), (0, 0)],
+    ids=["no-rows", "repeated-row", "row-past-end", "negative-row", "2d-rows",
+         "too-few-targets", "target-past-V", "negative-target", "scalar-row"])
+def test_cross_entropy_rejects_bad_rows_or_targets(rows, targets):
+    with pytest.raises(ShapeError):
+        nn.cross_entropy(Tensor(np.zeros((4, 3))), rows, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +283,7 @@ def test_two_block_stack_parameter_gradients():
         h = x
         for b in blocks:
             h = b(h, causal=True)
-        return nn.cross_entropy(head(h), [0, 1, 2])
+        return nn.cross_entropy(head(h), [0, 1, 2], [0, 1, 2])
 
     assert check_parameter_gradients(loss_fn, params) < 1e-4
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unitforge.tensor as T
+from unitforge import nn
 from unitforge.ctc import ctc_loss
 from unitforge.errors import ContractError, DomainError, OracleError, ShapeError
 from unitforge.tensor import AdamW, Tensor, finite_difference_check, warmup_lr
@@ -19,6 +20,13 @@ BIAS = Tensor(np.linspace(-0.2, 0.3, 4))
 
 def rand(rng, *shape):
     return Tensor(rng.normal(0.0, 1.0, shape))
+
+
+def embed(table, ids):
+    """``nn.Embedding`` over ``table``."""
+    emb = nn.Embedding(np.random.default_rng(0), *table.shape)
+    emb.table = table
+    return emb(ids)
 
 
 # ---------------------------------------------------------------------------
@@ -33,10 +41,10 @@ UNARY_CASES = [
     ("layer_norm", lambda x: T.tsum(T.mul(T.layer_norm(x, GAIN, BIAS), x)), (3, 4)),
     ("softplus", lambda x: T.tsum(T.softplus(x)), (3, 4)),
     ("sum", T.tsum, (3, 4)),
-    ("mean", T.tmean, (3, 4)),
+    ("mean", lambda x: T.tsum(T.mean([x, T.mul(x, x)])), (3, 4)),
     ("gather_rows", lambda x: T.tsum(T.gather_rows(x, [0, 2, 2])), (3, 4)),
-    ("take_per_row", lambda x: T.tsum(T.take_per_row(x, [1, 0, 3])), (3, 4)),
-    ("embedding", lambda x: T.tsum(T.embedding_lookup(x, [0, 1, 1, 2])), (3, 4)),
+    ("cross_entropy", lambda x: nn.cross_entropy(x, [2, 0], [1, 3]), (3, 4)),
+    ("embedding", lambda x: T.tsum(embed(x, [0, 1, 1, 2])), (3, 4)),
 ]
 
 
@@ -199,7 +207,9 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         T.linear(a, Tensor(np.ones((3, 2))), Tensor(np.ones(3)))
     with pytest.raises(ShapeError):
-        T.embedding_lookup(a, [5])
+        embed(a, [5])
+    with pytest.raises(DomainError):
+        embed(a, [])
 
 
 def test_attention_context_must_match_the_model_dim():
@@ -371,7 +381,7 @@ _GRAPH_OPS = {
     "matmul": lambda p, q, k: T.matmul(p, q),
     "scale": lambda p, q, k: T.scale(p, 0.75),
     "linear": lambda p, q, k: T.linear(p, q, k["vec"]),
-    "layer_norm": lambda p, q, k: T.layer_norm(p, k["vec"], T.take_per_row(q, [2, 0, 1])),
+    "layer_norm": lambda p, q, k: T.layer_norm(p, k["vec"], T.gather_rows(q, 1)),
     "attention": lambda p, q, k: T.attention(p, k["qkv"], q, 1, False),
     "attention_causal": lambda p, q, k: T.attention(p, k["qkv"], q, 3, True),
     "attention_context": lambda p, q, k: T.attention(p, k["qkv"], k["out"], 1, False,
@@ -379,7 +389,7 @@ _GRAPH_OPS = {
     "expert_mix": lambda p, q, k: T.expert_mix(p, *k["experts"], T.softmax_last_dim(q)),
     "concat_rows": lambda p, q, k: T.gather_rows(T.concat_rows(p, q), [5, 0, 3]),
     "repeat_rows": lambda p, q, k: T.gather_rows(T.repeat_rows(p, 2), [1, 4, 4]),
-    "embedding": lambda p, q, k: T.add(p, T.embedding_lookup(k["table"], [4, 0, 4])),
+    "embedding": lambda p, q, k: T.add(p, embed(k["table"], [4, 0, 4])),
     "softmax": lambda p, q, k: T.softmax_last_dim(p),
     "log_softmax": lambda p, q, k: T.log_softmax_last_dim(p),
     "softplus": lambda p, q, k: T.softplus(p),
@@ -387,7 +397,7 @@ _GRAPH_OPS = {
 }
 _SCALAR_OPS = {
     "sum": lambda p: T.tsum(p),
-    "mean": lambda p: T.tmean(p),
+    "cross_entropy": lambda p: nn.cross_entropy(p, [2, 0], [1, 1]),
     "ctc": lambda p: ctc_loss(T.log_softmax_last_dim(p), [1]),
 }
 
@@ -485,18 +495,18 @@ def _alias_cases():
         ("concat_rows", T.concat_rows, (sq, r(1, 3))),
         ("concat_rows_one", T.concat_rows, (sq,)),
         ("repeat_rows", lambda x: T.repeat_rows(x, 1), (sq,)),
-        ("embedding_lookup", lambda t: T.embedding_lookup(t, [2, 0]), (sq,)),
-        ("embedding_lookup_scalar", lambda t: T.embedding_lookup(t, 1), (sq,)),
+        ("embedding_lookup", lambda t: embed(t, [2, 0]), (sq,)),
+        ("embedding_lookup_scalar", lambda t: embed(t, 1), (sq,)),
         ("gather_rows", lambda x: T.gather_rows(x, [0, 1, 2]), (sq,)),
         ("gather_rows_scalar", lambda x: T.gather_rows(x, 2), (sq,)),
-        ("take_per_row", lambda x: T.take_per_row(x, [0, 1, 2]), (sq,)),
+        ("cross_entropy", lambda x: nn.cross_entropy(x, [0, 2], [1, 1]), (sq,)),
         ("softmax", T.softmax_last_dim, (sq,)),
         ("log_softmax", T.log_softmax_last_dim, (sq,)),
         ("layer_norm", T.layer_norm, (sq, r(3), r(3))),
         ("softplus", T.softplus, (sq,)),
         ("relu", T.relu, (Tensor(np.abs(sq.data) + 1.0),)),
         ("sum", T.tsum, (sq,)),
-        ("mean", T.tmean, (sq,)),
+        ("mean", lambda x: T.mean([x]), (sq,)),
         ("sum_scalar", T.tsum, (Tensor(2.0),)),
         ("ctc_loss", lambda x: ctc_loss(T.log_softmax_last_dim(x), [1]), (sq,)),
     ]

@@ -102,9 +102,7 @@ def loop_instruct_term(model, rec):
     rows = T.concat_rows(img, model._sep_row(), model._text_rows(full[:-1]))
     logits = model.backbone.logits(rows)
     start = img.shape[0] + 1 + len(q) - 1
-    targets = np.zeros(logits.data.shape[0], dtype=np.int64)
-    targets[start:start + len(a)] = a
-    return nn.cross_entropy(logits, targets, np.arange(start, start + len(a)))
+    return nn.cross_entropy(logits, np.arange(start, start + len(a)), a)
 
 
 LOOP_STAGE_LOSSES = {
