@@ -8,11 +8,9 @@ top-level key marks its kind (``mode`` for a speech decoder,
 ``alignment_spec`` for an alignment model). No other module reads or
 writes either file. Missing binary: ``FileNotFoundError``; missing or
 foreign sidecar: ``KindMismatchError``; unreadable sidecar, truncated or
-corrupt binary: ``DataError``. Files written before attention and the
-MoE experts were stacked name each head's ``q{h}``/``k{h}``/``v{h}``
-weight and each ``expert{e}``'s layers, and files written before the
-text-guided module ran on ``tensor.attention`` name its head-less
-``tgm.xattn.q``/``k``/``v`` weights; ``assign_parameters`` stacks them.
+corrupt binary: ``DataError``. A model loads the names its
+``parameters()`` writes, and only those: a record missing, unexpected or
+of another shape is ``DataError``.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import struct
 from dataclasses import is_dataclass
 from typing import get_type_hints
@@ -100,18 +97,21 @@ def _read_params(path) -> dict:
 def _fits(value, kind) -> bool:
     if kind is tuple:
         return type(value) in (list, tuple) and all(type(v) is int for v in value)
-    return type(value) is kind or (kind is float and type(value) is int)
+    if kind is float:
+        return type(value) is int or (type(value) is float and math.isfinite(value))
+    return type(value) is kind
 
 
 def check_types(entry: dict, types, error=ConfigurationError, where="") -> dict:
     """``entry`` if each value whose key ``types`` (a dict, or a dataclass's
-    annotations) names is of that type: an int passes for a float, a list
-    or tuple of ints for a tuple. Otherwise ``error``."""
+    annotations) names fits it: an int or a finite float for a float, a
+    list or tuple of ints for a tuple. Otherwise ``error``."""
     types = get_type_hints(types) if is_dataclass(types) else types
     for key, value in entry.items():
         if key in types and not _fits(value, types[key]):
+            finite = " and finite" if types[key] is float else ""
             raise error(f"{where}{key!r} must be of type "
-                        f"{types[key].__name__}, got {value!r}")
+                        f"{types[key].__name__}{finite}, got {value!r}")
     return entry
 
 
@@ -124,40 +124,8 @@ def expect_keys(path, entry, types) -> dict:
     return check_types(entry, types, DataError, f"{meta_path(path)}: ")
 
 
-_OLDER_NAME = re.compile(r"(.+)\.(?:([qkv])(\d*)\.w|expert(\d+)\.(fc[12]\.[wb]))")
-
-
-def _stack_older_names(loaded: dict) -> dict:
-    """``P.q{h}.w``/``k{h}``/``v{h}`` records (``{h}`` may be absent) become
-    ``P.qkv.w`` (q heads, then k, then v, side by side) and ``P.expert{e}.
-    fcN.w``/``.b`` records ``P.experts.fcN.w``/``.b`` stacked over e."""
-    out, groups = {}, {}
-    for name, arr in loaded.items():
-        m = _OLDER_NAME.fullmatch(name)
-        if m is None:
-            out[name] = arr
-        elif m[2]:
-            part = ("qkv".index(m[2]), int(m[3] or 0))  # head-less: one head
-            groups.setdefault(f"{m[1]}.qkv.w", {})[part] = arr
-        else:
-            groups.setdefault(f"{m[1]}.experts.{m[5]}", {})[(0, int(m[4]))] = arr
-    for key, parts in groups.items():
-        n_parts = 3 if key.endswith(".qkv.w") else 1
-        order = [(p, i) for p in range(n_parts) for i in range(len(parts) // n_parts)]
-        try:
-            if sorted(parts) != order:
-                raise ValueError(f"records {sorted(parts)}")
-            arrays = [parts[k] for k in order]
-            out[key] = np.concatenate(arrays, axis=1) if n_parts == 3 else np.stack(arrays)
-        except ValueError as exc:
-            raise DataError(f"checkpoint: per-head or per-expert records for "
-                            f"{key!r} do not stack ({exc})") from exc
-    return out
-
-
 def assign_parameters(params: dict, loaded: dict):
     """Copy loaded arrays into live tensors; shapes must match exactly."""
-    loaded = _stack_older_names(loaded)
     missing = set(params) - set(loaded)
     extra = set(loaded) - set(params)
     if missing or extra:

@@ -21,13 +21,14 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import logging
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass, replace
 from typing import get_type_hints
 
 import numpy as np
@@ -43,7 +44,7 @@ from .data import (AlignmentSpec, CorpusSpec, corpus_manifest,
                    write_jsonl)
 from .ctc import brute_force_marginals
 from .decoder import (SpeechDecoder, SpeechDecoderConfig, TrainSchedule,
-                      evaluate_uer, feasible, train_decoder)
+                      evaluate_uer, feasible_contexts, train_decoder)
 from .errors import (ConfigurationError, DataError, KindMismatchError,
                      SequencingError, UnitforgeError)
 from .preference import (DpoConfig, DpoSchedule, pairs_from_records,
@@ -380,10 +381,7 @@ def _eval_emotion_acc(args, out):
     decoder = SpeechDecoder.load(_require(args.checkpoint, "--checkpoint"))
     records = load_corpus(args.corpus, ("supervised_units",))
     buckets = {}
-    for rec in records:
-        cond = decode_f32(rec["features"])
-        if not feasible(decoder, rec, cond.shape[0]):
-            continue
+    for rec, cond in feasible_contexts(records, decoder):
         pred = emotion_oracle_classify(decoder.generate(cond).units)
         hit = int(pred == rec["emotion"])
         for key in ("overall", f"lang={rec['lang']}",
@@ -450,11 +448,7 @@ def cmd_bench_latency(args, out) -> list:
     records = load_corpus(args.corpus, ("supervised_units",))
     rows = []
     ratios = []
-    for rec in records:
-        cond = decode_f32(rec["features"])
-        if not (feasible(ar, rec, cond.shape[0])
-                and feasible(nar, rec, cond.shape[0])):
-            continue
+    for rec, cond in feasible_contexts(records, ar, nar):
         t0 = time.perf_counter()
         ar_result = ar.ar_generate(cond)
         t1 = time.perf_counter()
@@ -477,61 +471,47 @@ def cmd_bench_latency(args, out) -> list:
 
 
 def _ablate_cell(payload):
-    """One grid cell: train from a derived seed, report UER by language.
+    """One grid cell: train, report UER by language.
 
-    Top-level so worker processes can pickle it; each cell re-reads the
-    corpus and owns its own files.
+    Top-level so worker processes can pickle it.
     """
-    corpus_path, cfg_dict, sched_dict, cell, index = payload
+    records, config, schedule = payload
     try:
-        records = read_jsonl(corpus_path)
-        cfg_kw = dict(cfg_dict)
-        cfg_kw.update(experts=cell["experts"], layers=cell["layers"],
-                      tgm=cell["tgm"], seed=cfg_dict["seed"] ^ index)
-        sched_kw = dict(sched_dict)
-        sched_kw["seed"] = sched_dict["seed"] ^ index
-        decoder, curve = train_decoder(records,
-                                       SpeechDecoderConfig(**cfg_kw),
-                                       TrainSchedule(**sched_kw))
+        decoder, curve = train_decoder(records, config, schedule)
         scores = evaluate_uer(decoder, records)
         first, final = curve[0][1], curve[-1][1]
         return {
-            "cell": cell,
             "final_loss": final,
             "converged": bool(np.isfinite(final) and final < first),
             "uer": scores,
             "error": None,
         }
     except Exception as exc:  # cell failure must not kill the grid
-        return {"cell": cell, "final_loss": None, "converged": False,
+        return {"final_loss": None, "converged": False,
                 "uer": {}, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def cmd_ablate(args, out) -> list:
     cfg = load_config(args)
 
-    def grid_values(key, default, cast):
-        raw = cfg.pop(key, default)
-        try:
-            return [cast(v) for v in str(raw).split(",")]
-        except ValueError as exc:
-            raise ConfigurationError(f"{key!r}: {exc}") from exc
+    def grid(key, default, kind):  # comma list, each element typed as a value
+        values = [_coerce(v) for v in str(cfg.pop(key, default)).split(",")]
+        return [check_types({key: v}, {key: kind})[key] for v in values]
 
-    experts_axis = grid_values("grid_experts", "1,2,4", int)
-    layers_axis = grid_values("grid_layers", "2", int)
-    tgm_axis = [v in ("on", "true", "True") for v in
-                grid_values("grid_tgm", "on", str)]
-    cells = [{"experts": e, "layers": l, "tgm": t}
-             for e in experts_axis for l in layers_axis for t in tgm_axis]
-    if not cells:
-        raise ConfigurationError("empty ablation grid")
-
+    axes = [grid("grid_experts", "1,2,4", int), grid("grid_layers", "2", int),
+            grid("grid_tgm", "on", bool)]
     sched, model = read_config(cfg, DECODER_SCHEDULE, DECODER_MODEL)
     config = SpeechDecoderConfig(mode="nar", **model)
-    config.validate()  # the dims every cell shares; the grid sets the rest
-    _require(args.corpus, "corpus")
-    base = (asdict(config), asdict(TrainSchedule(**sched)))
-    payloads = [(args.corpus, *base, cell, i) for i, cell in enumerate(cells)]
+    config.validate()  # every value it was given, though the grid overrides some
+    schedule = TrainSchedule(**sched)
+    # each cell trains from seeds derived from its index
+    cells = [(replace(config, experts=e, layers=l, tgm=t, seed=config.seed ^ i),
+              replace(schedule, seed=schedule.seed ^ i))
+             for i, (e, l, t) in enumerate(itertools.product(*axes))]
+    for cell, _ in cells:  # before any cell trains
+        cell.validate()
+    records = load_corpus(args.corpus, ("supervised_units",))
+    payloads = [(records, *cell) for cell in cells]
 
     if args.workers and args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -540,10 +520,9 @@ def cmd_ablate(args, out) -> list:
         results = [_ablate_cell(p) for p in payloads]
 
     rows = []
-    for res in results:
-        cell = res["cell"]
+    for (cell, _), res in zip(cells, results):
         rows.append([
-            cell["experts"], cell["layers"], "on" if cell["tgm"] else "off",
+            cell.experts, cell.layers, "on" if cell.tgm else "off",
             "" if res["final_loss"] is None else f"{res['final_loss']:.4f}",
             "yes" if res["converged"] else "no",
             f"{res['uer'].get('a', float('nan')):.4f}" if res["uer"] else "",

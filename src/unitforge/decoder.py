@@ -16,7 +16,7 @@ from . import tensor as T
 from .checkpoint import (assign_parameters, expect_keys, load_checkpoint,
                          save_checkpoint)
 from .ctc import UnitSequence, ctc_loss, greedy_decode, min_frames
-from .data import UnitTextVocab
+from .data import UnitTextVocab, decode_f32, unit_error_rate
 from .errors import (ConfigurationError, ContractError, DataError,
                      GenerationCapError)
 from .tensor import Tensor
@@ -265,8 +265,6 @@ def train_decoder(records, config: SpeechDecoderConfig,
                   schedule: TrainSchedule):
     """Minimize mean CTC (NAR) or next-token (AR) loss; returns
     (decoder, loss curve rows [(step, loss)])."""
-    from .data import decode_f32
-
     decoder = SpeechDecoder(config)
     rng = np.random.default_rng(schedule.seed)
 
@@ -302,15 +300,26 @@ def train_decoder(records, config: SpeechDecoderConfig,
     return decoder, curve
 
 
-def evaluate_uer(decoder: SpeechDecoder, records) -> dict:
-    """Mean unit error rate of greedy generation, overall and per language."""
-    from .data import decode_f32, unit_error_rate
-
-    totals: dict[str, list] = {}
+def feasible_contexts(records, *decoders) -> list:
+    """``(record, context)`` for each record, in order, that every decoder
+    can generate from (``feasible``); ``DataError`` if there is none, so
+    that no report is computed over an empty set."""
+    out = []
     for rec in records:
         cond = decode_f32(rec["features"])
-        if not feasible(decoder, rec, cond.shape[0]):
-            continue
+        if all(feasible(d, rec, cond.shape[0]) for d in decoders):
+            out.append((rec, cond))
+    if not out:
+        raise DataError(f"none of the {len(records)} records fits: each "
+                        f"context is longer than max_context or cannot emit "
+                        f"its units")
+    return out
+
+
+def evaluate_uer(decoder: SpeechDecoder, records) -> dict:
+    """Mean unit error rate of greedy generation, overall and per language."""
+    totals: dict[str, list] = {}
+    for rec, cond in feasible_contexts(records, decoder):
         uer = unit_error_rate(rec["units"], decoder.generate(cond).units.units)
         totals.setdefault("overall", []).append(uer)
         totals.setdefault(rec.get("lang", "?"), []).append(uer)

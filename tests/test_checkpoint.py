@@ -90,6 +90,20 @@ def test_moment_like_names_are_parameters(tmp_path):
         assert np.array_equal(loaded[name], arr)
 
 
+def test_names_once_read_as_per_head_or_per_expert_load_as_saved(tmp_path):
+    rng = np.random.default_rng(6)
+    params = {name: Tensor(rng.normal(size=shape)) for name, shape in (
+        ("a.q.w", (3, 2)), ("a.k2.w", (3, 2)), ("m.expert0.fc1.w", (2, 4)),
+        ("tgm.xattn.v.w", (4, 4)))}
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, META)
+    loaded, _ = load_checkpoint(path, "kind")
+    live = {name: Tensor(np.zeros(p.shape)) for name, p in params.items()}
+    assign_parameters(live, loaded)
+    for name, p in params.items():
+        assert live[name].data.tobytes() == p.data.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.dictionaries(
     st.text(min_size=1, max_size=12),
@@ -290,8 +304,9 @@ def test_decoder_sidecar_must_name_every_config_field(tmp_path, edit):
     lambda m: m["alignment_spec"].pop("speech_dim"),
     lambda m: m["arch"].update(dim=64),
     lambda m: m.pop("arch"),
+    lambda m: m["alignment_spec"].update(noise=float("nan")),
 ], ids=["unknown_spec_key", "missing_spec_key", "unknown_arch_key",
-        "missing_arch"])
+        "missing_arch", "nan_noise"])
 def test_alignment_sidecar_must_name_every_field(tmp_path, edit):
     path = tmp_path / "omni.ckpt"
     OmniModel(TINY_SPEC, d=8, layers=1).save(path)

@@ -510,6 +510,49 @@ def test_ablate_tiny_grid(workdir, tmp_path):
     assert all(r[7] == "" for r in rows[1:])  # no cell errors
 
 
+def test_ablate_workers_write_the_same_report(workdir, tmp_path):
+    # two cells, so that --workers 2 starts two processes and no more
+    cfg = write_cfg(tmp_path / "g.cfg", grid_experts=1, grid_layers=1,
+                    grid_tgm="yes,no", steps=3, batch=2, max_context=32)
+    for workers in ("1", "2"):
+        assert main(["ablate", "--corpus", str(workdir / "sup" / "supervised.jsonl"),
+                     "--config", cfg, "--workers", workers,
+                     "--out", str(tmp_path / workers)]) == EXIT_OK
+    for name in ("ablation.csv", "ablation.txt"):
+        assert (tmp_path / "1" / name).read_bytes() == \
+            (tmp_path / "2" / name).read_bytes()
+    rows = read_csv(tmp_path / "1" / "ablation.csv")
+    assert [r[2] for r in rows[1:]] == ["on", "off"]
+    assert all(r[7] == "" for r in rows[1:])
+
+
+def test_ablate_wrong_corpus_kind(workdir, tmp_path):
+    cfg = write_cfg(tmp_path / "g.cfg", grid_experts=1, grid_layers=1,
+                    steps=1, batch=2, max_context=32)
+    out = tmp_path / "out"
+    assert main(["ablate", "--corpus", str(workdir / "pref" / "preference.jsonl"),
+                 "--config", cfg, "--out", str(out)]) == EXIT_KIND_MISMATCH
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "uer", "--checkpoint", "nar"],
+    ["eval", "emotion-acc", "--checkpoint", "nar"],
+    ["bench-latency", "--checkpoint-ar", "ar", "--checkpoint-nar", "nar"],
+], ids=["uer", "emotion-acc", "bench-latency"])
+def test_report_over_no_feasible_context_exits_3(workdir, tmp_path, argv):
+    records = read_jsonl(workdir / "sup" / "supervised.jsonl")
+    for rec in records:
+        rec["units"] = list(range(1, 60)) * 3  # too long for every context
+    write_jsonl(tmp_path / "long.jsonl", records)
+    argv = [str(workdir / a / "decoder.ckpt") if a in ("ar", "nar") else a
+            for a in argv]
+    out = tmp_path / "out"
+    assert main([*argv, "--corpus", str(tmp_path / "long.jsonl"),
+                 "--out", str(out)]) == EXIT_INVALID_SPEC
+    assert not any(out.iterdir())
+
+
 def test_workers_accepted_only_by_ablate(capsys):
     args = build_parser().parse_args(["ablate", "--corpus", "c.jsonl",
                                       "--workers", "2"])
@@ -590,6 +633,9 @@ def test_subcommands_keep_the_flags_they_read():
     ("speech-text", "world_seed", -2), ("image-text", "n_objects", 0),
     ("image-text", "n_colors", 0), ("image-text", "n_sizes", 0),
     ("image-text", "n_fillers", 0), ("wide-text", "text_vocab", 41),
+    ("gen-data", "noise", "nan"), ("decoder-nar", "lr", "inf"),
+    ("decoder-nar", "weight_decay", "nan"), ("ablate", "grid_tgm", "maybe"),
+    ("ablate", "grid_experts", 0),
 ], ids=lambda v: str(v))
 def test_bad_config_or_sidecar_value_exits_3(workdir, align_dir, tmp_path,
                                              target, key, value):

@@ -20,9 +20,12 @@ import unitforge.nn as nn
 import unitforge.tensor as T
 from unitforge.alignment import OmniModel, _set_freeze, speech_text_loss
 from unitforge.checkpoint import save_checkpoint
+from unitforge.cli import EXIT_INVALID_SPEC, main
 from unitforge.data import (AlignmentSpec, CorpusSpec, decode_f32,
-                            gen_speech_text_corpus, gen_supervised_corpus)
+                            gen_speech_text_corpus, gen_supervised_corpus,
+                            write_jsonl)
 from unitforge.decoder import SpeechDecoder, SpeechDecoderConfig, sample_loss
+from unitforge.errors import DataError
 from unitforge.tensor import Tensor
 
 ATTENTION_TOL = 1e-12
@@ -309,11 +312,21 @@ def test_training_step_stays_within_its_node_budget(case, budget):
 
 
 # ---------------------------------------------------------------------------
-# files written with per-head and per-expert names
+# the fused decoder against the per-op layers, and a file in the older layout
 
 
 TINY = dict(layers=2, experts=2, model_dim=8, heads=2, vocab_nar=12,
             vocab_ar=16, upsample=2, max_units=10, max_context=6, text_vocab=5)
+
+
+def perturbed_decoder(mode, seed):
+    """A TINY decoder whose weights are moved off their initial values, and
+    the generator that moved them."""
+    decoder = SpeechDecoder(SpeechDecoderConfig(mode=mode, seed=5, **TINY))
+    rng = np.random.default_rng(seed)
+    for p in decoder.parameters().values():
+        p.data += rng.normal(0.0, 0.1, p.shape)
+    return decoder, rng
 
 
 def per_head_layout(params, heads):
@@ -364,60 +377,56 @@ def per_op_layers(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["nar", "ar"])
-def test_decoder_file_with_per_head_names_loads_and_generates_the_same(
-        tmp_path, monkeypatch, mode):
-    config = SpeechDecoderConfig(mode=mode, seed=5, **TINY)
-    decoder = SpeechDecoder(config)
-    rng = np.random.default_rng(6)
-    for p in decoder.parameters().values():
-        p.data += rng.normal(0.0, 0.1, p.shape)
-    path = tmp_path / "old.ckpt"
-    save_checkpoint(path, per_head_layout(
-        {k: p.data for k, p in decoder.parameters().items()}, config.heads),
-        asdict(config))
-    loaded = SpeechDecoder.load(path)
-    for name, p in decoder.parameters().items():
-        assert np.array_equal(loaded.parameters()[name].data, p.data)
+def test_fused_decoder_generates_as_the_per_op_layers(monkeypatch, mode):
+    decoder, rng = perturbed_decoder(mode, 6)
 
-    def generate(model, cond):
+    def generate(cond):
         with T.no_grad():
             if mode == "nar":
-                return model.nar_generate(cond).units, model.nar_forward(cond).data
-            out = model.ar_generate(cond, max_len=6)
-            return out.units, model.ar_forward(cond, list(out.units.units)).data
+                return decoder.nar_generate(cond).units, decoder.nar_forward(cond).data
+            out = decoder.ar_generate(cond, max_len=6)
+            return out.units, decoder.ar_forward(cond, list(out.units.units)).data
 
     conds = [rng.normal(size=(t, TINY["model_dim"])) for t in (1, 3, 6)]
-    got = [generate(loaded, c) for c in conds]
+    got = [generate(c) for c in conds]
     with monkeypatch.context() as m:
         per_op_layers(m)
-        want = [generate(decoder, c) for c in conds]
+        want = [generate(c) for c in conds]
     for (units, lp), (ref_units, ref_lp) in zip(got, want):
         assert units == ref_units
         assert np.abs(lp - ref_lp).max() <= ATTENTION_TOL
 
 
-def test_decoder_file_with_separate_tgm_projections_gives_the_same_text_loss(
-        tmp_path, monkeypatch):
+def test_fused_text_guided_module_gives_the_per_op_text_loss(monkeypatch):
     # generation runs without text and so bypasses the text-guided module;
     # the text-conditioned training loss goes through it
-    config = SpeechDecoderConfig(mode="nar", seed=5, **TINY)
-    decoder = SpeechDecoder(config)
-    rng = np.random.default_rng(8)
-    for p in decoder.parameters().values():
-        p.data += rng.normal(0.0, 0.1, p.shape)
-    layout = per_head_layout({k: p.data for k, p in decoder.parameters().items()},
-                             config.heads)
-    assert {"tgm.xattn.q.w", "tgm.xattn.k.w", "tgm.xattn.v.w"} <= set(layout)
-    path = tmp_path / "old.ckpt"
-    save_checkpoint(path, layout, asdict(config))
-    loaded = SpeechDecoder.load(path)
+    decoder, rng = perturbed_decoder("nar", 8)
     cases = [(rng.normal(size=(t, TINY["model_dim"])), units, text)
              for t, units, text in ((3, [1, 2], [0, 4]), (6, [3, 3, 1, 5], [2, 1, 3, 0]))]
     with T.no_grad():
-        got = [loaded.nar_loss(c, u, text).item() for c, u, text in cases]
-        bypassed = [loaded.nar_loss(c, u).item() for c, u, _ in cases]
+        got = [decoder.nar_loss(c, u, text).item() for c, u, text in cases]
+        bypassed = [decoder.nar_loss(c, u).item() for c, u, _ in cases]
         with monkeypatch.context() as m:
             per_op_layers(m)
             want = [decoder.nar_loss(c, u, text).item() for c, u, text in cases]
     assert np.abs(np.subtract(got, want)).max() <= ATTENTION_TOL
     assert min(abs(a - b) for a, b in zip(got, bypassed)) > 1e-6
+
+
+def test_decoder_file_in_the_per_head_layout_is_rejected(tmp_path):
+    decoder, _ = perturbed_decoder("nar", 6)
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, per_head_layout(
+        {k: p.data for k, p in decoder.parameters().items()}, TINY["heads"]),
+        asdict(decoder.config))
+    with pytest.raises(DataError) as exc:
+        SpeechDecoder.load(path)
+    for name in ("block0.attn.q0.w", "block1.attn.v1.w", "moe.expert0.fc1.w",
+                 "tgm.xattn.q.w", "block0.attn.qkv.w", "moe.experts.fc1.w"):
+        assert repr(name) in str(exc.value)
+    corpus = tmp_path / "supervised.jsonl"
+    write_jsonl(corpus, gen_supervised_corpus(CorpusSpec(size=2)))
+    out = tmp_path / "out"
+    assert main(["eval", "uer", "--checkpoint", str(path), "--corpus", str(corpus),
+                 "--out", str(out)]) == EXIT_INVALID_SPEC
+    assert not any(out.iterdir())
