@@ -11,6 +11,9 @@ as speech during instruction tuning.
 
 from __future__ import annotations
 
+import functools
+from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -23,14 +26,23 @@ from .data import AlignmentSpec, AlignmentVocab, decode_f32
 from .errors import ContractError, DataError, SequencingError
 from .tensor import Tensor
 
-STAGES = ("I", "II", "III")
+# Stages I-III of the published five-stage recipe (IV/V live in decoder
+# and preference): the projector each trains, the corpus kind it reads,
+# the record fields of its projected prefix, scored target and unscored
+# prompt ("" if none), and whether the backbone stays frozen.
+Stage = namedtuple("Stage", "projector kind features target prompt frozen")
+STAGE_TABLE = {
+    "I": Stage("speech", "speech_text", "features", "tokens", "", True),
+    "II": Stage("image", "image_text", "features", "caption", "", True),
+    "III": Stage("image", "instruct", "image", "a_tokens", "q_tokens", False),
+}
+STAGES = tuple(STAGE_TABLE)
 ARCH_TYPES = {"d": int, "layers": int, "heads": int}  # OmniModel's shape keys
 
 
 @dataclass
 class StageSchedule:
     stage: str
-    freeze_llm: bool
     lr: float
     batch: int
     steps: int
@@ -39,12 +51,11 @@ class StageSchedule:
     seed: int = 0
 
 
-# Scaled-down per-stage settings; lr and freeze flags follow the
-# published five-stage recipe (stages IV/V live in decoder/preference).
+# Scaled-down per-stage settings; lr follows the published recipe.
 STAGE_DEFAULTS = {
-    "I": dict(freeze_llm=True, lr=1e-3, batch=8, steps=400),
-    "II": dict(freeze_llm=True, lr=1e-3, batch=8, steps=300),
-    "III": dict(freeze_llm=False, lr=5e-5, batch=8, steps=1500),
+    "I": dict(lr=1e-3, batch=8, steps=400),
+    "II": dict(lr=1e-3, batch=8, steps=300),
+    "III": dict(lr=5e-5, batch=8, steps=1500),
 }
 
 
@@ -60,7 +71,6 @@ class Backbone:
     """Tiny causal LM over the shared text vocabulary."""
 
     def __init__(self, rng, vocab_size, d=32, layers=2, heads=2, max_len=48):
-        self.vocab_size = vocab_size
         self.d = d
         self.emb = nn.Embedding(rng, vocab_size, d)
         self.pos = nn.PositionalEmbedding(rng, max_len, d)
@@ -90,8 +100,7 @@ class Backbone:
 class ToyEncoder:
     """Trainable projector from a modality feature space into backbone dim."""
 
-    def __init__(self, rng, modality, feat_dim, d):
-        self.modality = modality
+    def __init__(self, rng, feat_dim, d):
         self.proj = nn.Linear(rng, feat_dim, d)
 
     def __call__(self, feats) -> Tensor:
@@ -113,8 +122,8 @@ class OmniModel:
         rng = np.random.default_rng(seed)
         self.backbone = Backbone(rng, self.vocab.size, d=d, layers=layers,
                                  heads=heads)
-        self.speech = ToyEncoder(rng, "speech", spec.speech_dim, d)
-        self.image = ToyEncoder(rng, "image", spec.image_dim, d)
+        self.speech = ToyEncoder(rng, spec.speech_dim, d)
+        self.image = ToyEncoder(rng, spec.image_dim, d)
         self.completed_stages: set = set()
 
     def parameters(self):
@@ -201,72 +210,69 @@ def pretrain_backbone(model: OmniModel, steps=500, lr=1e-3, batch=8, seed=0,
 
 
 # ---------------------------------------------------------------------------
-# stage losses
+# stage loss and runner
 
 
-def speech_text_loss(model: OmniModel, batch) -> Tensor:
-    """LM loss of transcripts conditioned on projected speech prefixes."""
+def stage_loss(model: OmniModel, batch, stage: str) -> Tensor:
+    """Mean LM loss of each record's target after its projected features
+    and its unscored prompt; a frozen stage needs a frozen backbone."""
+    spec = STAGE_TABLE[stage]
     if not batch:
-        raise ContractError("speech_text_loss: empty batch")
-    return T.mean(model.lm_loss(model.speech(decode_f32(rec["features"])),
-                                rec["tokens"])
+        raise ContractError(f"stage {stage} loss: empty batch")
+    if spec.frozen and any(p.requires_grad
+                           for p in model.backbone_parameters().values()):
+        raise ContractError(f"backbone must be frozen during stage {stage}")
+    check_fields(stage, batch)
+    project = getattr(model, spec.projector)
+    return T.mean(model.lm_loss(project(decode_f32(rec[spec.features])),
+                                rec[spec.target],
+                                prompt=rec[spec.prompt] if spec.prompt else ())
                   for rec in batch)
 
 
-def image_text_pretrain_loss(model: OmniModel, batch) -> Tensor:
-    """Caption LM loss; the backbone must be frozen in this stage."""
-    if not batch:
-        raise ContractError("image_text_pretrain_loss: empty batch")
-    if any(p.requires_grad for p in model.backbone_parameters().values()):
-        raise ContractError("backbone must be frozen during image-text pretraining")
-    return T.mean(model.lm_loss(model.image(decode_f32(rec["features"])),
-                                rec["caption"])
-                  for rec in batch)
+STAGE_LOSSES = {s: functools.partial(stage_loss, stage=s) for s in STAGES}
 
 
-def image_text_instruct_loss(model: OmniModel, batch) -> Tensor:
-    """Answer-token cross-entropy; question tokens are masked from loss."""
-    if not batch:
-        raise ContractError("image_text_instruct_loss: empty batch")
-
-    def term(rec):
-        if not rec.get("a_tokens"):
-            raise DataError("instruct record missing answer span")
-        return model.lm_loss(model.image(decode_f32(rec["image"])),
-                             rec["a_tokens"], prompt=rec["q_tokens"])
-
-    return T.mean(term(rec) for rec in batch)
+def check_fields(stage: str, records, extra=()):
+    """``DataError`` naming the first record that lacks a field ``stage``
+    reads, or one of ``extra``, or holds it empty."""
+    spec = STAGE_TABLE[stage]
+    need = [f for f in (spec.features, spec.target, spec.prompt, *extra) if f]
+    for rec in records:
+        lacking = [f for f in need if not rec.get(f)]
+        if lacking:
+            raise DataError(f"stage {stage} record {rec.get('id')!r} lacks "
+                            f"{lacking}")
 
 
-STAGE_LOSSES = {
-    "I": speech_text_loss,
-    "II": image_text_pretrain_loss,
-    "III": image_text_instruct_loss,
-}
-
-
-# ---------------------------------------------------------------------------
-# stage runner
-
-
-def _set_freeze(model: OmniModel, freeze_llm: bool):
+def _set_freeze(model: OmniModel, frozen: bool):
     for p in model.backbone_parameters().values():
-        p.requires_grad = not freeze_llm
+        p.requires_grad = not frozen
 
 
-def _trainable(model: OmniModel, stage: str, freeze_llm: bool) -> dict:
+@contextmanager
+def _in_stage(model: OmniModel, stage: str, records):
+    """``STAGE_LOSSES[stage]`` once every record holds the stage's fields,
+    with the backbone frozen in a frozen stage and unfrozen on exit."""
+    check_fields(stage, records)
+    _set_freeze(model, STAGE_TABLE[stage].frozen)
+    try:
+        yield STAGE_LOSSES[stage]
+    finally:
+        _set_freeze(model, False)
+
+
+def _trainable(model: OmniModel, stage: str) -> dict:
+    spec = STAGE_TABLE[stage]
     params = {}
-    if not freeze_llm:
+    if not spec.frozen:
         # The shared input embedding stays fixed even when the backbone is
         # unfrozen: the modality projectors were aligned to it in earlier
         # stages, and moving it would silently invalidate that interface
         # for any modality not present in the current stage's data.
         params.update({k: p for k, p in model.backbone_parameters().items()
                        if not k.startswith("llm.emb.")})
-    if stage == "I":
-        params.update(model.speech.parameters("speech"))
-    else:
-        params.update(model.image.parameters("image"))
+    params.update(getattr(model, spec.projector).parameters(spec.projector))
     return params
 
 
@@ -277,46 +283,30 @@ def run_stage(model: OmniModel, schedule: StageSchedule, records,
     stage = schedule.stage
     if stage not in STAGES:
         raise ContractError(f"unknown stage {stage!r}")
-    if enforce_order:
-        required = STAGES[: STAGES.index(stage)]
-        missing = [s for s in required if s not in model.completed_stages]
-        if missing:
-            raise SequencingError(
-                f"stage {stage} requires completed stages {missing}"
-            )
-    _set_freeze(model, schedule.freeze_llm)
-    loss_fn = STAGE_LOSSES[stage]
+    done = model.completed_stages
+    missing = [s for s in STAGES[:STAGES.index(stage)] if s not in done]
+    if enforce_order and missing:
+        raise SequencingError(f"stage {stage} requires completed stages {missing}")
     rng = np.random.default_rng(schedule.seed)
+    with _in_stage(model, stage, records) as loss_fn:
+        def batch_loss(step):
+            idx = rng.choice(len(records),
+                             size=min(schedule.batch, len(records)),
+                             replace=False)
+            return loss_fn(model, [records[i] for i in idx])
 
-    def stage_loss(step):
-        idx = rng.choice(len(records), size=min(schedule.batch, len(records)),
-                         replace=False)
-        return loss_fn(model, [records[i] for i in idx])
-
-    metrics = [(step, stage, loss, lr) for step, loss, lr in T.fit(
-        _trainable(model, stage, schedule.freeze_llm), stage_loss,
-        schedule.steps, schedule.lr, schedule.warmup_ratio,
-        schedule.weight_decay)]
-    _set_freeze(model, False)
+        metrics = [(step, stage, loss, lr) for step, loss, lr in T.fit(
+            _trainable(model, stage), batch_loss, schedule.steps, schedule.lr,
+            schedule.warmup_ratio, schedule.weight_decay)]
     model.completed_stages.add(stage)
     return metrics
 
 
 def eval_stage_loss(model: OmniModel, stage: str, records, batch=16) -> float:
     """Mean stage loss over a fixed record set (no training)."""
-    loss_fn = STAGE_LOSSES[stage]
-    frozen = stage == "II"
-    if frozen:
-        _set_freeze(model, True)
-    try:
-        vals = []
-        with T.no_grad():
-            for i in range(0, len(records), batch):
-                vals.append(loss_fn(model, records[i:i + batch]).item())
-        return float(np.mean(vals))
-    finally:
-        if frozen:
-            _set_freeze(model, False)
+    with _in_stage(model, stage, records) as loss_fn, T.no_grad():
+        return float(np.mean([loss_fn(model, records[i:i + batch]).item()
+                              for i in range(0, len(records), batch)]))
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +376,7 @@ def speech_text_similarity(model: OmniModel, probe_records) -> float:
 def quasi_zero_shot_probe(model: OmniModel, probe_records) -> ProbeResult:
     """Speech/text representation similarity plus QA accuracy for spoken
     and written questions."""
-    if not probe_records:
-        raise ContractError("quasi_zero_shot_probe: empty probe set")
+    check_fields("III", probe_records, extra=("q_speech",))
     return ProbeResult(
         similarity=speech_text_similarity(model, probe_records),
         text_accuracy=qa_accuracy(model, probe_records, spoken=False),

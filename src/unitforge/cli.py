@@ -40,11 +40,11 @@ from .data import (AlignmentSpec, CorpusSpec, corpus_manifest,
                    emotion_oracle_classify, gen_emotion_eval_corpus,
                    gen_image_text_corpus, gen_instruct_corpus,
                    gen_preference_corpus, gen_speech_text_corpus,
-                   gen_supervised_corpus, decode_f32, read_jsonl,
-                   write_jsonl)
+                   gen_supervised_corpus, read_jsonl, write_jsonl)
 from .ctc import brute_force_marginals
 from .decoder import (SpeechDecoder, SpeechDecoderConfig, TrainSchedule,
-                      evaluate_uer, feasible_contexts, train_decoder)
+                      evaluate_uer, feasible_contexts, read_context,
+                      train_decoder)
 from .errors import (ConfigurationError, DataError, KindMismatchError,
                      SequencingError, UnitforgeError)
 from .preference import (DpoConfig, DpoSchedule, pairs_from_records,
@@ -75,8 +75,7 @@ GENERATORS = {
                                               rng_seed=spec.seed + 1),
 }
 UNIT_KINDS = ("supervised", "preference", "emotion-eval")
-ALIGN_STAGES = {"align-1": ("I", "speech_text"), "align-2": ("II", "image_text"),
-                "align-3": ("III", "instruct")}  # stage, corpus kind
+ALIGN_STAGES = {f"align-{i}": stage for i, stage in enumerate(al.STAGES, 1)}
 
 # read_config targets
 SCHEDULE_KEYS = {"lr": "lr", "steps": "steps", "batch": "batch",
@@ -86,6 +85,9 @@ DECODER_SCHEDULE = (TrainSchedule, {**SCHEDULE_KEYS, "seed": "seed",
 DECODER_MODEL = (SpeechDecoderConfig, {
     **{f.name: f.name for f in fields(SpeechDecoderConfig) if f.name != "mode"},
     "dim": "model_dim", "vocab": "vocab_nar", "lambda": "upsample"})
+ABLATE_MODEL = (SpeechDecoderConfig, {  # the grid sets experts, layers, tgm
+    key: name for key, name in DECODER_MODEL[1].items()
+    if name not in ("experts", "layers", "tgm")})
 DPO_SCHEDULE = (DpoSchedule, {**SCHEDULE_KEYS, "seed": "seed",
                               "log_every": "log_every"})
 STAGE_SCHEDULE = (al.StageSchedule, SCHEDULE_KEYS)  # batch order keeps seed 0
@@ -322,13 +324,14 @@ def _train_decoder_stage(args, out) -> list:
 
 
 def _train_align_stage(args, out) -> list:
-    stage, corpus_kind = ALIGN_STAGES[args.stage]
+    stage = ALIGN_STAGES[args.stage]
     # seed shapes stage I's model and pretraining; later stages accept it
     # and ignore it, since their model comes from --init
     sched, *stage_one = read_config(
         load_config(args), STAGE_SCHEDULE,
         *((PRETRAIN, OMNI_MODEL) if stage == "I" else ({"seed": int},)))
-    records = load_corpus(args.corpus, (corpus_kind,))
+    records = load_corpus(args.corpus, (al.STAGE_TABLE[stage].kind,))
+    al.check_fields(stage, records)  # before stage I's pretraining
     if stage == "I":
         pretrain, arch = stage_one
         spec = corpus_spec_from_sidecar(args.corpus, AlignmentSpec)
@@ -351,7 +354,8 @@ def _train_dpo(args, out) -> list:
         raise KindMismatchError("preference training expects a NAR reference")
     reference.set_trainable(False)
     policy = SpeechDecoder.load(args.init)
-    pairs = pairs_from_records(load_corpus(args.corpus, ("preference",)))
+    pairs = pairs_from_records(load_corpus(args.corpus, ("preference",)),
+                               reference.config)
     metrics = train_dpo(policy, reference, pairs, DpoConfig(**dpo),
                         DpoSchedule(**sched))
     ckpt = os.path.join(out, "policy.ckpt")
@@ -395,7 +399,8 @@ def _eval_emotion_acc(args, out):
 
 def _eval_pref_acc(args, out):
     decoder = SpeechDecoder.load(_require(args.checkpoint, "--checkpoint"))
-    pairs = pairs_from_records(load_corpus(args.corpus, ("preference",)))
+    pairs = pairs_from_records(load_corpus(args.corpus, ("preference",)),
+                               decoder.config)
     hits = preference_hits(decoder, pairs)
     by_lang = {}
     for pair, hit in zip(pairs, hits):
@@ -500,9 +505,8 @@ def cmd_ablate(args, out) -> list:
 
     axes = [grid("grid_experts", "1,2,4", int), grid("grid_layers", "2", int),
             grid("grid_tgm", "on", bool)]
-    sched, model = read_config(cfg, DECODER_SCHEDULE, DECODER_MODEL)
+    sched, model = read_config(cfg, DECODER_SCHEDULE, ABLATE_MODEL)
     config = SpeechDecoderConfig(mode="nar", **model)
-    config.validate()  # every value it was given, though the grid overrides some
     schedule = TrainSchedule(**sched)
     # each cell trains from seeds derived from its index
     cells = [(replace(config, experts=e, layers=l, tgm=t, seed=config.seed ^ i),
@@ -511,6 +515,8 @@ def cmd_ablate(args, out) -> list:
     for cell, _ in cells:  # before any cell trains
         cell.validate()
     records = load_corpus(args.corpus, ("supervised_units",))
+    for rec in records:  # every cell has the base config's width
+        read_context(rec, config)
     payloads = [(records, *cell) for cell in cells]
 
     if args.workers and args.workers > 1:
@@ -545,25 +551,11 @@ def cmd_ablate(args, out) -> list:
 def cmd_decode(args, out) -> list:
     decoder = SpeechDecoder.load(args.checkpoint)
     records = load_corpus(args.contexts)
-    cfg = decoder.config
     # every context is checked before any is decoded, so a bad record
     # fails the run with a typed error and no partial output
-    contexts = []
-    for rec in records:
-        if rec.get("id") is None:
-            raise DataError(f"{args.contexts}: context record without an id")
-        try:
-            feats = decode_f32(rec["features"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{args.contexts}: record {rec.get('id')!r}: "
-                            f"unreadable features ({exc})") from exc
-        if (feats.ndim != 2 or feats.shape[1] != cfg.model_dim
-                or not 1 <= feats.shape[0] <= cfg.max_context):
-            raise DataError(
-                f"{args.contexts}: record {rec.get('id')!r}: context shape "
-                f"{feats.shape} does not fit the decoder (1 to "
-                f"{cfg.max_context} rows of width {cfg.model_dim})")
-        contexts.append(feats)
+    if any(rec.get("id") is None for rec in records):
+        raise DataError(f"{args.contexts}: context record without an id")
+    contexts = [read_context(rec, decoder.config, capped=True) for rec in records]
     results = []
     for rec, feats in zip(records, contexts):
         result = decoder.generate(feats)

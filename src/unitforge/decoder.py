@@ -249,6 +249,24 @@ def sample_loss(decoder: SpeechDecoder, record: dict, cond: np.ndarray) -> Tenso
     return decoder.ntp_loss(cond, record["units"], text)
 
 
+def read_context(record: dict, config: SpeechDecoderConfig, capped=False):
+    """``record["features"]`` as a ``[T_c, model_dim]`` context, ``T_c >= 1``
+    and, if ``capped``, ``<= max_context`` (else ``feasible`` decides), or a
+    ``DataError`` that names the record."""
+    name, cap = record.get("id"), config.max_context if capped else np.inf
+    try:
+        cond = decode_f32(record["features"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"record {name!r}: unreadable features "
+                        f"({exc!r})") from exc
+    if cond.ndim != 2 or cond.shape[1] != config.model_dim \
+            or not 1 <= len(cond) <= cap:
+        raise DataError(f"record {name!r}: context shape {cond.shape} does "
+                        f"not fit the decoder (1 to {cap} rows of width "
+                        f"{config.model_dim})")
+    return cond
+
+
 def feasible(decoder: SpeechDecoder, record: dict, t_c: int) -> bool:
     """Whether a ``t_c``-row context fits the decoder and its units can be
     emitted from it: at most ``max_context`` rows, then enough CTC frames
@@ -268,11 +286,7 @@ def train_decoder(records, config: SpeechDecoderConfig,
     decoder = SpeechDecoder(config)
     rng = np.random.default_rng(schedule.seed)
 
-    conds = [decode_f32(rec["features"]) for rec in records]
-    for cond in conds:
-        if cond.ndim != 2 or cond.shape[1] != config.model_dim:
-            raise DataError(f"condition features must be [T_c, "
-                            f"{config.model_dim}], got {cond.shape}")
+    conds = [read_context(rec, config) for rec in records]
     if config.tgm:
         bad = [t for rec in records for t in rec["text_a"]
                if not 0 <= t < config.text_vocab]
@@ -302,13 +316,13 @@ def train_decoder(records, config: SpeechDecoderConfig,
 
 def feasible_contexts(records, *decoders) -> list:
     """``(record, context)`` for each record, in order, that every decoder
-    can generate from (``feasible``); ``DataError`` if there is none, so
-    that no report is computed over an empty set."""
+    can generate from (``read_context``, then ``feasible``); ``DataError``
+    if there is none, so that no report is computed over an empty set."""
     out = []
     for rec in records:
-        cond = decode_f32(rec["features"])
-        if all(feasible(d, rec, cond.shape[0]) for d in decoders):
-            out.append((rec, cond))
+        conds = [read_context(rec, d.config) for d in decoders]
+        if all(feasible(d, rec, c.shape[0]) for d, c in zip(decoders, conds)):
+            out.append((rec, conds[0]))
     if not out:
         raise DataError(f"none of the {len(records)} records fits: each "
                         f"context is longer than max_context or cannot emit "

@@ -16,7 +16,7 @@ import numpy as np
 from . import tensor as T
 from .ctc import UnitSequence, ctc_loss
 from .data import decode_f32
-from .decoder import SpeechDecoder
+from .decoder import SpeechDecoder, read_context
 from .errors import ContractError
 from .tensor import Tensor
 
@@ -47,10 +47,13 @@ class DpoConfig:
             raise ContractError("DPO beta must be > 0")
 
 
-def pairs_from_records(records) -> list:
+def pairs_from_records(records, config=None) -> list:
+    """One pair per record. With a decoder ``config``, each context must
+    fit that decoder and its ``max_context`` (``read_context``)."""
     return [
         PreferencePair(
-            context_features=decode_f32(rec["features"]),
+            context_features=decode_f32(rec["features"]) if config is None
+            else read_context(rec, config, capped=True),
             y_w=UnitSequence(rec["units_w"]),
             y_l=UnitSequence(rec["units_l"]),
             emotion=rec["emotion"],

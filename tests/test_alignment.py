@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 import unitforge.tensor as T
-from unitforge.alignment import (STAGE_DEFAULTS, STAGES, OmniModel,
-                                 StageSchedule, default_schedule,
-                                 eval_stage_loss, image_text_instruct_loss,
-                                 image_text_pretrain_loss, pretrain_backbone,
-                                 qa_accuracy, quasi_zero_shot_probe,
-                                 run_stage, speech_text_loss)
+from unitforge.alignment import (STAGE_DEFAULTS, STAGE_LOSSES, STAGE_TABLE,
+                                 STAGES, OmniModel, StageSchedule,
+                                 default_schedule, eval_stage_loss,
+                                 pretrain_backbone, qa_accuracy,
+                                 quasi_zero_shot_probe, run_stage)
 from unitforge.data import (AlignmentSpec, gen_image_text_corpus,
                             gen_instruct_corpus, gen_speech_text_corpus)
 from unitforge.errors import ContractError, DataError, SequencingError
@@ -52,13 +51,13 @@ def test_default_schedule_applies_overrides():
     assert sched.stage == "I"
     assert sched.steps == 7
     assert sched.lr == 0.5
-    assert sched.freeze_llm == STAGE_DEFAULTS["I"]["freeze_llm"]
+    assert sched.batch == STAGE_DEFAULTS["I"]["batch"]
 
 
 def test_stage_defaults_freeze_pattern():
-    assert STAGE_DEFAULTS["I"]["freeze_llm"]
-    assert STAGE_DEFAULTS["II"]["freeze_llm"]
-    assert not STAGE_DEFAULTS["III"]["freeze_llm"]
+    assert STAGE_TABLE["I"].frozen
+    assert STAGE_TABLE["II"].frozen
+    assert not STAGE_TABLE["III"].frozen
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +87,9 @@ def test_pretrain_leaves_projectors_untouched():
 
 def test_empty_batches_rejected(corpora):
     model = small_model()
-    with pytest.raises(ContractError):
-        speech_text_loss(model, [])
-    with pytest.raises(ContractError):
-        image_text_pretrain_loss(model, [])
-    with pytest.raises(ContractError):
-        image_text_instruct_loss(model, [])
+    for stage in STAGES:
+        with pytest.raises(ContractError):
+            STAGE_LOSSES[stage](model, [])
 
 
 def test_image_pretrain_requires_frozen_backbone(corpora):
@@ -101,7 +97,15 @@ def test_image_pretrain_requires_frozen_backbone(corpora):
     for p in model.backbone_parameters().values():
         p.requires_grad = True
     with pytest.raises(ContractError):
-        image_text_pretrain_loss(model, corpora["II"][:2])
+        STAGE_LOSSES["II"](model, corpora["II"][:2])
+
+
+def test_speech_text_loss_requires_frozen_backbone(corpora):
+    model = small_model()
+    for p in model.backbone_parameters().values():
+        p.requires_grad = True
+    with pytest.raises(ContractError):
+        STAGE_LOSSES["I"](model, corpora["I"][:2])
 
 
 def test_instruct_loss_missing_answer(corpora):
@@ -109,7 +113,7 @@ def test_instruct_loss_missing_answer(corpora):
     rec = dict(corpora["III"][0])
     rec["a_tokens"] = []
     with pytest.raises(DataError):
-        image_text_instruct_loss(model, [rec])
+        STAGE_LOSSES["III"](model, [rec])
 
 
 def test_lm_loss_matches_manual_cross_entropy(corpora):
@@ -151,9 +155,27 @@ def test_stage_order_can_be_bypassed(corpora):
 
 def test_unknown_stage_rejected(corpora):
     model = small_model()
-    bad = StageSchedule(stage="X", freeze_llm=True, lr=1e-3, batch=2, steps=1)
+    bad = StageSchedule(stage="X", lr=1e-3, batch=2, steps=1)
     with pytest.raises(ContractError):
         run_stage(model, bad, corpora["I"])
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_run_stage_checks_every_record_before_the_first_step(corpora, stage):
+    model = small_model()
+    snap = {k: v.data.copy() for k, v in model.parameters().items()}
+    spec = STAGE_TABLE[stage]
+    records = [dict(rec) for rec in corpora[stage]]
+    for field in (spec.features, spec.target, spec.prompt):
+        if field:
+            del records[-1][field]
+            with pytest.raises(DataError, match=repr(field)):
+                run_stage(model, short(stage), records, enforce_order=False)
+            records[-1] = dict(corpora[stage][-1])
+    assert stage not in model.completed_stages
+    for k, v in model.parameters().items():
+        assert np.array_equal(v.data, snap[k]), k
+        assert v.requires_grad, k
 
 
 def test_frozen_stages_leave_backbone_bit_identical(corpora):

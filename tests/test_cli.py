@@ -15,7 +15,8 @@ from unitforge.cli import (EXIT_INVALID_SPEC, EXIT_KIND_MISMATCH,
                            EXIT_MISSING_INPUT, EXIT_OK, EXIT_SEQUENCING,
                            build_parser, file_digest, main, parse_config,
                            read_config)
-from unitforge.data import CorpusSpec, encode_f32, read_jsonl, write_jsonl
+from unitforge.data import (CorpusSpec, decode_f32, encode_f32, read_jsonl,
+                            write_jsonl)
 from unitforge.errors import ConfigurationError
 
 
@@ -500,7 +501,7 @@ def test_bench_latency_checkpoint_order(workdir, tmp_path):
 
 def test_ablate_tiny_grid(workdir, tmp_path):
     cfg = write_cfg(tmp_path / "g.cfg", grid_experts="1,2", grid_layers="1",
-                    steps=3, batch=2, layers=1, experts=1, max_context=32)
+                    steps=3, batch=2, max_context=32)
     assert main(["ablate",
                  "--corpus", str(workdir / "sup" / "supervised.jsonl"),
                  "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
@@ -635,7 +636,7 @@ def test_subcommands_keep_the_flags_they_read():
     ("image-text", "n_fillers", 0), ("wide-text", "text_vocab", 41),
     ("gen-data", "noise", "nan"), ("decoder-nar", "lr", "inf"),
     ("decoder-nar", "weight_decay", "nan"), ("ablate", "grid_tgm", "maybe"),
-    ("ablate", "grid_experts", 0),
+    ("ablate", "grid_experts", 0), ("ablate", "experts", 1),
 ], ids=lambda v: str(v))
 def test_bad_config_or_sidecar_value_exits_3(workdir, align_dir, tmp_path,
                                              target, key, value):
@@ -670,7 +671,7 @@ def test_bad_config_or_sidecar_value_exits_3(workdir, align_dir, tmp_path,
         cfg = dict(vocab=160, steps=2, batch=2, layers=1, experts=1)
         argv = ["train", "decoder-nar", "--corpus", wide_text_corpus(tmp_path)]
     elif target == "ablate":
-        cfg = dict(steps=1, batch=2, layers=1, experts=1, max_context=32)
+        cfg = dict(steps=1, batch=2, max_context=32)
         argv = [target, "--corpus", str(workdir / "sup" / "supervised.jsonl")]
     else:
         cfg = dict(steps=1, batch=2, pretrain_steps=1, d=8, layers=1)
@@ -679,6 +680,136 @@ def test_bad_config_or_sidecar_value_exits_3(workdir, align_dir, tmp_path,
         argv += ["--config", write_cfg(tmp_path / "a.cfg", **{**cfg, key: value})]
     assert main([*argv, "--out", str(out)]) == EXIT_INVALID_SPEC
     assert not out.exists() or not any(out.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# records that cannot feed their command
+
+
+@pytest.fixture(scope="module")
+def unfit(workdir, align_dir, tmp_path_factory):
+    """Paths by name: copies of the fixtures' corpora with records that
+    cannot feed a command, the configs, and the models those commands
+    load, of which only ``nar12`` (``max_context=12``) is trained here."""
+    root = tmp_path_factory.mktemp("unfit")
+    sup = workdir / "sup" / "supervised.jsonl"
+    pref = workdir / "pref" / "preference.jsonl"
+    paths = {"nar": workdir / "nar" / "decoder.ckpt",
+             "ar": workdir / "ar" / "decoder.ckpt",
+             "s1": align_dir / "s1" / "align.ckpt",
+             "train.cfg": workdir / "train.cfg",
+             "steps.cfg": write_cfg(root / "steps.cfg", steps=1, batch=2),
+             "grid.cfg": write_cfg(root / "grid.cfg", grid_experts=1,
+                                   grid_layers=1, steps=1, batch=2,
+                                   max_context=32),
+             "s1.cfg": write_cfg(root / "s1.cfg", steps=1, batch=2,
+                                 pretrain_steps=1, d=8, layers=1)}
+
+    def save(name, records):
+        paths[name] = root / f"{name}.jsonl"
+        write_jsonl(paths[name], records)
+
+    def copy(name, src, edit, every=False):
+        records = read_jsonl(src)
+        for rec in records if every else records[-1:]:
+            edit(rec)
+        save(name, records)
+
+    def features(rec, rows, width):
+        rec["features"] = encode_f32(np.resize(decode_f32(rec["features"]),
+                                               (rows, width)))
+
+    for name, src in (("sup", sup), ("pref", pref)):
+        copy(f"{name}-featureless", src, lambda rec: rec.pop("features"))
+        copy(f"{name}-narrow", src, lambda rec: features(rec, 8, 32))
+    copy("pref-13rows", pref, lambda rec: features(rec, 13, 64), every=True)
+    copy("speech-text-no-tokens", align_dir / "speech-text.jsonl",
+         lambda rec: rec.pop("tokens"))
+    copy("image-text-no-features", align_dir / "image-text.jsonl",
+         lambda rec: rec.pop("features"))
+    copy("instruct-no-q_tokens", align_dir / "instruct.jsonl",
+         lambda rec: rec.pop("q_tokens"))
+    # a probe corpus: instruct records with spoken twins of the questions
+    probe = read_jsonl(align_dir / "instruct.jsonl")
+    for rec, twin in zip(probe, read_jsonl(align_dir / "speech-text.jsonl")):
+        rec["q_speech"] = twin["features"]
+    del probe[-1]["image"]
+    save("probe-no-image", probe)
+
+    model = OmniModel.load(paths["s1"])  # marked done with stage II, untrained
+    model.completed_stages.add("II")
+    paths["s2"] = root / "s2.ckpt"
+    model.save(paths["s2"])
+    save("sup-short", [rec for rec in read_jsonl(sup)
+                       if len(decode_f32(rec["features"])) <= 12])
+    cfg = write_cfg(root / "nar12.cfg", layers=1, experts=1, steps=1, batch=2,
+                    max_context=12)
+    assert main(["train", "decoder-nar", "--corpus", str(paths["sup-short"]),
+                 "--config", cfg, "--out", str(root / "nar12")]) == EXIT_OK
+    paths["nar12"] = root / "nar12" / "decoder.ckpt"
+    return paths
+
+
+UNFIT = {  # case -> argv; a <name> is a path of the ``unfit`` fixture
+    "featureless-train-decoder-nar": ["train", "decoder-nar", "--corpus",
+                                      "<sup-featureless>", "--config",
+                                      "<train.cfg>"],
+    "featureless-train-dpo": ["train", "dpo", "--corpus", "<pref-featureless>",
+                              "--init", "<nar>", "--config", "<steps.cfg>"],
+    "featureless-eval-uer": ["eval", "uer", "--checkpoint", "<nar>",
+                             "--corpus", "<sup-featureless>"],
+    "featureless-eval-emotion-acc": ["eval", "emotion-acc", "--checkpoint",
+                                     "<nar>", "--corpus", "<sup-featureless>"],
+    "featureless-eval-pref-acc": ["eval", "pref-acc", "--checkpoint", "<nar>",
+                                  "--corpus", "<pref-featureless>"],
+    "featureless-bench-latency": ["bench-latency", "--checkpoint-ar", "<ar>",
+                                  "--checkpoint-nar", "<nar>",
+                                  "--corpus", "<sup-featureless>"],
+    "featureless-ablate": ["ablate", "--corpus", "<sup-featureless>",
+                           "--config", "<grid.cfg>"],
+    "narrow-eval-uer": ["eval", "uer", "--checkpoint", "<nar>",
+                        "--corpus", "<sup-narrow>"],
+    "narrow-eval-emotion-acc": ["eval", "emotion-acc", "--checkpoint", "<nar>",
+                                "--corpus", "<sup-narrow>"],
+    "narrow-eval-pref-acc": ["eval", "pref-acc", "--checkpoint", "<nar>",
+                             "--corpus", "<pref-narrow>"],
+    "narrow-bench-latency": ["bench-latency", "--checkpoint-ar", "<ar>",
+                             "--checkpoint-nar", "<nar>",
+                             "--corpus", "<sup-narrow>"],
+    "narrow-train-dpo": ["train", "dpo", "--corpus", "<pref-narrow>",
+                         "--init", "<nar>", "--config", "<steps.cfg>"],
+    "narrow-train-decoder-nar": ["train", "decoder-nar", "--corpus",
+                                 "<sup-narrow>", "--config", "<train.cfg>"],
+    "narrow-decode": ["decode", "--checkpoint", "<nar>",
+                      "--contexts", "<sup-narrow>"],
+    "over-cap-train-dpo": ["train", "dpo", "--corpus", "<pref-13rows>",
+                           "--init", "<nar12>", "--config", "<steps.cfg>"],
+    "over-cap-eval-pref-acc": ["eval", "pref-acc", "--checkpoint", "<nar12>",
+                               "--corpus", "<pref-13rows>"],
+    "train-align-1-no-tokens": ["train", "align-1", "--corpus",
+                                "<speech-text-no-tokens>", "--config",
+                                "<s1.cfg>"],
+    "train-align-2-no-features": ["train", "align-2", "--corpus",
+                                  "<image-text-no-features>", "--init", "<s1>",
+                                  "--config", "<steps.cfg>"],
+    "train-align-3-no-q_tokens": ["train", "align-3", "--corpus",
+                                  "<instruct-no-q_tokens>", "--init", "<s2>",
+                                  "--config", "<steps.cfg>"],
+    "eval-zero-shot-no-image": ["eval", "zero-shot", "--checkpoint", "<s1>",
+                                "--corpus", "<probe-no-image>"],
+}
+
+
+@pytest.mark.parametrize("case", UNFIT)
+def test_record_that_cannot_feed_its_command_exits_3(unfit, tmp_path, case):
+    # the last record (every one for over-cap) lacks a field its command
+    # reads, or holds a 32-wide context for a 64-wide decoder, or a
+    # 13-row context for a decoder capped at 12
+    argv = [str(unfit[a[1:-1]]) if a.startswith("<") else a
+            for a in UNFIT[case]]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == EXIT_INVALID_SPEC
+    assert not any(out.iterdir())
 
 
 def wide_text_corpus(root):

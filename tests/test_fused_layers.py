@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import unitforge.nn as nn
 import unitforge.tensor as T
-from unitforge.alignment import OmniModel, _set_freeze, speech_text_loss
+from unitforge.alignment import STAGE_LOSSES, OmniModel, _set_freeze
 from unitforge.checkpoint import save_checkpoint
 from unitforge.cli import EXIT_INVALID_SPEC, main
 from unitforge.data import (AlignmentSpec, CorpusSpec, decode_f32,
@@ -299,7 +299,7 @@ def align_one_step_loss():
     model = OmniModel(spec, layers=1, seed=1)
     _set_freeze(model, True)
     records = gen_speech_text_corpus(spec)
-    return lambda: speech_text_loss(model, records)
+    return lambda: STAGE_LOSSES["I"](model, records)
 
 
 @pytest.mark.parametrize("case, budget", [("nar", 240), ("ar", 224), ("alignI", 456)],

@@ -6,9 +6,9 @@ import pytest
 
 import unitforge.tensor as T
 from unitforge import nn
-from unitforge.alignment import (OmniModel, _set_freeze, _trainable,
-                                 default_schedule, pretrain_backbone,
-                                 run_stage)
+from unitforge.alignment import (STAGE_TABLE, OmniModel, _set_freeze,
+                                 _trainable, default_schedule,
+                                 pretrain_backbone, run_stage)
 from unitforge.data import (AlignmentSpec, CorpusSpec, decode_f32, encode_f32,
                             gen_image_text_corpus, gen_instruct_corpus,
                             gen_speech_text_corpus, gen_supervised_corpus)
@@ -118,8 +118,8 @@ LOOP_STAGE_LOSSES = {
 
 
 def loop_run_stage(model, schedule, records):
-    _set_freeze(model, schedule.freeze_llm)
-    opt = AdamW(_trainable(model, schedule.stage, schedule.freeze_llm),
+    _set_freeze(model, STAGE_TABLE[schedule.stage].frozen)
+    opt = AdamW(_trainable(model, schedule.stage),
                 lr=schedule.lr, weight_decay=schedule.weight_decay)
     loss_fn = LOOP_STAGE_LOSSES[schedule.stage]
     rng = np.random.default_rng(schedule.seed)
