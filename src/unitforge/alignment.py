@@ -7,6 +7,11 @@ speech-text (projector only, backbone frozen), image-text pretraining
 the shared input embedding, which the projectors are aligned to). The
 quasi-zero-shot probe then answers spoken questions that were never seen
 as speech during instruction tuning.
+
+Every training batch runs as one packed forward (``OmniModel.lm_loss``):
+the sequences of a batch are stacked row-wise, and only attention sees
+where each one ends, so a step records the same tape nodes at any batch
+size. The probe answers one question at a time.
 """
 
 from __future__ import annotations
@@ -78,14 +83,16 @@ class Backbone:
         self.ln_f = nn.LayerNorm(d)
         self.lm_head = nn.Linear(rng, d, vocab_size)
 
-    def hidden(self, rows: Tensor) -> Tensor:
-        x = self.pos(rows)
+    def hidden(self, rows: Tensor, lengths=None) -> Tensor:
+        """Final hidden states of ``rows``: one sequence, or consecutive
+        packed sequences of ``lengths`` rows."""
+        x = self.pos(rows, lengths)
         for block in self.blocks:
-            x = block(x, causal=True)
+            x = block(x, causal=True, lengths=lengths)
         return self.ln_f(x)
 
-    def logits(self, rows: Tensor) -> Tensor:
-        return self.lm_head(self.hidden(rows))
+    def logits(self, rows: Tensor, lengths=None) -> Tensor:
+        return self.lm_head(self.hidden(rows, lengths))
 
     def parameters(self, prefix="llm"):
         out = self.emb.parameters(f"{prefix}.emb")
@@ -166,19 +173,44 @@ class OmniModel:
     def _text_rows(self, tokens) -> Tensor:
         return self.backbone.emb(np.asarray(tokens, dtype=np.int64))
 
-    def lm_loss(self, prefix_rows: Tensor, tokens, prompt=()) -> Tensor:
-        """Cross-entropy of ``tokens`` after an embedded prefix, separator
-        and ``prompt`` tokens; the prompt itself is not scored."""
-        prompt, tokens = list(prompt), list(tokens)
-        text = prompt + tokens
-        parts = [prefix_rows, self._sep_row()]
-        if len(text) > 1:
-            parts.append(self._text_rows(text[:-1]))
-        rows = T.concat_rows(*parts)
-        logits = self.backbone.logits(rows)
-        # the separator row emits the first text token
-        start = prefix_rows.shape[0] + len(prompt)
-        return nn.cross_entropy(logits, np.arange(start, start + len(tokens)), tokens)
+    def lm_loss(self, prefixes: Tensor, lengths, targets, prompts=None) -> Tensor:
+        """Mean over a batch of sequences of each one's mean cross-entropy
+        of ``targets[i]`` after its embedded prefix, the separator and
+        ``prompts[i]`` (not scored; default none).
+
+        ``prefixes`` holds the prefixes one after another, ``lengths[i]``
+        rows each. The batch runs as one packed forward: every row-wise op
+        sees all rows at once and attention keeps each sequence to its own
+        rows. Each scored token weighs 1/(B * len(targets[i])).
+        """
+        b = len(targets)
+        prompts = [()] * b if prompts is None else prompts
+        n_pre = np.asarray(lengths, dtype=np.int64)
+        n_prompt = np.array([len(p) for p in prompts], dtype=np.int64)
+        n_target = np.array([len(t) for t in targets], dtype=np.int64)
+        if (not b or n_pre.shape != (b,) or len(prompts) != b or n_pre.min() < 1
+                or n_pre.sum() != prefixes.shape[0] or n_target.min() < 1):
+            raise ContractError(f"lm_loss: {b} targets and {len(prompts)} "
+                                f"prompts, prefix lengths {n_pre.tolist()} for "
+                                f"{prefixes.shape[0]} rows (prefixes and targets "
+                                f"must be non-empty)")
+        # after its prefix each sequence reads the separator, which emits
+        # the first text token, then its text but the last token
+        ids = np.concatenate([[self.vocab.sep, *p, *t][:-1]
+                              for p, t in zip(prompts, targets)])
+        n_text = n_prompt + n_target
+        seg = n_pre + n_text
+        which, pos = np.repeat(np.arange(b), seg), T.segment_positions(seg)
+        # packed row r is row order[r] of [prefixes; text rows]
+        pre_at = (np.cumsum(n_pre) - n_pre)[which]
+        text_at = (prefixes.shape[0] + np.cumsum(n_text) - n_text)[which]
+        n_pre_r = n_pre[which]
+        order = np.where(pos < n_pre_r, pre_at + pos, text_at + pos - n_pre_r)
+        rows = T.gather_rows(T.concat_rows(prefixes, self._text_rows(ids)), order)
+        logits = self.backbone.logits(rows, seg)
+        scored = np.flatnonzero(pos >= n_pre_r + n_prompt[which])
+        return nn.cross_entropy(logits, scored, np.concatenate(targets),
+                                np.repeat(1.0 / (b * n_target), n_target))
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +228,10 @@ def pretrain_backbone(model: OmniModel, steps=500, lr=1e-3, batch=8, seed=0,
     lo, hi = seq_len
 
     def loss_fn(step):
-        def term():
-            n = int(rng.integers(lo, hi + 1))
-            tokens = rng.integers(0, model.vocab.sep, n)
-            return model.lm_loss(model._text_rows(tokens), tokens)
-
-        return T.mean(term() for _ in range(batch))
+        seqs = [rng.integers(0, model.vocab.sep, int(rng.integers(lo, hi + 1)))
+                for _ in range(batch)]
+        return model.lm_loss(model._text_rows(np.concatenate(seqs)),
+                             [len(s) for s in seqs], seqs)
 
     curve = [(step, loss) for step, loss, _ in
              T.fit(model.backbone_parameters(), loss_fn, steps, lr)]
@@ -215,34 +245,46 @@ def pretrain_backbone(model: OmniModel, steps=500, lr=1e-3, batch=8, seed=0,
 
 def stage_loss(model: OmniModel, batch, stage: str) -> Tensor:
     """Mean LM loss of each record's target after its projected features
-    and its unscored prompt; a frozen stage needs a frozen backbone."""
+    and its unscored prompt, as one packed forward (``lm_loss``); a frozen
+    stage needs a frozen backbone."""
     spec = STAGE_TABLE[stage]
     if not batch:
         raise ContractError(f"stage {stage} loss: empty batch")
     if spec.frozen and any(p.requires_grad
                            for p in model.backbone_parameters().values()):
         raise ContractError(f"backbone must be frozen during stage {stage}")
-    check_fields(stage, batch)
-    project = getattr(model, spec.projector)
-    return T.mean(model.lm_loss(project(decode_f32(rec[spec.features])),
-                                rec[spec.target],
-                                prompt=rec[spec.prompt] if spec.prompt else ())
-                  for rec in batch)
+    check_fields(model, stage, batch)
+    feats = [decode_f32(rec[spec.features]) for rec in batch]
+    return model.lm_loss(getattr(model, spec.projector)(np.concatenate(feats)),
+                         [len(f) for f in feats],
+                         [rec[spec.target] for rec in batch],
+                         [rec[spec.prompt] for rec in batch] if spec.prompt else None)
 
 
 STAGE_LOSSES = {s: functools.partial(stage_loss, stage=s) for s in STAGES}
 
 
-def check_fields(stage: str, records, extra=()):
+def check_fields(model: OmniModel, stage: str, records, extra=None):
     """``DataError`` naming the first record that lacks a field ``stage``
-    reads, or one of ``extra``, or holds it empty."""
+    reads, or holds it empty, or holds features that are not rows of its
+    projector's input width. ``extra`` maps more feature fields to their
+    projectors."""
     spec = STAGE_TABLE[stage]
-    need = [f for f in (spec.features, spec.target, spec.prompt, *extra) if f]
+    widths = {f: getattr(model, proj).proj.w.shape[0] for f, proj in
+              {spec.features: spec.projector, **(extra or {})}.items()}
+    need = [f for f in (spec.target, spec.prompt, *widths) if f]
     for rec in records:
         lacking = [f for f in need if not rec.get(f)]
         if lacking:
             raise DataError(f"stage {stage} record {rec.get('id')!r} lacks "
                             f"{lacking}")
+        for f, width in widths.items():
+            shape = rec[f].get("shape") if isinstance(rec[f], dict) else None
+            if (not isinstance(shape, list) or len(shape) != 2
+                    or shape[0] < 1 or shape[1] != width):
+                raise DataError(f"stage {stage} record {rec.get('id')!r}: "
+                                f"{f} of shape {shape} are not rows of "
+                                f"width {width}")
 
 
 def _set_freeze(model: OmniModel, frozen: bool):
@@ -254,7 +296,7 @@ def _set_freeze(model: OmniModel, frozen: bool):
 def _in_stage(model: OmniModel, stage: str, records):
     """``STAGE_LOSSES[stage]`` once every record holds the stage's fields,
     with the backbone frozen in a frozen stage and unfrozen on exit."""
-    check_fields(stage, records)
+    check_fields(model, stage, records)
     _set_freeze(model, STAGE_TABLE[stage].frozen)
     try:
         yield STAGE_LOSSES[stage]
@@ -376,7 +418,7 @@ def speech_text_similarity(model: OmniModel, probe_records) -> float:
 def quasi_zero_shot_probe(model: OmniModel, probe_records) -> ProbeResult:
     """Speech/text representation similarity plus QA accuracy for spoken
     and written questions."""
-    check_fields("III", probe_records, extra=("q_speech",))
+    check_fields(model, "III", probe_records, extra={"q_speech": "speech"})
     return ProbeResult(
         similarity=speech_text_similarity(model, probe_records),
         text_accuracy=qa_accuracy(model, probe_records, spoken=False),

@@ -331,14 +331,15 @@ def _train_align_stage(args, out) -> list:
         load_config(args), STAGE_SCHEDULE,
         *((PRETRAIN, OMNI_MODEL) if stage == "I" else ({"seed": int},)))
     records = load_corpus(args.corpus, (al.STAGE_TABLE[stage].kind,))
-    al.check_fields(stage, records)  # before stage I's pretraining
     if stage == "I":
         pretrain, arch = stage_one
         spec = corpus_spec_from_sidecar(args.corpus, AlignmentSpec)
         model = al.OmniModel(spec, **arch)
-        al.pretrain_backbone(model, seq_len=spec.seq_len, **pretrain)
     else:
         model = al.OmniModel.load(_require(args.init, "--init checkpoint"))
+    al.check_fields(model, stage, records)  # before stage I's pretraining
+    if stage == "I":
+        al.pretrain_backbone(model, seq_len=spec.seq_len, **pretrain)
     metrics = al.run_stage(model, al.default_schedule(stage, **sched), records)
     ckpt = os.path.join(out, "align.ckpt")
     model.save(ckpt)

@@ -86,8 +86,9 @@ class SelfAttention:
             requires_grad=True)
         self.out = Tensor(_normal(rng, d, d), requires_grad=True)
 
-    def __call__(self, x, causal: bool):
-        return T.attention(x, self.qkv, self.out, self.heads, causal)
+    def __call__(self, x, causal: bool, lengths=None):
+        return T.attention(x, self.qkv, self.out, self.heads, causal,
+                           lengths=lengths)
 
     def parameters(self, prefix):
         return {f"{prefix}.qkv.w": self.qkv, f"{prefix}.out.w": self.out}
@@ -108,7 +109,8 @@ class Mlp:
 
 
 class DecoderBlock:
-    """Pre-norm residual block; `causal` picks the attention mask."""
+    """Pre-norm residual block; `causal` picks the attention mask and
+    `lengths` packs sequences (see ``tensor.attention``)."""
 
     def __init__(self, rng, d, heads):
         self.ln1 = LayerNorm(d)
@@ -116,8 +118,8 @@ class DecoderBlock:
         self.ln2 = LayerNorm(d)
         self.mlp = Mlp(rng, d)
 
-    def __call__(self, x, causal: bool):
-        x = T.add(x, self.attn(self.ln1(x), causal))
+    def __call__(self, x, causal: bool, lengths=None):
+        x = T.add(x, self.attn(self.ln1(x), causal, lengths))
         x = T.add(x, self.mlp(self.ln2(x)))
         return x
 
@@ -195,33 +197,40 @@ class PositionalEmbedding:
     def __init__(self, rng, max_len, d, scale=0.02):
         self.table = Tensor(rng.normal(0.0, scale, (max_len, d)), requires_grad=True)
 
-    def __call__(self, x):
-        t = x.shape[0]
-        return T.add(x, T.gather_rows(self.table, np.arange(t)))
+    def __call__(self, x, lengths=None):
+        """``x`` plus each row's position, counted from 0 in each packed
+        segment of ``lengths`` rows (default: one segment)."""
+        pos = np.arange(x.shape[0]) if lengths is None else T.segment_positions(lengths)
+        return T.add(x, T.gather_rows(self.table, pos))
 
     def parameters(self, prefix):
         return {f"{prefix}.table": self.table}
 
 
-def cross_entropy(logits, rows, targets) -> Tensor:
-    """Mean NLL of ``targets[i]`` under log-softmaxed ``logits[rows[i]]``.
+def cross_entropy(logits, rows, targets, weights=None) -> Tensor:
+    """Mean NLL of ``targets[i]`` under log-softmaxed ``logits[rows[i]]``,
+    or with ``weights`` the sum of ``weights[i]`` times each NLL.
 
     One tape node that log-softmaxes only the scored rows; every other
     row of ``logits`` gets an exact zero gradient. ``rows`` must be
-    distinct and in range and ``targets`` in [0, V), one per row, else
-    ``ShapeError``. The float operations are those of a log-softmax over
-    all rows, a per-row pick, a mean and a scale by -1.
+    distinct and in range, ``targets`` in [0, V) and ``weights`` (if
+    given) one per row, else ``ShapeError``. Without weights the float
+    operations are those of a log-softmax over all rows, a per-row pick,
+    a mean and a scale by -1.
     """
     x = logits.data
     rows = np.asarray(rows, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
     t, v = x.shape if x.ndim == 2 else (0, 0)
     n = len(rows) if rows.ndim == 1 else 0
+    w = None if weights is None else np.asarray(weights, dtype=np.float64)
     if (not n or targets.shape != (n,) or rows.min() < 0 or rows.max() >= t
-            or len(np.unique(rows)) != n or targets.min() < 0 or targets.max() >= v):
+            or len(np.unique(rows)) != n or targets.min() < 0 or targets.max() >= v
+            or (w is not None and w.shape != (n,))):
         raise ShapeError(f"cross_entropy: logits {x.shape}, rows {rows.shape}, "
-                         f"targets {targets.shape}: need distinct rows in "
-                         f"[0, {t}) and one target in [0, {v}) each")
+                         f"targets {targets.shape}, weights "
+                         f"{None if w is None else w.shape}: need distinct rows "
+                         f"in [0, {t}) and one target in [0, {v}) and weight each")
     z = x[rows]
     z = z - z.max(axis=-1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
@@ -229,10 +238,10 @@ def cross_entropy(logits, rows, targets) -> Tensor:
 
     def bwd(g):
         gp = np.zeros((n, v))
-        gp[picks] = float(g * -1.0) / n
+        gp[picks] = float(g * -1.0) / n if w is None else float(g * -1.0) * w
         gx = np.zeros_like(x)
         gx[rows] = gp - np.exp(logp) * gp.sum(axis=-1, keepdims=True)
         return [(logits, gx)]
 
-    return T.record_custom("cross_entropy", Tensor(logp[picks].mean() * -1.0),
-                           bwd, logits)
+    nll = logp[picks].mean() if w is None else logp[picks] @ w
+    return T.record_custom("cross_entropy", Tensor(nll * -1.0), bwd, logits)

@@ -17,7 +17,7 @@ from . import tensor as T
 from .ctc import UnitSequence, ctc_loss
 from .data import decode_f32
 from .decoder import SpeechDecoder, read_context
-from .errors import ContractError
+from .errors import ContractError, DataError
 from .tensor import Tensor
 
 
@@ -49,7 +49,16 @@ class DpoConfig:
 
 def pairs_from_records(records, config=None) -> list:
     """One pair per record. With a decoder ``config``, each context must
-    fit that decoder and its ``max_context`` (``read_context``)."""
+    fit that decoder and its ``max_context`` (``read_context``). A record
+    without ``units_w``, ``units_l`` or ``emotion``, or whose winner is its
+    loser, is a ``DataError`` that names it."""
+    for rec in records:
+        lacking = [f for f in ("units_w", "units_l", "emotion") if f not in rec]
+        if lacking:
+            raise DataError(f"preference record {rec.get('id')!r} lacks {lacking}")
+        if rec["units_w"] == rec["units_l"]:
+            raise DataError(f"preference record {rec.get('id')!r}: its winner "
+                            f"units are its loser units")
     return [
         PreferencePair(
             context_features=decode_f32(rec["features"]) if config is None

@@ -11,7 +11,9 @@ Linear, LayerNorm, the MoE expert mix and the mean of loss terms are one
 node each, with a hand-written backward; so are the cross-entropy
 (``nn.cross_entropy``) and CTC (``ctc.ctc_loss``) losses, registered
 through ``record_custom``. An embedding lookup is a row gather
-(``gather_rows``).
+(``gather_rows``). Attention also takes packed sequences: segment
+``lengths`` over its rows keep each row to its own sequence, so every
+other op runs row-wise over a whole packed batch at once.
 """
 
 from __future__ import annotations
@@ -249,9 +251,12 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     out = _wrap(x.data[idx])
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
-        return [(x, gx)]
+        # one flat bincount adds each cell's rows in index order, as
+        # np.add.at does, in one pass
+        v, d = x.data.shape[0], x.data[0].size
+        cells = (idx.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
+        gx = np.bincount(cells, weights=g.reshape(-1), minlength=v * d)
+        return [(x, gx.reshape(x.data.shape))]
 
     return _record("gather_rows", out, bwd, x)
 
@@ -363,16 +368,32 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
                    x, gain, bias)
 
 
+def segment_positions(lengths) -> np.ndarray:
+    """Each row's position in its segment, for consecutive segments of
+    ``lengths`` rows: the concatenated ``arange``s."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
 def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int,
-              causal: bool, context: Tensor | None = None) -> Tensor:
+              causal: bool, context: Tensor | None = None,
+              lengths=None) -> Tensor:
     """Multi-head attention of x[T, d] over context[S, d] (default: x).
 
     ``w_qkv[d, 3d]`` holds the query, key and value projections side by
     side, each as ``heads`` column blocks of width d/heads; ``w_o[d, d]``
     maps the concatenated heads back. One matmul projects the rows
     ``[x; context]``, queries from x's, keys and values from the context's.
-    Heads run as a leading axis of batched matmuls (sums in another order
-    than per head; about 1e-15). With ``causal``, row t sees rows <= t.
+    With ``causal``, row t sees rows <= t.
+
+    ``lengths`` packs sequences into x (no context): consecutive segments
+    of those lengths, summing to T, each seeing only its own rows. The
+    rows go onto a [segments, longest] grid whose padded keys are masked
+    (packing as in Krell et al., 2021; per-sequence bounds as in
+    variable-length attention). Without ``lengths`` the rows are one
+    segment and the grid is a reshape. Segments and heads run as leading
+    axes of batched matmuls (sums in another order than per head; about
+    1e-15).
     """
     ctx = () if context is None else (context,)
     _check_nonempty("attention", x, w_qkv, w_o, *ctx)
@@ -385,26 +406,52 @@ def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int,
     rows = np.concatenate([x.data, context.data]) if ctx else x.data
     n, s0, dh = len(rows), len(rows) - kv[0], d // heads  # s0: first k/v row
     c = 1.0 / math.sqrt(dh)
-    # [rows, 3d] -> [3, H, rows, dh]: q, k, v, each with a head axis
-    proj = (rows @ w_qkv.data).reshape(n, 3, heads, dh).transpose(1, 2, 0, 3)
-    q, k, v = proj[0, :, :t], proj[1, :, s0:], proj[2, :, s0:]
-    s = (q @ k.transpose(0, 2, 1)) * c
-    if causal:
-        upper = np.triu_indices(t, k=1, m=kv[0])
-        s[:, upper[0], upper[1]] = NEG_INF
+    if lengths is None:
+        def grid(a):  # [rows, ...] -> [1, rows, ...]
+            return a[None]
+
+        def ungrid(a):
+            return a[0]
+    else:
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if (ctx or lengths.ndim != 1 or not lengths.size or lengths.min() < 1
+                or lengths.sum() != t):
+            raise ShapeError(f"attention: segment lengths {lengths.tolist()} "
+                             f"for x {x.data.shape}, context {kv}")
+        seg = np.repeat(np.arange(len(lengths)), lengths)
+        pos = segment_positions(lengths)
+
+        def grid(a):  # [rows, ...] -> [segments, longest, ...], zero padded
+            out = np.zeros((len(lengths), lengths.max(), *a.shape[1:]))
+            out[seg, pos] = a
+            return out
+
+        def ungrid(a):
+            return a[seg, pos]
+    # [rows, 3d] -> [3, B, H, L, dh]: q, k, v, each with segment and head
+    # axes; a packed x has t = n and s0 = 0, so the slices below take all L
+    proj = grid((rows @ w_qkv.data).reshape(n, 3, heads, dh)).transpose(2, 0, 3, 1, 4)
+    q, k, v = proj[0, :, :, :t], proj[1, :, :, s0:], proj[2, :, :, s0:]
+    s = (q @ k.swapaxes(-1, -2)) * c
+    if causal or lengths is not None:
+        qi, kj = np.ogrid[:q.shape[2], :k.shape[2]]
+        masked = (kj > qi) & causal
+        if lengths is not None:  # and the padding after each segment
+            masked = masked | (kj >= lengths[:, None, None, None])
+        np.copyto(s, NEG_INF, where=masked)
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
-    heads_out = (p @ v).transpose(1, 0, 2).reshape(t, d)
+    heads_out = ungrid((p @ v).transpose(0, 2, 1, 3)).reshape(t, d)
 
     def bwd(g):
-        g_o = (g @ w_o.data.T).reshape(t, heads, dh).transpose(1, 0, 2)
-        g_p = g_o @ v.transpose(0, 2, 1)
+        g_o = grid((g @ w_o.data.T).reshape(t, heads, dh)).transpose(0, 2, 1, 3)
+        g_p = g_o @ v.swapaxes(-1, -2)
         g_s = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * c
-        g_rows = np.zeros((n, 3, heads, dh))
-        g_rows[:t, 0] = (g_s @ k).transpose(1, 0, 2)
-        g_rows[s0:, 1] = (g_s.transpose(0, 2, 1) @ q).transpose(1, 0, 2)
-        g_rows[s0:, 2] = (p.transpose(0, 2, 1) @ g_o).transpose(1, 0, 2)
-        g_rows = g_rows.reshape(n, 3 * d)
+        g_grid = np.zeros((proj.shape[1], proj.shape[3], 3, heads, dh))
+        g_grid[:, :t, 0] = (g_s @ k).transpose(0, 2, 1, 3)
+        g_grid[:, s0:, 1] = (g_s.swapaxes(-1, -2) @ q).transpose(0, 2, 1, 3)
+        g_grid[:, s0:, 2] = (p.swapaxes(-1, -2) @ g_o).transpose(0, 2, 1, 3)
+        g_rows = ungrid(g_grid).reshape(n, 3 * d)
         g_in = g_rows @ w_qkv.data.T
         return [(x, g_in[:t]), *[(cx, g_in[t:]) for cx in ctx],
                 (w_qkv, rows.T @ g_rows), (w_o, heads_out.T @ g)]

@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import unitforge.tensor as T
+from unitforge import nn
 from unitforge.alignment import (STAGE_DEFAULTS, STAGE_LOSSES, STAGE_TABLE,
-                                 STAGES, OmniModel, StageSchedule,
+                                 STAGES, OmniModel, StageSchedule, _set_freeze,
                                  default_schedule, eval_stage_loss,
                                  pretrain_backbone, qa_accuracy,
                                  quasi_zero_shot_probe, run_stage)
-from unitforge.data import (AlignmentSpec, gen_image_text_corpus,
-                            gen_instruct_corpus, gen_speech_text_corpus)
+from unitforge.data import (AlignmentSpec, decode_f32, encode_f32,
+                            gen_image_text_corpus, gen_instruct_corpus,
+                            gen_speech_text_corpus)
 from unitforge.errors import ContractError, DataError, SequencingError
 
 SMALL = AlignmentSpec(seed=3, n_speech_text=16, n_image_text=16,
@@ -123,12 +127,79 @@ def test_lm_loss_matches_manual_cross_entropy(corpora):
     rng = np.random.default_rng(0)
     prefix = T.Tensor(rng.normal(0.0, 1.0, (2, model.backbone.d)))
     with T.fresh_tape(), T.no_grad():
-        loss = model.lm_loss(prefix, tokens)
+        loss = model.lm_loss(prefix, [2], [tokens])
         rows = T.concat_rows(prefix, model._sep_row(),
                              model._text_rows(tokens[:-1]))
         lp = T.log_softmax_last_dim(model.backbone.logits(rows)).data
     expected = -np.mean([lp[2 + i, tok] for i, tok in enumerate(tokens)])
     assert loss.item() == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("lengths, targets", [([2], [[1, 4]]), ([1, 2], [[1], []]),
+                                              ([0, 3], [[1], [2]]), ([], [])],
+                         ids=["rows-left-over", "empty-target", "empty-prefix",
+                              "no-sequences"])
+def test_lm_loss_rejects_a_batch_its_prefix_rows_do_not_fit(lengths, targets):
+    model = small_model()
+    prefixes = T.Tensor(np.zeros((3, model.backbone.d)))
+    with pytest.raises(ContractError):
+        model.lm_loss(prefixes, lengths, targets)
+
+
+def per_sample_loss(model, prefix_rows, target, prompt=()):
+    """One sequence's loss through an unpacked forward, as before packing."""
+    text = [*prompt, *target]
+    rows = T.concat_rows(prefix_rows, model._text_rows([model.vocab.sep, *text[:-1]]))
+    start = prefix_rows.shape[0] + len(prompt)
+    return nn.cross_entropy(model.backbone.logits(rows),
+                            np.arange(start, start + len(target)), target)
+
+
+def loss_and_grads(model, build):
+    params = {k: p for k, p in model.parameters().items() if p.requires_grad}
+    for p in params.values():
+        p.grad = None
+    with T.fresh_tape():
+        loss = build()
+        T.backward(loss)
+    return loss.item(), {k: p.grad for k, p in params.items()}
+
+
+@given(task=st.sampled_from(["copy", *STAGES]), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_packed_loss_matches_the_mean_of_per_sample_losses(corpora, task, data):
+    # 1-32 sequences, targets down to one token, records drawn with repeats
+    model = small_model(seed=data.draw(st.integers(0, 3)))
+    n = data.draw(st.integers(1, 32))
+    if task == "copy":
+        seqs = data.draw(st.lists(st.lists(st.integers(0, model.vocab.sep - 1),
+                                           min_size=1, max_size=12),
+                                  min_size=n, max_size=n))
+        packed = lambda: model.lm_loss(model._text_rows(np.concatenate(seqs)),
+                                       [len(s) for s in seqs], seqs)
+        terms = lambda: (per_sample_loss(model, model._text_rows(s), s) for s in seqs)
+    else:
+        spec = STAGE_TABLE[task]
+        batch = []
+        for rec in data.draw(st.lists(st.sampled_from(corpora[task]),
+                                      min_size=n, max_size=n)):
+            cut = data.draw(st.integers(1, len(rec[spec.target])))
+            batch.append(dict(rec, **{spec.target: rec[spec.target][:cut]}))
+        project = getattr(model, spec.projector)
+        _set_freeze(model, spec.frozen)
+        packed = lambda: STAGE_LOSSES[task](model, batch)
+        terms = lambda: (per_sample_loss(model, project(decode_f32(rec[spec.features])),
+                                         rec[spec.target],
+                                         rec[spec.prompt] if spec.prompt else ())
+                         for rec in batch)
+    got, got_grads = loss_and_grads(model, packed)
+    want, want_grads = loss_and_grads(model, lambda: T.mean(terms()))
+    _set_freeze(model, False)
+    assert abs(got - want) <= 1e-12
+    for k, g in got_grads.items():  # None for a projector the task skips
+        want_g = want_grads[k]
+        assert (g is None) == (want_g is None), k
+        assert g is None or np.abs(g - want_g).max() <= 1e-12, k
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +247,26 @@ def test_run_stage_checks_every_record_before_the_first_step(corpora, stage):
     for k, v in model.parameters().items():
         assert np.array_equal(v.data, snap[k]), k
         assert v.requires_grad, k
+
+
+@pytest.mark.parametrize("stage, field", [("I", "features"), ("II", "features"),
+                                          ("III", "image"), ("probe", "image"),
+                                          ("probe", "q_speech")])
+def test_features_of_another_width_are_rejected_before_the_first_step(
+        corpora, stage, field):
+    model = small_model()
+    snap = {k: v.data.copy() for k, v in model.parameters().items()}
+    records = [dict(rec) for rec in corpora[stage]]
+    records[-1][field] = encode_f32(np.ones((3, 5)))  # the projectors take 24
+    name = repr(records[-1]["id"])
+    with pytest.raises(DataError, match=f"record {name}: {field} of shape"):
+        if stage == "probe":
+            quasi_zero_shot_probe(model, records)
+        else:
+            run_stage(model, short(stage), records, enforce_order=False)
+    assert stage not in model.completed_stages
+    for k, v in model.parameters().items():
+        assert np.array_equal(v.data, snap[k]), k
 
 
 def test_frozen_stages_leave_backbone_bit_identical(corpora):

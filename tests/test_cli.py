@@ -729,6 +729,10 @@ def unfit(workdir, align_dir, tmp_path_factory):
          lambda rec: rec.pop("features"))
     copy("instruct-no-q_tokens", align_dir / "instruct.jsonl",
          lambda rec: rec.pop("q_tokens"))
+    copy("image-text-5-wide", align_dir / "image-text.jsonl",
+         lambda rec: features(rec, 3, 5))
+    copy("pref-no-units_w", pref, lambda rec: rec.pop("units_w"))
+    copy("pref-tie", pref, lambda rec: rec.update(units_l=rec["units_w"]))
     # a probe corpus: instruct records with spoken twins of the questions
     probe = read_jsonl(align_dir / "instruct.jsonl")
     for rec, twin in zip(probe, read_jsonl(align_dir / "speech-text.jsonl")):
@@ -797,14 +801,26 @@ UNFIT = {  # case -> argv; a <name> is a path of the ``unfit`` fixture
                                   "--config", "<steps.cfg>"],
     "eval-zero-shot-no-image": ["eval", "zero-shot", "--checkpoint", "<s1>",
                                 "--corpus", "<probe-no-image>"],
+    "train-align-2-5-wide-features": ["train", "align-2", "--corpus",
+                                      "<image-text-5-wide>", "--init", "<s1>",
+                                      "--config", "<steps.cfg>"],
+    "no-units_w-train-dpo": ["train", "dpo", "--corpus", "<pref-no-units_w>",
+                             "--init", "<nar>", "--config", "<steps.cfg>"],
+    "no-units_w-eval-pref-acc": ["eval", "pref-acc", "--checkpoint", "<nar>",
+                                 "--corpus", "<pref-no-units_w>"],
+    "tie-train-dpo": ["train", "dpo", "--corpus", "<pref-tie>", "--init", "<nar>",
+                      "--config", "<steps.cfg>"],
+    "tie-eval-pref-acc": ["eval", "pref-acc", "--checkpoint", "<nar>",
+                          "--corpus", "<pref-tie>"],
 }
 
 
 @pytest.mark.parametrize("case", UNFIT)
 def test_record_that_cannot_feed_its_command_exits_3(unfit, tmp_path, case):
     # the last record (every one for over-cap) lacks a field its command
-    # reads, or holds a 32-wide context for a 64-wide decoder, or a
-    # 13-row context for a decoder capped at 12
+    # reads, or holds a 32-wide context for a 64-wide decoder, a 13-row
+    # context for a decoder capped at 12, 5-wide image features for a
+    # 24-wide projector, or a preference pair whose winner is its loser
     argv = [str(unfit[a[1:-1]]) if a.startswith("<") else a
             for a in UNFIT[case]]
     out = tmp_path / "out"

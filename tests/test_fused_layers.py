@@ -25,7 +25,7 @@ from unitforge.data import (AlignmentSpec, CorpusSpec, decode_f32,
                             gen_speech_text_corpus, gen_supervised_corpus,
                             write_jsonl)
 from unitforge.decoder import SpeechDecoder, SpeechDecoderConfig, sample_loss
-from unitforge.errors import DataError
+from unitforge.errors import DataError, ShapeError
 from unitforge.tensor import Tensor
 
 ATTENTION_TOL = 1e-12
@@ -219,6 +219,40 @@ def test_attention_matches_per_head_composition(heads, dh, t, causal, seed):
     assert_close(qkv.grad, ref_qkv, ATTENTION_TOL)
 
 
+@given(heads=st.sampled_from([1, 2, 4]), lengths=st.lists(st.integers(1, 12),
+                                                         min_size=1, max_size=8),
+       causal=st.booleans(), seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=80, deadline=None)
+def test_packed_attention_matches_per_segment_calls(heads, lengths, causal, seed):
+    rng = np.random.default_rng(seed)
+    d = 2 * heads
+    x0 = rng.normal(size=(sum(lengths), d))
+    qkv0 = rng.normal(0.0, 1.0 / math.sqrt(d), (d, 3 * d))
+    o0 = rng.normal(0.0, 1.0 / math.sqrt(d), (d, d))
+    up = rng.normal(size=x0.shape)
+    x, qkv, o = leaf(x0), leaf(qkv0), leaf(o0)
+    got = run(lambda: T.attention(x, qkv, o, heads, causal, lengths=lengths), up)
+    bounds = np.cumsum([0, *lengths])
+    segs = [leaf(x0[a:b]) for a, b in zip(bounds, bounds[1:])]
+    qkvr, orr = leaf(qkv0), leaf(o0)
+    want = run(lambda: T.concat_rows(*[T.attention(seg, qkvr, orr, heads, causal)
+                                       for seg in segs]), up)
+    assert_close(got, want, ATTENTION_TOL)
+    assert_close(x.grad, np.concatenate([seg.grad for seg in segs]), ATTENTION_TOL)
+    assert_close(qkv.grad, qkvr.grad, ATTENTION_TOL)
+    assert_close(o.grad, orr.grad, ATTENTION_TOL)
+
+
+@pytest.mark.parametrize("lengths, context", [([2, 2], None), ([3, 0, 2], None),
+                                              ([], None), ([5], 2)],
+                         ids=["short", "empty-segment", "no-segments", "context"])
+def test_packed_attention_rejects_bounds_that_do_not_tile_x(lengths, context):
+    x, w_qkv, w_o = (Tensor(np.ones(shape)) for shape in ((5, 4), (4, 12), (4, 4)))
+    ctx = None if context is None else Tensor(np.ones((context, 4)))
+    with pytest.raises(ShapeError):
+        T.attention(x, w_qkv, w_o, 2, True, context=ctx, lengths=lengths)
+
+
 @given(d=st.sampled_from([4, 8, 16]), t=st.integers(1, 12), s=st.integers(1, 9),
        seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=80, deadline=None)
@@ -293,22 +327,31 @@ def decoder_step_loss(mode):
                           for r in records)
 
 
-def align_one_step_loss():
+def align_one_step_loss(batch=32):
     # stage I at the perfbench shapes: batch 32, seq_len 8-12, frozen backbone
     spec = AlignmentSpec(seed=3, n_speech_text=32, seq_len=(8, 12))
     model = OmniModel(spec, layers=1, seed=1)
     _set_freeze(model, True)
-    records = gen_speech_text_corpus(spec)
+    records = gen_speech_text_corpus(spec)[:batch]
     return lambda: STAGE_LOSSES["I"](model, records)
 
 
-@pytest.mark.parametrize("case, budget", [("nar", 240), ("ar", 224), ("alignI", 456)],
+@pytest.mark.parametrize("case, budget", [("nar", 240), ("ar", 224), ("alignI", 15)],
                          ids=["nar", "ar", "alignI"])
 def test_training_step_stays_within_its_node_budget(case, budget):
     step_loss = align_one_step_loss() if case == "alignI" else decoder_step_loss(case)
     with T.fresh_tape() as tape:
         step_loss()
         assert len(tape) <= budget
+
+
+def test_packed_alignment_step_records_as_many_nodes_at_batch_1_as_at_32():
+    counts = []
+    for batch in (1, 32):
+        with T.fresh_tape() as tape:
+            align_one_step_loss(batch)()
+            counts.append(len(tape))
+    assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +393,7 @@ def per_head_layout(params, heads):
 
 def per_op_layers(monkeypatch):
     """Route the layers through the reference compositions."""
-    def attention(self, x, causal):
+    def attention(self, x, causal, lengths=None):  # decoders pack nothing
         wq, wk, wv = [[Tensor(w) for w in part]
                       for part in split_qkv(self.qkv.data, self.heads)]
         return ref_attention(x, wq, wk, wv, self.out, causal)

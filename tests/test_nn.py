@@ -262,6 +262,22 @@ def test_cross_entropy_rejects_bad_rows_or_targets(rows, targets):
         nn.cross_entropy(Tensor(np.zeros((4, 3))), rows, targets)
 
 
+def test_cross_entropy_weighs_each_scored_row():
+    x0 = np.random.default_rng(0).normal(size=(4, 3))
+    x = Tensor(x0, requires_grad=True)
+    with T.fresh_tape():
+        loss = nn.cross_entropy(x, [0, 3], [1, 2], [0.25, 0.75])
+        T.backward(loss)
+    p = np.exp(x0) / np.exp(x0).sum(axis=1, keepdims=True)
+    assert loss.item() == pytest.approx(
+        -(0.25 * np.log(p[0, 1]) + 0.75 * np.log(p[3, 2])), abs=1e-14)
+    want = np.zeros((4, 3))
+    want[0], want[3] = 0.25 * (p[0] - np.eye(3)[1]), 0.75 * (p[3] - np.eye(3)[2])
+    assert np.abs(x.grad - want).max() <= 1e-15
+    with pytest.raises(ShapeError):
+        nn.cross_entropy(x, [0, 3], [1, 2], [1.0])
+
+
 # ---------------------------------------------------------------------------
 # end-to-end gradient through a 2-block stack
 

@@ -212,6 +212,22 @@ def test_shape_errors():
         embed(a, [])
 
 
+@given(rows=st.integers(1, 20), d=st.integers(1, 8), n=st.integers(1, 64),
+       seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=150, deadline=None)
+def test_gather_rows_gradient_matches_add_at_byte_for_byte(rows, d, n, seed):
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, rows, n)  # repeated indices
+    g = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-10, 11, (n, d))
+    g[rng.random((n, d)) < 0.1] = -0.0
+    x = Tensor(np.zeros((rows, d)), requires_grad=True)
+    with T.fresh_tape():
+        T.backward(T.tsum(T.mul(T.gather_rows(x, idx), Tensor(g))))
+    want = np.zeros((rows, d))
+    np.add.at(want, idx, g)
+    assert x.grad.tobytes() == want.tobytes()
+
+
 def test_attention_context_must_match_the_model_dim():
     x, w, o = Tensor(np.ones((2, 4))), Tensor(np.ones((4, 12))), Tensor(np.ones((4, 4)))
     for context in (np.ones((3, 5)), np.ones(4), np.ones((1, 3, 4))):

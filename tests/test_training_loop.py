@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import unitforge.tensor as T
-from unitforge import nn
 from unitforge.alignment import (STAGE_TABLE, OmniModel, _set_freeze,
                                  _trainable, default_schedule,
                                  pretrain_backbone, run_stage)
@@ -68,13 +67,12 @@ def loop_pretrain_backbone(model, steps, lr, batch, seed, seq_len=(4, 10)):
     lo, hi = seq_len
     for step in range(steps):
         T.reset_tape()
-        loss = None
+        seqs = []
         for _ in range(batch):
             n = int(rng.integers(lo, hi + 1))
-            tokens = rng.integers(0, model.vocab.sep, n)
-            term = model.lm_loss(model._text_rows(tokens), tokens)
-            loss = term if loss is None else T.add(loss, term)
-        loss = T.scale(loss, 1.0 / batch)
+            seqs.append(rng.integers(0, model.vocab.sep, n))
+        loss = model.lm_loss(model._text_rows(np.concatenate(seqs)),
+                             [len(s) for s in seqs], seqs)
         opt.zero_grad()
         T.backward(loss)
         opt.step(lr=warmup_lr(lr, step + 1, steps))
@@ -83,37 +81,22 @@ def loop_pretrain_backbone(model, steps, lr, batch, seed, seq_len=(4, 10)):
     return curve
 
 
-def loop_mean(terms):
-    loss = None
-    n = 0
-    for term in terms:
-        loss = term if loss is None else T.add(loss, term)
-        n += 1
-    return T.scale(loss, 1.0 / n)
-
-
-def loop_instruct_term(model, rec):
-    """Answer-token cross-entropy with the first scored row worked out
-    by hand."""
-    img = model.image(decode_f32(rec["image"]))
-    q = list(rec["q_tokens"])
-    a = list(rec["a_tokens"])
-    full = q + a
-    rows = T.concat_rows(img, model._sep_row(), model._text_rows(full[:-1]))
-    logits = model.backbone.logits(rows)
-    start = img.shape[0] + 1 + len(q) - 1
-    return nn.cross_entropy(logits, np.arange(start, start + len(a)), a)
+def loop_stage_loss(model, batch, projector, features, target, prompt=None):
+    """The batch's features through one projector call, then one packed
+    ``lm_loss``."""
+    feats = [decode_f32(rec[features]) for rec in batch]
+    return model.lm_loss(projector(np.concatenate(feats)),
+                         [len(f) for f in feats], [rec[target] for rec in batch],
+                         None if prompt is None else [rec[prompt] for rec in batch])
 
 
 LOOP_STAGE_LOSSES = {
-    "I": lambda model, batch: loop_mean(
-        model.lm_loss(model.speech(decode_f32(rec["features"])), rec["tokens"])
-        for rec in batch),
-    "II": lambda model, batch: loop_mean(
-        model.lm_loss(model.image(decode_f32(rec["features"])), rec["caption"])
-        for rec in batch),
-    "III": lambda model, batch: loop_mean(
-        loop_instruct_term(model, rec) for rec in batch),
+    "I": lambda model, batch: loop_stage_loss(model, batch, model.speech,
+                                              "features", "tokens"),
+    "II": lambda model, batch: loop_stage_loss(model, batch, model.image,
+                                               "features", "caption"),
+    "III": lambda model, batch: loop_stage_loss(model, batch, model.image,
+                                                "image", "a_tokens", "q_tokens"),
 }
 
 
