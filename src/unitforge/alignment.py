@@ -129,6 +129,10 @@ class OmniModel:
         rng = np.random.default_rng(seed)
         self.backbone = Backbone(rng, self.vocab.size, d=d, layers=layers,
                                  heads=heads)
+        positions = self.backbone.pos.table.shape[0]
+        if 2 * spec.seq_len[1] > positions:  # a copy task of n tokens: 2n rows
+            raise DataError(f"seq_len {spec.seq_len}: copy-task sequences "
+                            f"longer than the backbone's {positions} positions")
         self.speech = ToyEncoder(rng, spec.speech_dim, d)
         self.image = ToyEncoder(rng, spec.image_dim, d)
         self.completed_stages: set = set()
@@ -267,24 +271,35 @@ STAGE_LOSSES = {s: functools.partial(stage_loss, stage=s) for s in STAGES}
 def check_fields(model: OmniModel, stage: str, records, extra=None):
     """``DataError`` naming the first record that lacks a field ``stage``
     reads, or holds it empty, or holds features that are not rows of its
-    projector's input width. ``extra`` maps more feature fields to their
-    projectors."""
+    projector's input width or whose base64 ``data`` is not as long as
+    their ``shape`` says (read without decoding), or whose feature, prompt
+    and target rows do not fit the backbone's positions. ``extra`` maps
+    more feature fields to their projectors."""
     spec = STAGE_TABLE[stage]
     widths = {f: getattr(model, proj).proj.w.shape[0] for f, proj in
               {spec.features: spec.projector, **(extra or {})}.items()}
     need = [f for f in (spec.target, spec.prompt, *widths) if f]
+    positions = model.backbone.pos.table.shape[0]
     for rec in records:
         lacking = [f for f in need if not rec.get(f)]
         if lacking:
             raise DataError(f"stage {stage} record {rec.get('id')!r} lacks "
                             f"{lacking}")
         for f, width in widths.items():
-            shape = rec[f].get("shape") if isinstance(rec[f], dict) else None
-            if (not isinstance(shape, list) or len(shape) != 2
-                    or shape[0] < 1 or shape[1] != width):
+            feats = rec[f] if isinstance(rec[f], dict) else {}
+            # data: base64 of the float32s, 4 characters per 3 bytes
+            shape, data = feats.get("shape"), feats.get("data")
+            if (not isinstance(shape, list) or len(shape) != 2 or shape[0] < 1
+                    or shape[1] != width or not isinstance(data, str)
+                    or len(data) != 4 * -(-4 * shape[0] * width // 3)):
                 raise DataError(f"stage {stage} record {rec.get('id')!r}: "
                                 f"{f} of shape {shape} are not rows of "
-                                f"width {width}")
+                                f"width {width} that their data hold")
+        rows = (rec[spec.features]["shape"][0] + len(rec[spec.target])
+                + (len(rec[spec.prompt]) if spec.prompt else 0))
+        if rows > positions:
+            raise DataError(f"stage {stage} record {rec.get('id')!r}: {rows} "
+                            f"rows exceed the backbone's {positions} positions")
 
 
 def _set_freeze(model: OmniModel, frozen: bool):

@@ -2,18 +2,20 @@
 preference optimization, decoding, evaluation, ablation grids, and the
 latency benchmark.
 
-``main`` runs every command the same way: it creates ``--out``, calls
-the command's handler from ``HANDLERS``, which returns the paths it
-wrote, and writes ``run_manifest.json`` next to them with the digests of
-the file-valued flags given (``FILE_FLAGS``). Handlers read their config
-file through ``read_config``, which rejects a key the command does not
-read, a mistyped value, a tuple of the wrong length or a value outside
-``RANGES`` before any file is written. Report content is a pure function
-of the input files; wall-clock readings go to the log, never into
-checksummed report fields.
+``main`` runs every command the same way: it parses the flags of the
+command's ``COMMANDS`` row (any other flag, or a missing required one,
+exits 2), creates ``--out``, calls the row's handler, which returns the
+paths it wrote, and writes ``run_manifest.json`` next to them with the
+digests of the file-valued flags given (``FILE_FLAGS``). Handlers read
+their config file through ``read_config``, which rejects a key the
+command does not read, a mistyped value, a tuple of the wrong length or
+a value outside ``RANGES`` before any file is written. Report content is
+a pure function of the input files; wall-clock readings go to the log,
+never into checksummed report fields.
 
-Exit codes: 0 ok, 2 missing input, 3 invalid spec/config, 4 stage
-sequencing violation, 5 checkpoint/corpus kind mismatch.
+Exit codes: 0 ok, 2 missing input or a usage error, 3 invalid
+spec/config, 4 stage sequencing violation (a stage without its
+``--init``), 5 checkpoint/corpus kind mismatch.
 """
 
 from __future__ import annotations
@@ -150,10 +152,11 @@ def read_config(cfg: dict, *targets) -> list:
 
     A target is a dataclass or a type map, read under its own field
     names, or a ``(types, keys)`` pair whose ``keys`` map config keys to
-    its fields; a key may feed several targets. A key no target reads, a
-    value of the wrong type (``check_types``) or outside ``RANGES``, or a
-    tuple field (``"2,6"`` or a list) that is not as many integers as its
-    default has, is a ``ConfigurationError``.
+    its fields; a key may feed several targets. A key no target reads, two
+    keys that set one field of a target, a value of the wrong type
+    (``check_types``) or outside ``RANGES``, or a tuple field (``"2,6"`` or
+    a list) that is not as many integers as its default has, is a
+    ``ConfigurationError``.
     """
     out, unread = [], set(cfg)
     for target in targets:
@@ -161,11 +164,15 @@ def read_config(cfg: dict, *targets) -> list:
         sizes = {f.name: len(f.default) for f in fields(types)
                  if isinstance(f.default, tuple)} if is_dataclass(types) else {}
         types = get_type_hints(types) if is_dataclass(types) else types
-        kwargs = {}
+        kwargs, fed = {}, {}  # field -> the key that set it
         for key, name in (keys or {name: name for name in types}).items():
             if key not in cfg:
                 continue
+            if name in fed:
+                raise ConfigurationError(f"{fed[name]!r} and {key!r} both set "
+                                         f"{name!r}: give one of them")
             unread.discard(key)
+            fed[name] = key
             value = cfg[key]
             if name in sizes and isinstance(value, str):
                 value = [_coerce(v) for v in value.split(",")]
@@ -257,14 +264,6 @@ def load_corpus(path, expect_kinds=None) -> list:
     return records
 
 
-def _require(path, what):
-    if path is None:
-        raise SequencingError(f"{what} is required for this stage")
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"{what} not found: {path}")
-    return path
-
-
 def corpus_spec_from_sidecar(corpus_path, cls):
     sidecar = str(corpus_path) + ".manifest.json"
     if not os.path.exists(sidecar):
@@ -336,7 +335,7 @@ def _train_align_stage(args, out) -> list:
         spec = corpus_spec_from_sidecar(args.corpus, AlignmentSpec)
         model = al.OmniModel(spec, **arch)
     else:
-        model = al.OmniModel.load(_require(args.init, "--init checkpoint"))
+        model = al.OmniModel.load(args.init)
     al.check_fields(model, stage, records)  # before stage I's pretraining
     if stage == "I":
         al.pretrain_backbone(model, seq_len=spec.seq_len, **pretrain)
@@ -350,7 +349,7 @@ def _train_align_stage(args, out) -> list:
 
 def _train_dpo(args, out) -> list:
     sched, dpo = read_config(load_config(args), DPO_SCHEDULE, DpoConfig)
-    reference = SpeechDecoder.load(_require(args.init, "--init checkpoint"))
+    reference = SpeechDecoder.load(args.init)
     if reference.config.mode != "nar":
         raise KindMismatchError("preference training expects a NAR reference")
     reference.set_trainable(False)
@@ -375,7 +374,7 @@ def _train_dpo(args, out) -> list:
 
 
 def _eval_uer(args, out):
-    decoder = SpeechDecoder.load(_require(args.checkpoint, "--checkpoint"))
+    decoder = SpeechDecoder.load(args.checkpoint)
     records = load_corpus(args.corpus, ("supervised_units",))
     scores = evaluate_uer(decoder, records)
     rows = [[key, f"{val:.4f}"] for key, val in sorted(scores.items())]
@@ -383,7 +382,7 @@ def _eval_uer(args, out):
 
 
 def _eval_emotion_acc(args, out):
-    decoder = SpeechDecoder.load(_require(args.checkpoint, "--checkpoint"))
+    decoder = SpeechDecoder.load(args.checkpoint)
     records = load_corpus(args.corpus, ("supervised_units",))
     buckets = {}
     for rec, cond in feasible_contexts(records, decoder):
@@ -399,7 +398,7 @@ def _eval_emotion_acc(args, out):
 
 
 def _eval_pref_acc(args, out):
-    decoder = SpeechDecoder.load(_require(args.checkpoint, "--checkpoint"))
+    decoder = SpeechDecoder.load(args.checkpoint)
     pairs = pairs_from_records(load_corpus(args.corpus, ("preference",)),
                                decoder.config)
     hits = preference_hits(decoder, pairs)
@@ -413,7 +412,7 @@ def _eval_pref_acc(args, out):
 
 
 def _eval_zero_shot(args, out):
-    model = al.OmniModel.load(_require(args.checkpoint, "--checkpoint"))
+    model = al.OmniModel.load(args.checkpoint)
     records = load_corpus(args.corpus, ("instruct",))
     if not all("q_speech" in rec for rec in records):
         raise KindMismatchError("zero-shot eval needs a probe corpus with "
@@ -577,74 +576,56 @@ def cmd_decode(args, out) -> list:
 # entry point
 
 
-def _add_common(parser, *flags):
-    """``--out`` and those of ``--seed``, ``--config``, ``--format`` given."""
-    for flag in ("--out", *flags):
-        parser.add_argument(flag, **{"--seed": dict(type=int), "--format": dict(
-            choices=("csv", "text"), default="csv")}.get(flag, {}))
+FLAGS = {  # flag -> its argparse keywords, the same in every command
+    "--out": {}, "--seed": dict(type=int), "--config": {},
+    "--format": dict(choices=("csv", "text"), default="csv"),
+    "--corpus": dict(required=True), "--contexts": dict(required=True),
+    "--checkpoint": dict(required=True), "--checkpoint-ar": dict(required=True),
+    "--checkpoint-nar": dict(required=True),
+    "--init": dict(help="checkpoint from the prerequisite stage"),
+    "--workers": dict(type=int, default=1, help="grid cells trained in parallel"),
+}
+NESTED = {"train": "stage", "eval": "metric"}  # command -> dest of its leaf
+TRAIN_FLAGS = ("--corpus", "--seed", "--config", "--format")
+SCORE_FLAGS = ("--checkpoint", "--corpus", "--format")
+COMMANDS = {  # command (with its stage or metric) -> (handler, flags it reads)
+    "gen-data": (cmd_gen_data, ("--seed", "--config")),
+    "train-align-1": (_train_align_stage, TRAIN_FLAGS),
+    "train-align-2": (_train_align_stage, (*TRAIN_FLAGS, "--init")),
+    "train-align-3": (_train_align_stage, (*TRAIN_FLAGS, "--init")),
+    "train-decoder-nar": (_train_decoder_stage, TRAIN_FLAGS),
+    "train-decoder-ar": (_train_decoder_stage, TRAIN_FLAGS),
+    "train-dpo": (_train_dpo, (*TRAIN_FLAGS, "--init")),
+    "eval-uer": (_eval_uer, SCORE_FLAGS),
+    "eval-emotion-acc": (_eval_emotion_acc, SCORE_FLAGS),
+    "eval-pref-acc": (_eval_pref_acc, SCORE_FLAGS),
+    "eval-zero-shot": (_eval_zero_shot, SCORE_FLAGS),
+    "eval-partition-check": (_eval_partition_check, ("--config", "--format")),
+    "bench-latency": (cmd_bench_latency, ("--checkpoint-ar", "--checkpoint-nar",
+                                          "--corpus", "--format")),
+    "ablate": (cmd_ablate, ("--corpus", "--workers", "--seed", "--config",
+                            "--format")),
+    "decode": (cmd_decode, ("--checkpoint", "--contexts")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per ``COMMANDS`` row, taking ``--out`` and the row's flags;
+    ``train`` and ``eval`` rows are leaves of a nested subcommand."""
     parser = argparse.ArgumentParser(
-        prog="unitforge",
-        description="Synthetic speech-unit generation stack",
-    )
+        prog="unitforge", description="Synthetic speech-unit generation stack")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate a synthetic corpus")
-    _add_common(p, "--seed", "--config")
-
-    p = sub.add_parser("train", help="run one training stage")
-    p.add_argument("stage", choices=(*ALIGN_STAGES, "decoder-nar",
-                                     "decoder-ar", "dpo"))
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--init", default=None,
-                   help="checkpoint from the prerequisite stage")
-    _add_common(p, "--seed", "--config", "--format")
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
-    metrics = p.add_subparsers(dest="metric", required=True)
-    for metric in ("uer", "emotion-acc", "pref-acc", "zero-shot"):
-        p = metrics.add_parser(metric)
-        p.add_argument("--checkpoint", default=None)
-        p.add_argument("--corpus", default=None)
-        _add_common(p, "--format")
-    _add_common(metrics.add_parser("partition-check"), "--config", "--format")
-
-    p = sub.add_parser("bench-latency", help="AR vs NAR step-count benchmark")
-    p.add_argument("--checkpoint-ar", required=True)
-    p.add_argument("--checkpoint-nar", required=True)
-    p.add_argument("--corpus", required=True)
-    _add_common(p, "--format")
-
-    p = sub.add_parser("ablate", help="experts/layers/tgm grid")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--workers", type=int, default=1,
-                   help="grid cells trained in parallel")
-    _add_common(p, "--seed", "--config", "--format")
-
-    p = sub.add_parser("decode", help="checkpoint + contexts to unit JSONL")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--contexts", required=True)
-    _add_common(p)
+    nested = {}
+    for name, (_, flags) in COMMANDS.items():
+        group, _, leaf = name.partition("-")
+        if group in NESTED and group not in nested:
+            nested[group] = sub.add_parser(group).add_subparsers(
+                dest=NESTED[group], required=True)
+        p = nested[group].add_parser(leaf) if group in NESTED else \
+            sub.add_parser(name)
+        for flag in ("--out", *flags):
+            p.add_argument(flag, **FLAGS[flag])
     return parser
-
-
-HANDLERS = {  # command (with its stage or metric) -> handler(args, out)
-    "gen-data": cmd_gen_data,
-    **{f"train-{stage}": _train_align_stage for stage in ALIGN_STAGES},
-    "train-decoder-nar": _train_decoder_stage,
-    "train-decoder-ar": _train_decoder_stage,
-    "train-dpo": _train_dpo,
-    "eval-uer": _eval_uer,
-    "eval-emotion-acc": _eval_emotion_acc,
-    "eval-pref-acc": _eval_pref_acc,
-    "eval-zero-shot": _eval_zero_shot,
-    "eval-partition-check": _eval_partition_check,
-    "bench-latency": cmd_bench_latency,
-    "ablate": cmd_ablate,
-    "decode": cmd_decode,
-}
 
 
 def main(argv=None) -> int:
@@ -653,12 +634,14 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     args = build_parser().parse_args(argv)
-    command = "-".join(filter(None, (args.command, getattr(args, "stage", None),
-                                     getattr(args, "metric", None))))
+    command = "-".join(filter(None, (args.command, *(
+        getattr(args, dest, None) for dest in NESTED.values()))))
     try:
+        if "--init" in COMMANDS[command][1] and args.init is None:
+            raise SequencingError("--init checkpoint is required for this stage")
         out = args.out or "."
         os.makedirs(out, exist_ok=True)
-        write_manifest(out, command, args, HANDLERS[command](args, out))
+        write_manifest(out, command, args, COMMANDS[command][0](args, out))
         return EXIT_OK
     except (FileNotFoundError, UnitforgeError) as exc:
         log.error("%s", exc)

@@ -19,7 +19,7 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 
@@ -60,14 +60,7 @@ def _as_units(target) -> tuple:
 
 def collapse(alignment) -> UnitSequence:
     """Merge adjacent duplicates, then drop blanks."""
-    out = []
-    prev = None
-    for a in alignment:
-        a = int(a)
-        if a != prev:
-            out.append(a)
-        prev = a
-    return UnitSequence([u for u in out if u != BLANK])
+    return UnitSequence([u for u, _ in groupby(map(int, alignment)) if u != BLANK])
 
 
 def min_frames(units: tuple) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -281,7 +282,10 @@ def encode_f32(arr: np.ndarray) -> dict:
 
 
 def decode_f32(obj: dict) -> np.ndarray:
+    """``DataError`` if ``data`` does not hold the float32s of ``shape``."""
     raw = base64.b64decode(obj["data"])
+    if len(raw) != 4 * math.prod(obj["shape"]):
+        raise DataError(f"{len(raw)} bytes of float32s for shape {obj['shape']}")
     return np.frombuffer(raw, dtype="<f4").reshape(obj["shape"]).astype(np.float64)
 
 

@@ -256,7 +256,7 @@ def read_context(record: dict, config: SpeechDecoderConfig, capped=False):
     name, cap = record.get("id"), config.max_context if capped else np.inf
     try:
         cond = decode_f32(record["features"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DataError) as exc:
         raise DataError(f"record {name!r}: unreadable features "
                         f"({exc!r})") from exc
     if cond.ndim != 2 or cond.shape[1] != config.model_dim \

@@ -305,10 +305,11 @@ def test_align_stage_rejects_config_keys_it_does_not_read(align_dir, tmp_path,
                                                           stage, keys):
     cfg = write_cfg(tmp_path / "a.cfg", steps=1, batch=2, **keys)
     out = tmp_path / "out"
+    init = [] if stage == "align-1" else \
+        ["--init", str(align_dir / "s1" / "align.ckpt")]
     assert main(["train", stage,
                  "--corpus", str(align_dir / f"{ALIGN_CORPUS[stage]}.jsonl"),
-                 "--init", str(align_dir / "s1" / "align.ckpt"),
-                 "--config", cfg, "--out", str(out)]) == EXIT_INVALID_SPEC
+                 *init, "--config", cfg, "--out", str(out)]) == EXIT_INVALID_SPEC
     assert not (out / "align.ckpt").exists()
 
 
@@ -318,8 +319,9 @@ def test_train_stage_rejects_unknown_config_key(workdir, tmp_path, stage):
         "sup/supervised.jsonl"
     cfg = write_cfg(tmp_path / "a.cfg", steps=1, batch=2, wibble=3)
     out = tmp_path / "out"
-    assert main(["train", stage, "--corpus", str(workdir / corpus),
-                 "--init", str(workdir / "nar" / "decoder.ckpt"),
+    init = ["--init", str(workdir / "nar" / "decoder.ckpt")] if stage == "dpo" \
+        else []
+    assert main(["train", stage, "--corpus", str(workdir / corpus), *init,
                  "--config", cfg, "--out", str(out)]) == EXIT_INVALID_SPEC
     assert not out.exists() or not any(out.glob("*.ckpt"))
 
@@ -415,8 +417,9 @@ def test_corrupt_alignment_checkpoint_exits_3(align_dir, tmp_path):
     lambda params, meta: params.update({"meta.stages": np.array([0.5])}),
     lambda params, meta: meta["arch"].update(heads="2"),
     lambda params, meta: meta["alignment_spec"].update(seq_len=[4, "x"]),
+    lambda params, meta: meta["alignment_spec"].update(seq_len=[4, 25]),
 ], ids=["stage_out_of_range", "stage_not_integer", "string_heads",
-        "bad_seq_len"])
+        "bad_seq_len", "seq_len_past_the_positions"])
 def test_alignment_checkpoint_bad_values_exit_3(align_dir, tmp_path, edit):
     params, meta = load_checkpoint(align_dir / "s1" / "align.ckpt",
                                    "alignment_spec")
@@ -568,23 +571,28 @@ def test_workers_accepted_only_by_ablate(capsys):
 DECODER_ARGS = ["--checkpoint", "c.ckpt", "--contexts", "x.jsonl"]
 BENCH_ARGS = ["--checkpoint-ar", "a.ckpt", "--checkpoint-nar", "n.ckpt",
               "--corpus", "c.jsonl"]
+SCORE_ARGS = ["--checkpoint", "c.ckpt", "--corpus", "c.jsonl"]
+SCORING_METRICS = ("uer", "emotion-acc", "pref-acc", "zero-shot")
 
 
 @pytest.mark.parametrize("argv, flag", [
     (["gen-data", "--format", "text"], "--format"),
     (["decode", *DECODER_ARGS, "--format", "text"], "--format"),
-    (["eval", "uer", "--seed", "1"], "--seed"),
+    (["eval", "uer", *SCORE_ARGS, "--seed", "1"], "--seed"),
     (["bench-latency", *BENCH_ARGS, "--seed", "1"], "--seed"),
     (["decode", *DECODER_ARGS, "--seed", "1"], "--seed"),
     (["bench-latency", *BENCH_ARGS, "--config", "c.cfg"], "--config"),
     (["decode", *DECODER_ARGS, "--config", "c.cfg"], "--config"),
-    *[(["eval", metric, "--config", "c.cfg"], "--config")
-      for metric in ("uer", "emotion-acc", "pref-acc", "zero-shot")],
+    *[(["eval", metric, *SCORE_ARGS, "--config", "c.cfg"], "--config")
+      for metric in SCORING_METRICS],
     (["eval", "partition-check", "--corpus", "c.jsonl"], "--corpus"),
+    *[(["train", stage, "--corpus", "c.jsonl", "--init", "x.ckpt"], "--init")
+      for stage in ("decoder-nar", "decoder-ar", "align-1")],
 ], ids=["gen-data-format", "decode-format", "eval-seed", "bench-latency-seed",
         "decode-seed", "bench-latency-config", "decode-config",
         "eval-uer-config", "eval-emotion-acc-config", "eval-pref-acc-config",
-        "eval-zero-shot-config", "eval-partition-check-corpus"])
+        "eval-zero-shot-config", "eval-partition-check-corpus",
+        "train-decoder-nar-init", "train-decoder-ar-init", "train-align-1-init"])
 def test_subcommand_rejects_flags_it_does_not_read(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -592,11 +600,24 @@ def test_subcommand_rejects_flags_it_does_not_read(capsys, argv, flag):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("missing", ["--checkpoint", "--corpus"])
+@pytest.mark.parametrize("metric", SCORING_METRICS)
+def test_scoring_eval_requires_checkpoint_and_corpus(capsys, tmp_path, metric,
+                                                     missing):
+    given = SCORE_ARGS[2:] if missing == "--checkpoint" else SCORE_ARGS[:2]
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", metric, *given, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert missing in capsys.readouterr().err
+
+
 def test_subcommands_keep_the_flags_they_read():
     parser = build_parser()
     for argv in (["gen-data", "--seed", "1", "--config", "c.cfg"],
                  ["train", "dpo", "--corpus", "c", "--seed", "1", "--config",
                   "c.cfg", "--format", "text"],
+                 ["train", "align-2", "--corpus", "c", "--init", "i.ckpt"],
+                 ["eval", "uer", *SCORE_ARGS, "--format", "text"],
                  ["eval", "partition-check", "--config", "c.cfg", "--format", "text"],
                  ["bench-latency", *BENCH_ARGS, "--format", "text"],
                  ["ablate", "--corpus", "c", "--seed", "1", "--config", "c.cfg",
@@ -682,6 +703,38 @@ def test_bad_config_or_sidecar_value_exits_3(workdir, align_dir, tmp_path,
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("keys", [dict(dim=64, model_dim=64),
+                                  dict(vocab=64, vocab_nar=64),
+                                  {"lambda": 4, "upsample": 4}],
+                         ids=["dim-model_dim", "vocab-vocab_nar",
+                              "lambda-upsample"])
+@pytest.mark.parametrize("command", ["train-decoder-nar", "ablate"])
+def test_field_set_under_two_keys_exits_3(workdir, tmp_path, command, keys):
+    # each pair sets one decoder field twice, to its default value
+    cfg = dict(steps=1, batch=2, max_context=32, **keys)
+    if command == "ablate":
+        cfg.update(grid_experts=1, grid_layers=1)
+    out = tmp_path / "out"
+    assert main([*command.split("-", 1), "--corpus",
+                 str(workdir / "sup" / "supervised.jsonl"),
+                 "--config", write_cfg(tmp_path / "a.cfg", **cfg),
+                 "--out", str(out)]) == EXIT_INVALID_SPEC
+    assert not any(out.iterdir())
+
+
+def test_copy_task_longer_than_the_backbone_exits_3(tmp_path):
+    cfg = write_cfg(tmp_path / "g.cfg", kind="speech-text", n_speech_text=4,
+                    seq_len="25,25", seed=2)
+    assert main(["gen-data", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+    out = tmp_path / "out"
+    assert main(["train", "align-1",
+                 "--corpus", str(tmp_path / "speech-text.jsonl"),
+                 "--config", write_cfg(tmp_path / "s1.cfg", steps=1, batch=2,
+                                       pretrain_steps=1, d=8, layers=1),
+                 "--out", str(out)]) == EXIT_INVALID_SPEC
+    assert not any(out.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # records that cannot feed their command
 
@@ -731,6 +784,10 @@ def unfit(workdir, align_dir, tmp_path_factory):
          lambda rec: rec.pop("q_tokens"))
     copy("image-text-5-wide", align_dir / "image-text.jsonl",
          lambda rec: features(rec, 3, 5))
+    copy("image-text-49-rows", align_dir / "image-text.jsonl",
+         lambda rec: features(rec, 49, 24))
+    copy("image-text-shape-not-data", align_dir / "image-text.jsonl",
+         lambda rec: rec["features"].update(shape=[4, 24]))
     copy("pref-no-units_w", pref, lambda rec: rec.pop("units_w"))
     copy("pref-tie", pref, lambda rec: rec.update(units_l=rec["units_w"]))
     # a probe corpus: instruct records with spoken twins of the questions
@@ -804,6 +861,12 @@ UNFIT = {  # case -> argv; a <name> is a path of the ``unfit`` fixture
     "train-align-2-5-wide-features": ["train", "align-2", "--corpus",
                                       "<image-text-5-wide>", "--init", "<s1>",
                                       "--config", "<steps.cfg>"],
+    "train-align-2-49-rows": ["train", "align-2", "--corpus",
+                              "<image-text-49-rows>", "--init", "<s1>",
+                              "--config", "<steps.cfg>"],
+    "train-align-2-shape-not-data": ["train", "align-2", "--corpus",
+                                     "<image-text-shape-not-data>", "--init",
+                                     "<s1>", "--config", "<steps.cfg>"],
     "no-units_w-train-dpo": ["train", "dpo", "--corpus", "<pref-no-units_w>",
                              "--init", "<nar>", "--config", "<steps.cfg>"],
     "no-units_w-eval-pref-acc": ["eval", "pref-acc", "--checkpoint", "<nar>",
@@ -820,7 +883,9 @@ def test_record_that_cannot_feed_its_command_exits_3(unfit, tmp_path, case):
     # the last record (every one for over-cap) lacks a field its command
     # reads, or holds a 32-wide context for a 64-wide decoder, a 13-row
     # context for a decoder capped at 12, 5-wide image features for a
-    # 24-wide projector, or a preference pair whose winner is its loser
+    # 24-wide projector, 49 feature rows for a 48-position backbone, a
+    # shape of 4 rows over data of 3, or a preference pair whose winner
+    # is its loser
     argv = [str(unfit[a[1:-1]]) if a.startswith("<") else a
             for a in UNFIT[case]]
     out = tmp_path / "out"

@@ -58,6 +58,22 @@ def test_min_frames():
     assert min_frames((2, 2, 2)) == 5
 
 
+@given(st.lists(st.integers(1, 4), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_shortest_path_collapses_to_its_units(units):
+    # a blank only between repeated units: min_frames(units) frames
+    path = [f for i, u in enumerate(units)
+            for f in ([BLANK] if i and units[i - 1] == u else []) + [u]]
+    assert len(path) == min_frames(tuple(units))
+    assert collapse(path).units == tuple(units)
+
+
+@given(st.lists(st.integers(0, 3), max_size=16))
+@settings(max_examples=200, deadline=None)
+def test_a_path_has_at_least_min_frames_of_what_it_collapses_to(path):
+    assert min_frames(collapse(path).units) <= len(path)
+
+
 def test_extended_target():
     assert extended_target((1, 2)).tolist() == [0, 1, 0, 2, 0]
     assert extended_target(()).tolist() == [0]

@@ -213,6 +213,13 @@ def test_feature_round_trip():
     assert np.abs(back - arr).max() < 1e-6  # f32 quantization only
 
 
+@pytest.mark.parametrize("shape", [[6, 7], [4, 7], [36], [5, 7, 1, 2]])
+def test_feature_data_that_do_not_fill_their_shape_rejected(shape):
+    field = dict(encode_f32(np.zeros((5, 7))), shape=shape)
+    with pytest.raises(DataError):
+        decode_f32(field)
+
+
 def test_supervised_corpus_shape():
     spec = CorpusSpec(seed=11, size=32)
     records = gen_supervised_corpus(spec)
