@@ -27,7 +27,8 @@ from . import nn
 from . import tensor as T
 from .checkpoint import (assign_parameters, expect_keys, load_checkpoint,
                          save_checkpoint)
-from .data import AlignmentSpec, AlignmentVocab, decode_f32
+from .data import (BACKBONE_POSITIONS, AlignmentSpec, AlignmentVocab,
+                   decode_f32)
 from .errors import ContractError, DataError, SequencingError
 from .tensor import Tensor
 
@@ -75,10 +76,10 @@ def default_schedule(stage: str, **overrides) -> StageSchedule:
 class Backbone:
     """Tiny causal LM over the shared text vocabulary."""
 
-    def __init__(self, rng, vocab_size, d=32, layers=2, heads=2, max_len=48):
+    def __init__(self, rng, vocab_size, d=32, layers=2, heads=2):
         self.d = d
         self.emb = nn.Embedding(rng, vocab_size, d)
-        self.pos = nn.PositionalEmbedding(rng, max_len, d)
+        self.pos = nn.PositionalEmbedding(rng, BACKBONE_POSITIONS, d)
         self.blocks = [nn.DecoderBlock(rng, d, heads) for _ in range(layers)]
         self.ln_f = nn.LayerNorm(d)
         self.lm_head = nn.Linear(rng, d, vocab_size)
@@ -123,16 +124,13 @@ class OmniModel:
 
     def __init__(self, spec: AlignmentSpec, d=32, layers=2, heads=2, seed=0):
         nn.check_dims(d, heads)
+        spec.validate()  # its sequences fit the backbone's positions
         self.spec = spec
         self.arch = {"d": d, "layers": layers, "heads": heads}
         self.vocab = AlignmentVocab(spec)
         rng = np.random.default_rng(seed)
         self.backbone = Backbone(rng, self.vocab.size, d=d, layers=layers,
                                  heads=heads)
-        positions = self.backbone.pos.table.shape[0]
-        if 2 * spec.seq_len[1] > positions:  # a copy task of n tokens: 2n rows
-            raise DataError(f"seq_len {spec.seq_len}: copy-task sequences "
-                            f"longer than the backbone's {positions} positions")
         self.speech = ToyEncoder(rng, spec.speech_dim, d)
         self.image = ToyEncoder(rng, spec.image_dim, d)
         self.completed_stages: set = set()
@@ -279,7 +277,6 @@ def check_fields(model: OmniModel, stage: str, records, extra=None):
     widths = {f: getattr(model, proj).proj.w.shape[0] for f, proj in
               {spec.features: spec.projector, **(extra or {})}.items()}
     need = [f for f in (spec.target, spec.prompt, *widths) if f]
-    positions = model.backbone.pos.table.shape[0]
     for rec in records:
         lacking = [f for f in need if not rec.get(f)]
         if lacking:
@@ -297,9 +294,10 @@ def check_fields(model: OmniModel, stage: str, records, extra=None):
                                 f"width {width} that their data hold")
         rows = (rec[spec.features]["shape"][0] + len(rec[spec.target])
                 + (len(rec[spec.prompt]) if spec.prompt else 0))
-        if rows > positions:
+        if rows > BACKBONE_POSITIONS:
             raise DataError(f"stage {stage} record {rec.get('id')!r}: {rows} "
-                            f"rows exceed the backbone's {positions} positions")
+                            f"rows exceed the backbone's {BACKBONE_POSITIONS} "
+                            f"positions")
 
 
 def _set_freeze(model: OmniModel, frozen: bool):

@@ -1,19 +1,36 @@
-"""Exact CTC: lattice loss with analytic gradient, collapse rules,
-greedy decoding, and a path-enumeration brute-force oracle.
+"""Exact CTC: a batched lattice loss with analytic gradient, its
+log-space reference, collapse rules, greedy decoding, and a
+path-enumeration brute-force oracle.
 
 Blank id is 0. The loss consumes log-probabilities (callers apply
-log_softmax); the lattice is purely additive in log space. Structurally
-unreachable lattice cells hold the NEG_INF sentinel.
+log_softmax). ``ctc_losses`` scores a batch of (log-probs, target) pairs
+as one tape node; ``ctc_loss`` is its one-sequence case.
 
-Alpha and beta run as one recursion over T on a [2, S] state. Read
-backwards in time and in state, beta obeys alpha's recursion (stay,
-step from s-1, skip from s-2), so row 0 carries alpha forward from the
-first frame while row 1 carries beta back from the last, and each frame
-costs one set of [2, S] log-space ops into preallocated buffers. Skips
-are gated by an additive 0/-inf mask, whose row 1 is the skip pattern of
-the reversed target. The elementwise ops run in the same order as in
-two separate recursions, so alpha, beta and log_z are bit-identical to
-them.
+Read backwards in time and in state, beta obeys alpha's recursion (stay,
+step from s-1, skip from s-2, with the skips of the reversed target).
+So one recursion carries alpha forward from the first frame in some
+rows and beta back from the last frame in others.
+
+``RescaledLattice`` runs it in probability space, padded to the batch's
+longest T and S, over ``[2B, S]`` lanes: the B alpha lanes, then the B
+reversed beta lanes. Without gradients (``no_grad``, or inputs that need
+none) only the alpha lanes run. Each lane is divided by its row max at
+every frame, and log_z is the sum of the logs of those maxima plus the
+log of the final scaled mass (Rabiner, 1989, HMM scaling; the CTC form
+of Graves et al., 2006). A max is exact and every other op is
+elementwise within a lane, so a sequence's log_z and gradient are
+bit-identical whatever its batch partners, and its alpha is the same
+with or without beta lanes. A lane whose scale or final mass is zero,
+subnormal or not finite (an emission near exp(-745), no path, non-finite
+log-probs) is not trusted: its sequence goes through ``compute_lattice``.
+A target with no path of nonzero probability is a ``DomainError``.
+
+``compute_lattice`` is the log-space recursion, the one reference and
+fallback, on a [2, S] state of one sequence. Each frame costs one set of
+[2, S] log-space ops into preallocated buffers, with skips gated by an
+additive 0/-inf mask; the elementwise ops run in the same order as in two
+separate recursions, so alpha, beta and log_z are bit-identical to them.
+Structurally unreachable cells of its tables hold the NEG_INF sentinel.
 """
 
 from __future__ import annotations
@@ -24,11 +41,12 @@ from itertools import groupby, product
 import numpy as np
 
 from . import tensor as T
-from .errors import (ConfigurationError, DomainError, InfeasibleAlignmentError,
-                     OracleError)
+from .errors import (ConfigurationError, ContractError, DomainError,
+                     InfeasibleAlignmentError, OracleError)
 from .tensor import NEG_INF, Tensor
 
 BLANK = 0
+TINY = np.finfo(np.float64).tiny  # below it a float64 loses precision
 
 
 @dataclass(frozen=True)
@@ -91,12 +109,12 @@ def _sanitize(table: np.ndarray) -> np.ndarray:
     return out
 
 
-def _skip_mask(ext: np.ndarray) -> np.ndarray:
-    """0 where the skip s-2 -> s is allowed (ext[s] is a label differing
-    from ext[s-2]), -inf where it is not."""
-    mask = np.full(ext.shape[0], -np.inf)
-    mask[2:][(ext[2:] != BLANK) & (ext[2:] != ext[:-2])] = 0.0
-    return mask
+def _can_skip(ext: np.ndarray) -> np.ndarray:
+    """Where the skip s-2 -> s is allowed: ext[s] is a label differing
+    from ext[s-2]."""
+    can = np.zeros(ext.shape[0], dtype=bool)
+    can[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
+    return can
 
 
 def compute_lattice(log_probs: np.ndarray, target) -> AlignmentLattice:
@@ -116,7 +134,8 @@ def compute_lattice(log_probs: np.ndarray, target) -> AlignmentLattice:
     # row 0 is alpha, row 1 is beta reversed in time and state, whose
     # skips follow the reversed target (module docstring). Two -inf pad
     # columns stand in for the missing s-1 / s-2 predecessors.
-    skip_mask = np.stack((_skip_mask(ext), _skip_mask(ext[::-1])))
+    skip_mask = np.where(np.stack((_can_skip(ext), _can_skip(ext[::-1]))),
+                         0.0, -np.inf)
     emit2 = np.stack((emit, emit[::-1, ::-1]), axis=1)  # [T, 2, S]
     lat = np.full((t_len, 2, s_len + 2), -np.inf)
     lat[0, :, 2:4] = emit2[0, :, :2]
@@ -144,30 +163,145 @@ def compute_lattice(log_probs: np.ndarray, target) -> AlignmentLattice:
     )
 
 
-def ctc_loss(log_probs: Tensor, target) -> Tensor:
-    """-log sum over all alignments collapsing to ``target``.
+def _posterior(lattice: AlignmentLattice, log_probs: np.ndarray) -> np.ndarray:
+    """[T, S] occupation probability of each lattice state, emission
+    counted once, from the log-space tables."""
+    occ = (lattice.alpha + lattice.beta - log_probs[:, lattice.extended_target]
+           - lattice.log_z)
+    occ[lattice.alpha <= NEG_INF] = -np.inf
+    occ[lattice.beta <= NEG_INF] = -np.inf
+    return np.exp(occ)
 
-    Gradient w.r.t. ``log_probs`` uses the alpha*beta posterior.
-    """
-    units = _as_units(target)
-    lp = log_probs.data
-    lattice = compute_lattice(lp, units)
-    out = Tensor(-lattice.log_z)
 
-    ext = lattice.extended_target
-    t_len, v = lp.shape
+class RescaledLattice:
+    """The lattices of many sequences in one rescaled recursion (module
+    docstring): ``log_z[i]`` for every sequence, and with ``beta`` the
+    state posteriors through ``posterior(i)``. Targets must fit their
+    frames (``min_frames``)."""
+
+    def __init__(self, log_probs, targets, beta: bool):
+        self.log_probs = log_probs
+        self.units = targets
+        self.ext = [extended_target(u) for u in targets]
+        b = len(log_probs)
+        lengths = np.array([lp.shape[0] for lp in log_probs])
+        states = np.array([e.shape[0] for e in self.ext])
+        t_max, s_max = int(lengths.max()), int(states.max())
+        lanes = 2 * b if beta else b
+        # padded frames emit 1 so that a finished lane stays finite
+        emit = np.ones((t_max, lanes, s_max))
+        skip = np.zeros((lanes, s_max))
+        for i, (lp, ext) in enumerate(zip(log_probs, self.ext)):
+            t_len, s_len = lp.shape[0], ext.shape[0]
+            p = np.exp(lp[:, ext])
+            emit[:t_len, i::b, s_len:] = 0.0  # lane i and, with beta, B+i
+            emit[:t_len, i, :s_len] = p
+            skip[i, :s_len] = _can_skip(ext)
+            if beta:
+                emit[:t_len, b + i, :s_len] = p[::-1, ::-1]
+                skip[b + i, :s_len] = _can_skip(ext[::-1])
+
+        # two zero columns in front stand in for the s-1 / s-2
+        # predecessors of state 0; ``acc`` is a frame's mass before its
+        # emission, at frame 0 a path's start in state 0 or 1
+        lat = np.zeros((t_max if beta else 2, lanes, s_max + 2))
+        acc = np.zeros((t_max if beta else 1, lanes, s_max))
+        acc[0, :, :2] = 1.0
+        skipped = np.empty((lanes, s_max))
+        scale = np.empty((t_max, lanes))
+        last = np.tile(lengths - 1, lanes // b)
+        col = np.tile(states + 1, lanes // b)  # the final state's column
+        ends = {int(t): np.flatnonzero(last == t) for t in np.unique(last)}
+        z = np.empty(lanes)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for t in range(t_max):
+                cur = lat[t % lat.shape[0]]
+                a = acc[t % acc.shape[0]]
+                if t:
+                    prev = lat[(t - 1) % lat.shape[0]]
+                    np.add(prev[:, 2:], prev[:, 1:-1], out=a)
+                    np.multiply(prev[:, :-2], skip, out=skipped)
+                    np.add(a, skipped, out=a)
+                np.multiply(emit[t], a, out=cur[:, 2:])
+                np.max(cur[:, 2:], axis=1, out=scale[t])
+                np.divide(cur[:, 2:], scale[t][:, None], out=cur[:, 2:])
+                if t in ends:
+                    i = ends[t]
+                    z[i] = cur[i, col[i]] + cur[i, col[i] - 1]
+            log_scale = np.cumsum(np.log(scale), axis=0)
+            trusted = (np.isfinite(scale) & (scale >= TINY)) \
+                | (np.arange(t_max)[:, None] > last)
+            self.sound = trusted.all(axis=0) & (z >= TINY)
+            self.log_z = log_scale[last[:b], np.arange(b)] + np.log(z[:b])
+        self._fallback = {}
+        for i in np.flatnonzero(~self.sound[:b]):
+            self.log_z[i] = self._log_space(i).log_z
+        self.lat, self.acc = lat, acc
+
+    def _log_space(self, i) -> AlignmentLattice:
+        if i not in self._fallback:
+            self._fallback[i] = compute_lattice(self.log_probs[i], self.units[i])
+        return self._fallback[i]
+
+    def posterior(self, i) -> np.ndarray:
+        """[T_i, S_i] occupation probability of each state of sequence i:
+        its alpha times its reversed beta lane's mass before emission,
+        normalised over the frame's states."""
+        b = len(self.log_probs)
+        t_len, s_len = self.log_probs[i].shape[0], self.ext[i].shape[0]
+        if self.sound[i] and self.sound[b + i]:
+            both = (self.lat[:t_len, i, 2:2 + s_len]
+                    * self.acc[t_len - 1::-1, b + i, s_len - 1::-1])
+            mass = both.sum(axis=1, keepdims=True)
+            if (mass >= TINY).all():
+                return both / mass
+        return _posterior(self._log_space(i), self.log_probs[i])
+
+
+def _ctc_node(pairs, shape) -> Tensor:
+    """The losses of ``pairs`` as one ``ctc_loss`` tape node of ``shape``."""
+    if not pairs:
+        raise ContractError("ctc_losses: no sequences")
+    inputs = [log_probs for log_probs, _ in pairs]
+    units = [_as_units(target) for _, target in pairs]
+    for x, u in zip(inputs, units):
+        t_len, need = x.data.shape[0], min_frames(u)
+        if t_len < need:
+            raise InfeasibleAlignmentError(need, t_len)
+        if t_len == 0:
+            raise DomainError("ctc_loss: zero frames")
+    lattice = RescaledLattice([x.data for x in inputs], units,
+                              beta=T.tracked(*inputs))
+    no_path = np.flatnonzero(lattice.log_z == -np.inf)
+    if no_path.size:
+        i = no_path[0]
+        raise DomainError(f"ctc_loss: sequence {i} (target {units[i]}) has "
+                          f"no path of nonzero probability")
+    out = Tensor(-lattice.log_z.reshape(shape))
 
     def bwd(g):
-        # through-probability of lattice state (t, s), emission counted once
-        occ = lattice.alpha + lattice.beta - lp[:, ext] - lattice.log_z
-        occ[lattice.alpha <= NEG_INF] = -np.inf
-        occ[lattice.beta <= NEG_INF] = -np.inf
-        post = np.exp(occ)
-        grad = np.zeros((t_len, v))
-        np.add.at(grad, (slice(None), ext), post)
-        return [(log_probs, -float(np.asarray(g).reshape(())) * grad)]
+        g = np.reshape(g, -1)
+        grads = []
+        for i, x in enumerate(inputs):
+            grad = np.zeros(x.data.shape)
+            np.add.at(grad, (slice(None), lattice.ext[i]), lattice.posterior(i))
+            grads.append((x, -float(g[i]) * grad))
+        return grads
 
-    return T.record_custom("ctc_loss", out, bwd, log_probs)
+    return T.record_custom("ctc_loss", out, bwd, *inputs)
+
+
+def ctc_losses(pairs) -> Tensor:
+    """[B] -log sum over all alignments collapsing to each target, for
+    ``(log_probs, target)`` pairs, as one tape node whose backward gives
+    each ``log_probs`` the posterior of its lattice."""
+    pairs = list(pairs)
+    return _ctc_node(pairs, (len(pairs),))
+
+
+def ctc_loss(log_probs: Tensor, target) -> Tensor:
+    """The scalar loss of one sequence: ``ctc_losses`` of one pair."""
+    return _ctc_node([(log_probs, target)], ())
 
 
 # ---------------------------------------------------------------------------

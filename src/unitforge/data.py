@@ -362,6 +362,11 @@ def gen_emotion_eval_corpus(spec: CorpusSpec) -> list:
 # alignment world (objects with attributes; two template languages)
 
 
+# rows in the alignment backbone's positional table; a copy task or a
+# speech-text record of n tokens takes 2n of them
+BACKBONE_POSITIONS = 48
+
+
 @dataclass
 class AlignmentSpec:
     seed: int = 0
@@ -384,6 +389,10 @@ class AlignmentSpec:
         lo, hi = self.seq_len
         if not 1 <= lo <= hi:
             raise ConfigurationError(f"seq_len must have 1 <= lo <= hi, got {(lo, hi)}")
+        if 2 * hi > BACKBONE_POSITIONS:
+            raise ConfigurationError(
+                f"seq_len {(lo, hi)}: {hi} tokens and their features take "
+                f"{2 * hi} rows, more than the backbone's {BACKBONE_POSITIONS}")
         _at_least(self, 0, "seed", "world_seed", "noise")
         _at_least(self, 1, "n_speech_text", "n_image_text", "n_instruct", "n_probe",
                   "speech_dim", "image_dim", "n_objects", "n_colors", "n_sizes",

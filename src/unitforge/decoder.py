@@ -15,7 +15,8 @@ from . import nn
 from . import tensor as T
 from .checkpoint import (assign_parameters, expect_keys, load_checkpoint,
                          save_checkpoint)
-from .ctc import UnitSequence, ctc_loss, greedy_decode, min_frames
+from .ctc import (UnitSequence, ctc_loss, ctc_losses, greedy_decode,
+                  min_frames)
 from .data import UnitTextVocab, decode_f32, unit_error_rate
 from .errors import (ConfigurationError, ContractError, DataError,
                      GenerationCapError)
@@ -242,8 +243,12 @@ class TrainSchedule:
     seed: int = 0
 
 
+def _text(decoder: SpeechDecoder, record: dict):
+    return record["text_a"] if decoder.config.tgm else None
+
+
 def sample_loss(decoder: SpeechDecoder, record: dict, cond: np.ndarray) -> Tensor:
-    text = record["text_a"] if decoder.config.tgm else None
+    text = _text(decoder, record)
     if decoder.config.mode == "nar":
         return decoder.nar_loss(cond, record["units"], text)
     return decoder.ntp_loss(cond, record["units"], text)
@@ -306,6 +311,10 @@ def train_decoder(records, config: SpeechDecoderConfig,
     def loss_fn(step):
         idx = rng.choice(usable, size=min(schedule.batch, len(usable)),
                          replace=False)
+        if config.mode == "nar":  # the batch's forwards, then one CTC node
+            return T.mean(ctc_losses(
+                (decoder.nar_forward(conds[i], _text(decoder, records[i])),
+                 records[i]["units"]) for i in idx))
         return T.mean(sample_loss(decoder, records[i], conds[i]) for i in idx)
 
     curve = [(step, loss) for step, loss, _ in T.fit(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .ctc import UnitSequence, ctc_loss
+from .ctc import UnitSequence, ctc_losses
 from .data import decode_f32
 from .decoder import SpeechDecoder, read_context
 from .errors import ContractError, DataError
@@ -72,12 +72,14 @@ def pairs_from_records(records, config=None) -> list:
     ]
 
 
-def _pair_log_likelihoods(model: SpeechDecoder, pair: PreferencePair):
-    """One forward pass per context; both sequences scored off it."""
-    log_probs = model.nar_forward(pair.context_features)
-    ll_w = T.scale(ctc_loss(log_probs, pair.y_w), -1.0)
-    ll_l = T.scale(ctc_loss(log_probs, pair.y_l), -1.0)
-    return ll_w, ll_l
+def _log_likelihoods(model: SpeechDecoder, pairs) -> Tensor:
+    """[2N] log-likelihoods, the winner's then the loser's of each pair,
+    off one forward pass per context and one CTC node for them all."""
+    scored = []
+    for pair in pairs:
+        log_probs = model.nar_forward(pair.context_features)
+        scored += [(log_probs, pair.y_w), (log_probs, pair.y_l)]
+    return T.scale(ctc_losses(scored), -1.0)
 
 
 def _assert_frozen(reference: SpeechDecoder):
@@ -86,29 +88,28 @@ def _assert_frozen(reference: SpeechDecoder):
 
 
 def _scores(model: SpeechDecoder, pairs) -> list:
-    """[(log p(y_w), log p(y_l))] per pair, off one no-grad forward each."""
+    """[(log p(y_w), log p(y_l))] per pair, scored without gradients."""
     with T.no_grad():
-        return [tuple(ll.item() for ll in _pair_log_likelihoods(model, pair))
-                for pair in pairs]
+        ll = _log_likelihoods(model, pairs).data
+    return list(zip(ll[0::2].tolist(), ll[1::2].tolist()))
 
 
-def _dpo_term(ll_w: Tensor, ll_l: Tensor, ref_w: float, ref_l: float,
-              beta: float) -> Tensor:
-    """-log sigmoid(beta * ((llw* - llw_ref) - (lll* - lll_ref))); the
-    reference log-likelihoods enter as constants."""
-    margin = T.scale(
-        T.sub(T.sub(ll_w, Tensor(ref_w)), T.sub(ll_l, Tensor(ref_l))),
-        beta,
-    )
-    return T.softplus(T.scale(margin, -1.0))
+def _dpo_loss(policy: SpeechDecoder, pairs, ref_scores, beta: float) -> Tensor:
+    """Mean over ``pairs`` of -log sigmoid(beta * ((llw* - llw_ref) -
+    (lll* - lll_ref))); the reference log-likelihoods enter as constants."""
+    ll = _log_likelihoods(policy, pairs)
+    ll_w, ll_l = (T.gather_rows(ll, np.arange(k, 2 * len(pairs), 2))
+                  for k in (0, 1))
+    ref_w, ref_l = (Tensor([r[k] for r in ref_scores]) for k in (0, 1))
+    margin = T.scale(T.sub(T.sub(ll_w, ref_w), T.sub(ll_l, ref_l)), beta)
+    return T.mean(T.softplus(T.scale(margin, -1.0)))
 
 
 def ctc_dpo_loss(policy: SpeechDecoder, reference: SpeechDecoder,
                  pair: PreferencePair, beta: float) -> Tensor:
     """-log sigmoid(beta * ((llw* - llw_ref) - (lll* - lll_ref)))."""
     _assert_frozen(reference)
-    ll_w, ll_l = _pair_log_likelihoods(policy, pair)
-    return _dpo_term(ll_w, ll_l, *_scores(reference, [pair])[0], beta)
+    return _dpo_loss(policy, [pair], _scores(reference, [pair]), beta)
 
 
 def _margins(scores, ref_scores) -> list:
@@ -170,8 +171,8 @@ def train_dpo(policy: SpeechDecoder, reference: SpeechDecoder, pairs,
     def loss_fn(step):
         idx = rng.choice(len(pairs), size=min(schedule.batch, len(pairs)),
                          replace=False)
-        return T.mean(_dpo_term(*_pair_log_likelihoods(policy, pairs[i]),
-                                *ref[i], config.beta) for i in idx)
+        return _dpo_loss(policy, [pairs[i] for i in idx], [ref[i] for i in idx],
+                         config.beta)
 
     metrics = []
     for step, loss, _ in T.fit(params, loss_fn, schedule.steps, schedule.lr,

@@ -9,11 +9,12 @@ All math is float64. Structurally unreachable lattice cells and masked
 attention scores use the ``NEG_INF`` sentinel. Attention, biased
 Linear, LayerNorm, the MoE expert mix and the mean of loss terms are one
 node each, with a hand-written backward; so are the cross-entropy
-(``nn.cross_entropy``) and CTC (``ctc.ctc_loss``) losses, registered
-through ``record_custom``. An embedding lookup is a row gather
-(``gather_rows``). Attention also takes packed sequences: segment
-``lengths`` over its rows keep each row to its own sequence, so every
-other op runs row-wise over a whole packed batch at once.
+(``nn.cross_entropy``) and CTC (``ctc.ctc_losses``, one node for a
+batch of sequences) losses, registered through ``record_custom``. An
+embedding lookup is a row gather (``gather_rows``). Attention also takes
+packed sequences: segment ``lengths`` over its rows keep each row to its
+own sequence, so every other op runs row-wise over a whole packed batch
+at once.
 """
 
 from __future__ import annotations
@@ -129,7 +130,8 @@ def _wrap(arr) -> Tensor:
     return t
 
 
-def _tracked(*tensors):
+def tracked(*tensors) -> bool:
+    """Whether an op on ``tensors`` is recorded on the active tape."""
     if _GRAD_ENABLED:
         tape = _ACTIVE_TAPE
         for t in tensors:
@@ -145,7 +147,7 @@ def _check_nonempty(kind, *tensors):
 
 
 def _record(kind, out, backward_fn, *inputs):
-    if _tracked(*inputs):
+    if tracked(*inputs):
         out.requires_grad = True
         _ACTIVE_TAPE.push(kind, out, backward_fn)
     return out
@@ -670,23 +672,32 @@ def warmup_lr(base_lr: float, step: int, total_steps: int, warmup_ratio: float =
 def mean(terms) -> Tensor:
     """Mean of scalar loss terms as one node: summed left to right, then
     scaled by 1/n, the float operations of an ``add`` chain and a
-    ``scale``. ``terms`` may be a generator."""
-    terms = list(terms)
-    if not terms:
+    ``scale``. ``terms`` is an iterable of scalar tensors (a generator
+    too) or one 1-D tensor whose elements are the terms."""
+    if isinstance(terms, Tensor):
+        if terms.data.ndim != 1:
+            raise ShapeError(f"mean: terms of shape {terms.data.shape}")
+        inputs, values = [terms], list(terms.data)
+    else:
+        inputs = list(terms)
+        values = [term.data for term in inputs]
+    if not values:
         raise ContractError("mean: no terms")
-    _check_nonempty("mean_terms", *terms)
-    total = terms[0].data
-    for term in terms[1:]:
-        if term.data.shape != total.shape:
-            raise ShapeError(f"mean: {term.data.shape} vs {total.shape}")
-        total = total + term.data
-    s = 1.0 / len(terms)
+    _check_nonempty("mean_terms", *inputs)
+    total = values[0]
+    for value in values[1:]:
+        if np.shape(value) != np.shape(total):
+            raise ShapeError(f"mean: {np.shape(value)} vs {np.shape(total)}")
+        total = total + value
+    s = 1.0 / len(values)
 
     def bwd(g):
         gs = g * s
-        return [(term, gs) for term in terms]
+        if isinstance(terms, Tensor):
+            return [(terms, np.full(terms.data.shape, gs))]
+        return [(term, gs) for term in inputs]
 
-    return _record("mean_terms", _wrap(total * s), bwd, *terms)
+    return _record("mean_terms", _wrap(total * s), bwd, *inputs)
 
 
 def fit(params: dict, loss_fn, steps: int, lr: float, warmup_ratio: float = 0.3,

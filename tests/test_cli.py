@@ -722,10 +722,24 @@ def test_field_set_under_two_keys_exits_3(workdir, tmp_path, command, keys):
     assert not any(out.iterdir())
 
 
-def test_copy_task_longer_than_the_backbone_exits_3(tmp_path):
+def test_gen_data_refuses_sequences_longer_than_the_backbone(tmp_path):
     cfg = write_cfg(tmp_path / "g.cfg", kind="speech-text", n_speech_text=4,
                     seq_len="25,25", seed=2)
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", cfg, "--out", str(out)]) \
+        == EXIT_INVALID_SPEC
+    assert not any(out.iterdir())
+
+
+def test_copy_task_longer_than_the_backbone_exits_3(tmp_path):
+    # gen-data refuses seq_len 25,25, so its sidecar is edited to say so
+    cfg = write_cfg(tmp_path / "g.cfg", kind="speech-text", n_speech_text=4,
+                    seq_len="24,24", seed=2)
     assert main(["gen-data", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+    sidecar = tmp_path / "speech-text.jsonl.manifest.json"
+    manifest = json.loads(sidecar.read_text())
+    manifest["spec"]["seq_len"] = [25, 25]
+    sidecar.write_text(json.dumps(manifest))
     out = tmp_path / "out"
     assert main(["train", "align-1",
                  "--corpus", str(tmp_path / "speech-text.jsonl"),

@@ -1,6 +1,7 @@
 """Exact CTC against brute-force path enumeration."""
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unitforge.tensor as T
-from unitforge.ctc import (BLANK, UnitSequence, brute_force_marginals,
-                           collapse, compute_lattice, ctc_brute_force,
-                           ctc_loss, extended_target, greedy_decode,
-                           min_frames)
+from unitforge.ctc import (BLANK, RescaledLattice, UnitSequence,
+                           brute_force_marginals, collapse, compute_lattice,
+                           ctc_brute_force, ctc_loss, ctc_losses,
+                           extended_target, greedy_decode, min_frames)
 from unitforge.errors import (ConfigurationError, DomainError,
                               InfeasibleAlignmentError, OracleError)
 from unitforge.tensor import NEG_INF, Tensor, finite_difference_check
@@ -312,17 +313,133 @@ def test_ctc_gradient_scatter_equals_per_label_loop(case):
     if min_frames(tuple(y)) > lp.shape[0]:
         return
     x = Tensor(lp, requires_grad=True)
+    if compute_lattice(lp, y).log_z == -np.inf:
+        with pytest.raises(DomainError):
+            ctc_loss(x, y)
+        return
     with T.fresh_tape():
         T.backward(ctc_loss(x, y))
+    lattice = RescaledLattice([lp], [tuple(y)], beta=True)
+    post = lattice.posterior(0)
+    grad = np.zeros_like(lp)
+    for s, label in enumerate(lattice.ext[0]):
+        grad[:, label] += post[:, s]
+    assert np.array_equal(x.grad, -grad, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# the batched node against the log-space lattice
+
+
+@st.composite
+def node_case(draw):
+    """Log-probs, normalised or not, with optional -inf cells; in the
+    ``underflow`` kind one frame sits near exp(-740), which probability
+    space cannot hold. The target fits in T frames but may have no path."""
+    t = draw(st.integers(1, 12))
+    v = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    kind = draw(st.sampled_from(["normalised", "unnormalised", "underflow"]))
+    lp = rng.normal(0.0, 3.0, (t, v)) if kind == "unnormalised" \
+        else random_lp(rng, t, v)
+    lp[rng.random((t, v)) < draw(st.sampled_from([0.0, 0.1, 0.4]))] = -np.inf
+    if kind == "underflow":
+        lp[rng.integers(t)] -= 740.0
+    y = draw(st.lists(st.integers(1, v - 1), max_size=t))
+    while min_frames(tuple(y)) > t:
+        y.pop()
+    return lp, tuple(y), kind
+
+
+def log_space_gradient(lp, y):
     lat = compute_lattice(lp, y)
     occ = lat.alpha + lat.beta - lp[:, lat.extended_target] - lat.log_z
     occ[lat.alpha <= NEG_INF] = -np.inf
     occ[lat.beta <= NEG_INF] = -np.inf
-    post = np.exp(occ)
     grad = np.zeros_like(lp)
-    for s, label in enumerate(lat.extended_target):
-        grad[:, label] += post[:, s]
-    assert np.array_equal(x.grad, -grad, equal_nan=True)
+    np.add.at(grad, (slice(None), lat.extended_target), np.exp(occ))
+    return -grad
+
+
+def score(cases, grad=True):
+    """Losses and gradients of ``cases`` scored in one node."""
+    xs = [Tensor(lp, requires_grad=True) for lp, *_ in cases]
+    with T.fresh_tape():
+        losses = ctc_losses([(x, y) for x, (_, y, *_) in zip(xs, cases)])
+        if not grad:
+            return losses.data, None
+        T.backward(T.tsum(losses))
+    return losses.data, [x.grad for x in xs]
+
+
+@given(st.lists(node_case(), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_node_matches_log_space_lattice(cases):
+    cases = [c for c in cases if compute_lattice(c[0], c[1]).log_z > -np.inf]
+    if not cases:
+        return
+    losses, grads = score(cases)
+    lattice = RescaledLattice([lp for lp, *_ in cases], [y for _, y, _ in cases],
+                              beta=True)
+    for (lp, y, kind), loss, grad, sound in zip(cases, losses, grads,
+                                                lattice.sound):
+        log_z = compute_lattice(lp, y).log_z
+        assert abs(-loss - log_z) <= 1e-12 * max(1.0, abs(log_z))
+        # a frame's posterior mass is 1
+        assert np.abs(grad - log_space_gradient(lp, y)).max() <= 1e-12
+        if kind == "underflow":
+            assert not sound
+
+
+@given(st.lists(node_case(), min_size=2, max_size=5), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_sequence_scores_alone_as_in_its_batch(cases, data):
+    cases = [c for c in cases if compute_lattice(c[0], c[1]).log_z > -np.inf]
+    if not cases:
+        return
+    i = data.draw(st.integers(0, len(cases) - 1))
+    losses, grads = score(cases)
+    alone, alone_grad = score([cases[i]])
+    assert np.array_equal(losses[i:i + 1], alone)
+    assert np.array_equal(grads[i], alone_grad[0])
+    no_grad, _ = score(cases, grad=False)
+    assert np.array_equal(losses, no_grad)
+
+
+def test_log_z_with_and_without_gradients_bit_identical():
+    rng = np.random.default_rng(11)
+    cases = [(random_lp(rng, t, 5), (1, 2, 2, 3)[:n]) for t, n in
+             ((9, 4), (5, 2), (12, 3), (3, 0))]
+    xs = [Tensor(lp, requires_grad=True) for lp, _ in cases]
+    pairs = [(x, y) for x, (_, y) in zip(xs, cases)]
+    with T.fresh_tape() as tape:
+        with_grad = ctc_losses(pairs).data
+        assert len(tape) == 1 and tape.nodes[0].kind == "ctc_loss"
+    with T.fresh_tape() as tape:
+        with T.no_grad():
+            without = ctc_losses(pairs).data
+        assert len(tape) == 0
+    assert np.array_equal(with_grad, without)
+
+
+def no_path_case():
+    lp = uniform_lp(4, 3)
+    lp[:, 2] = -np.inf
+    return lp
+
+
+@pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
+def test_target_with_no_path_is_a_domain_error(grad):
+    ok = Tensor(uniform_lp(4, 3), requires_grad=True)
+    bad = Tensor(no_path_case(), requires_grad=True)
+    with T.fresh_tape() as tape, nullcontext() if grad else T.no_grad():
+        with pytest.raises(DomainError, match="sequence 1"):
+            ctc_losses([(ok, [2]), (bad, [1, 2])])
+        with pytest.raises(DomainError, match="sequence 0"):
+            ctc_loss(bad, [2])
+    assert len(tape) == 0
+    # the label that has mass still scores
+    assert math.isfinite(ctc_loss(bad, [1]).item())
 
 
 def test_lattice_unreachable_cells_are_sentinel():

@@ -205,6 +205,14 @@ def test_spec_validation():
     AlignmentSpec(seq_len=(1, 1), noise=0.0).validate()
 
 
+def test_alignment_spec_sequences_fit_the_backbone():
+    # n tokens and their n feature rows: 2n of the backbone's positions
+    AlignmentSpec(seq_len=(24, 24)).validate()
+    for gen in (gen_speech_text_corpus, gen_image_text_corpus):
+        with pytest.raises(ConfigurationError, match="48"):
+            gen(AlignmentSpec(seq_len=(4, 25)))
+
+
 def test_feature_round_trip():
     rng = np.random.default_rng(0)
     arr = rng.normal(0.0, 1.0, (5, 7))

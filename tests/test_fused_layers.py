@@ -312,6 +312,23 @@ def test_mean_matches_add_chain_and_scale_bit_for_bit(n, seed):
     assert_close(values[0][1], values[1][1], 0)
 
 
+@given(n=st.integers(1, 10), seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_mean_of_a_vector_matches_mean_of_its_elements_bit_for_bit(n, seed):
+    # a batched loss node returns its terms as one 1-D tensor
+    v0 = np.random.default_rng(seed).normal(size=n)
+    values = []
+    for split in (False, True):
+        v = leaf(v0)
+        with T.fresh_tape():
+            loss = T.mean([T.gather_rows(v, i) for i in range(n)] if split
+                          else v)
+            T.backward(loss)
+        values.append((loss.data, v.grad))
+    assert_close(values[0][0], values[1][0], 0)
+    assert_close(values[0][1], values[1][1], 0)
+
+
 # ---------------------------------------------------------------------------
 # tape budget
 
