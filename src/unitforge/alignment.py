@@ -248,14 +248,13 @@ def pretrain_backbone(model: OmniModel, steps=500, lr=1e-3, batch=8, seed=0,
 def stage_loss(model: OmniModel, batch, stage: str) -> Tensor:
     """Mean LM loss of each record's target after its projected features
     and its unscored prompt, as one packed forward (``lm_loss``); a frozen
-    stage needs a frozen backbone."""
+    stage needs a frozen backbone, and ``_in_stage`` checks the fields."""
     spec = STAGE_TABLE[stage]
     if not batch:
         raise ContractError(f"stage {stage} loss: empty batch")
     if spec.frozen and any(p.requires_grad
                            for p in model.backbone_parameters().values()):
         raise ContractError(f"backbone must be frozen during stage {stage}")
-    check_fields(model, stage, batch)
     feats = [decode_f32(rec[spec.features]) for rec in batch]
     return model.lm_loss(getattr(model, spec.projector)(np.concatenate(feats)),
                          [len(f) for f in feats],

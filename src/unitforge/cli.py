@@ -453,6 +453,7 @@ def cmd_bench_latency(args, out) -> list:
     records = load_corpus(args.corpus, ("supervised_units",))
     rows = []
     ratios = []
+    walls = []
     for rec, cond in feasible_contexts(records, ar, nar):
         t0 = time.perf_counter()
         ar_result = ar.ar_generate(cond)
@@ -461,10 +462,13 @@ def cmd_bench_latency(args, out) -> list:
         t2 = time.perf_counter()
         ratio = ar_result.sequential_steps / nar_result.sequential_steps
         ratios.append(ratio)
-        log.info("context %s wall-clock: ar %.4fs nar %.4fs",
-                 rec["id"], t1 - t0, t2 - t1)
+        walls.append((t1 - t0, t2 - t1))
+        log.info("context %s wall-clock: ar %.4fs nar %.4fs", rec["id"], *walls[-1])
         rows.append([rec["id"], len(rec["units"]), ar_result.sequential_steps,
                      nar_result.sequential_steps, f"{ratio:.2f}"])
+    ar_s, nar_s = np.median(walls, axis=0)
+    log.info("median wall-clock per context: ar %.4fs nar %.4fs (ar/nar %.2f)",
+             ar_s, nar_s, ar_s / nar_s)
     rows.append(["median", "", "", "", f"{np.median(ratios):.2f}"])
     return write_report(out, "latency",
                         ["context", "ref_len", "ar_steps", "nar_steps",

@@ -2,7 +2,8 @@
 stack, and the two generation modes (AR next-unit prediction, NAR with
 CTC). Condition features are frozen-backbone hidden states supplied by
 the corpus; the text-guided module fuses them with ground-truth response
-text embeddings during training only.
+text embeddings during training only. AR generation prefills once, then
+runs one row per step over per-block caches (``SpeechDecoder._ar_steps``).
 """
 
 from __future__ import annotations
@@ -185,28 +186,41 @@ class SpeechDecoder:
         return nn.cross_entropy(logits, np.arange(offset, offset + len(units) + 1),
                                 units + [self.eos_id])
 
+    def _ar_steps(self, cond):
+        """Next-unit logits ``[V_a]`` after ``[context; BOS]``, then after
+        each unit sent in: one causal forward over the prompt fills each
+        block's cache, then each unit runs only its own row (``decode``)."""
+        x = self.in_proj(self._condition(cond))
+        x = self.pos(T.concat_rows(x, self.unit_emb([AR_BOS])))
+        caches = [None] * len(self.blocks)
+        while True:
+            for i, block in enumerate(self.blocks):
+                x, caches[i] = block.decode(x, caches[i])
+            last = T.gather_rows(x, [x.shape[0] - 1])
+            nxt = yield self.head(self.ln_f(last)).data[0]
+            x = T.add(self.unit_emb([nxt]),
+                      T.gather_rows(self.pos.table, [caches[0].shape[0]]))
+
     def ar_generate(self, cond, max_len=None) -> GenerationResult:
+        """Greedy decode of at most ``max_len`` (>= 1) units."""
         if self.config.mode != "ar":
             raise ContractError("ar_generate on a NAR-mode decoder")
+        if max_len is not None and max_len < 1:
+            raise ContractError(f"max_len must be >= 1, got {max_len}")
         cap = self.config.max_units if max_len is None else min(
             max_len, self.config.max_units)
         units: list[int] = []
-        steps = 0
-        truncated = False
         with T.no_grad():
-            while True:
-                logits, _ = self._ar_logits(cond, units)
-                nxt = int(logits.data[-1].argmax())
-                steps += 1
+            decoding, nxt = self._ar_steps(cond), None
+            while len(units) < cap:
+                nxt = int(decoding.send(nxt).argmax())
                 if nxt == self.eos_id:
                     break
-                units.append(nxt)
-                if len(units) >= cap:
-                    truncated = True
-                    break
+                units.append(nxt)  # an emitted AR_BOS is fed back, not output
+        truncated = len(units) == cap
         return GenerationResult(
             units=UnitSequence([u for u in units if u != AR_BOS]),
-            sequential_steps=steps,
+            sequential_steps=len(units) + (not truncated),
             truncated=truncated,
         )
 

@@ -117,7 +117,7 @@ def test_instruct_loss_missing_answer(corpora):
     rec = dict(corpora["III"][0])
     rec["a_tokens"] = []
     with pytest.raises(DataError):
-        STAGE_LOSSES["III"](model, [rec])
+        eval_stage_loss(model, "III", [rec])
 
 
 def test_lm_loss_matches_manual_cross_entropy(corpora):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import unitforge.tensor as T
 from unitforge.ctc import UnitSequence
@@ -116,17 +118,66 @@ def test_nar_generation_single_step():
 
 def test_ar_step_count_is_length_plus_one():
     dec = tiny("ar")
+    dec.head.b.data[dec.eos_id] = 1e3  # end-of-speech always wins
     res = dec.ar_generate(cond_for(dec))
-    if not res.truncated:
-        assert res.sequential_steps == len(res.units.units) + 1
+    assert not res.truncated
+    assert res.units.units == ()
+    assert res.sequential_steps == len(res.units.units) + 1 == 1
 
 
 def test_ar_truncation_cap():
     dec = tiny("ar")
+    # neither end-of-speech nor the unfiltered AR_BOS can win
+    dec.head.b.data[[dec.eos_id, AR_BOS]] = -1e3
     res = dec.ar_generate(cond_for(dec), max_len=2)
-    assert len(res.units.units) <= 2
-    if len(res.units.units) == 2 and res.truncated:
-        assert res.sequential_steps == 2
+    assert res.truncated
+    assert len(res.units.units) == 2
+    assert res.sequential_steps == 2
+    res = dec.ar_generate(cond_for(dec))
+    assert res.truncated
+    assert len(res.units.units) == res.sequential_steps == dec.config.max_units
+
+
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_ar_generate_needs_a_positive_max_len(max_len):
+    dec = tiny("ar")
+    with pytest.raises(ContractError):
+        dec.ar_generate(cond_for(dec), max_len=max_len)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_cached_steps_match_the_full_forward(data):
+    # every next-unit distribution of the cached loop, along a drawn prefix
+    # that may hold AR_BOS, against a full causal forward over that prefix
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    dec = tiny("ar", layers=data.draw(st.integers(1, 2), label="layers"),
+               seed=seed)
+    rng = np.random.default_rng(seed)
+    for p in dec.parameters().values():
+        p.data += rng.normal(0.0, 0.5, p.shape)
+    config = dec.config
+    cond = cond_for(dec, t=data.draw(st.integers(1, config.max_context),
+                                     label="context rows"), seed=seed)
+    prefix = data.draw(st.lists(st.integers(AR_BOS, dec.eos_id - 1),
+                                max_size=config.max_units - 1), label="prefix")
+    with T.no_grad():
+        decoding = dec._ar_steps(cond)
+        logits = next(decoding)
+        for n in range(len(prefix) + 1):
+            if n:
+                logits = decoding.send(prefix[n - 1])
+            cached = T.log_softmax_last_dim(Tensor(logits[None])).data
+            full = dec.ar_forward(cond, prefix[:n]).data
+            assert np.abs(cached - full).max() <= 1e-12
+    # inference leaves no tape nodes, even with gradients on and every
+    # parameter trainable
+    dec.set_trainable(True)
+    with T.fresh_tape():
+        T.add(dec.head.b, dec.head.b)
+        before = len(T._ACTIVE_TAPE)
+        dec.ar_generate(cond)
+        assert len(T._ACTIVE_TAPE) == before == 1
 
 
 def test_ar_forward_cap_errors():

@@ -21,10 +21,12 @@ import unitforge.tensor as T
 from unitforge.alignment import STAGE_LOSSES, OmniModel, _set_freeze
 from unitforge.checkpoint import save_checkpoint
 from unitforge.cli import EXIT_INVALID_SPEC, main
+from unitforge.ctc import UnitSequence
 from unitforge.data import (AlignmentSpec, CorpusSpec, decode_f32,
                             gen_speech_text_corpus, gen_supervised_corpus,
                             write_jsonl)
-from unitforge.decoder import SpeechDecoder, SpeechDecoderConfig, sample_loss
+from unitforge.decoder import (AR_BOS, SpeechDecoder, SpeechDecoderConfig,
+                               sample_loss)
 from unitforge.errors import DataError, ShapeError
 from unitforge.tensor import Tensor
 
@@ -440,18 +442,30 @@ def per_op_layers(monkeypatch):
 def test_fused_decoder_generates_as_the_per_op_layers(monkeypatch, mode):
     decoder, rng = perturbed_decoder(mode, 6)
 
-    def generate(cond):
+    def greedy_full_forwards(cond, max_len):
+        # what the uncached ar_generate ran: one full causal forward per
+        # step, which the per-op attention (it takes no cache) can run too
+        units = []
+        while len(units) < max_len:
+            nxt = int(decoder.ar_forward(cond, units).data[0].argmax())
+            if nxt == decoder.eos_id:
+                break
+            units.append(nxt)
+        return UnitSequence([u for u in units if u != AR_BOS])
+
+    def generate(cond, cached):
         with T.no_grad():
             if mode == "nar":
                 return decoder.nar_generate(cond).units, decoder.nar_forward(cond).data
-            out = decoder.ar_generate(cond, max_len=6)
-            return out.units, decoder.ar_forward(cond, list(out.units.units)).data
+            units = (decoder.ar_generate(cond, max_len=6).units if cached
+                     else greedy_full_forwards(cond, max_len=6))
+            return units, decoder.ar_forward(cond, list(units.units)).data
 
     conds = [rng.normal(size=(t, TINY["model_dim"])) for t in (1, 3, 6)]
-    got = [generate(c) for c in conds]
+    got = [generate(c, cached=True) for c in conds]
     with monkeypatch.context() as m:
         per_op_layers(m)
-        want = [generate(c) for c in conds]
+        want = [generate(c, cached=False) for c in conds]
     for (units, lp), (ref_units, ref_lp) in zip(got, want):
         assert units == ref_units
         assert np.abs(lp - ref_lp).max() <= ATTENTION_TOL
