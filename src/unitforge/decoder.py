@@ -3,7 +3,8 @@ stack, and the two generation modes (AR next-unit prediction, NAR with
 CTC). Condition features are frozen-backbone hidden states supplied by
 the corpus; the text-guided module fuses them with ground-truth response
 text embeddings during training only. AR generation prefills once, then
-runs one row per step over per-block caches (``SpeechDecoder._ar_steps``).
+runs one row per step, each block's attention keeping the keys and values
+of earlier rows in its ``tensor.KVCache`` (``SpeechDecoder._ar_steps``).
 """
 
 from __future__ import annotations
@@ -188,18 +189,20 @@ class SpeechDecoder:
 
     def _ar_steps(self, cond):
         """Next-unit logits ``[V_a]`` after ``[context; BOS]``, then after
-        each unit sent in: one causal forward over the prompt fills each
-        block's cache, then each unit runs only its own row (``decode``)."""
+        each unit sent in: one causal forward over the prompt writes each
+        block's key/value cache, then each unit runs only its own row
+        (``decode``). Untracked inputs only (``tensor.attention``)."""
         x = self.in_proj(self._condition(cond))
         x = self.pos(T.concat_rows(x, self.unit_emb([AR_BOS])))
-        caches = [None] * len(self.blocks)
+        caches = [block.attn.new_cache(self.pos.table.shape[0])
+                  for block in self.blocks]
         while True:
-            for i, block in enumerate(self.blocks):
-                x, caches[i] = block.decode(x, caches[i])
+            for block, cache in zip(self.blocks, caches):
+                x = block.decode(x, cache)
             last = T.gather_rows(x, [x.shape[0] - 1])
             nxt = yield self.head(self.ln_f(last)).data[0]
             x = T.add(self.unit_emb([nxt]),
-                      T.gather_rows(self.pos.table, [caches[0].shape[0]]))
+                      T.gather_rows(self.pos.table, [caches[0].rows]))
 
     def ar_generate(self, cond, max_len=None) -> GenerationResult:
         """Greedy decode of at most ``max_len`` (>= 1) units."""

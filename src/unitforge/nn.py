@@ -86,9 +86,12 @@ class SelfAttention:
             requires_grad=True)
         self.out = Tensor(_normal(rng, d, d), requires_grad=True)
 
-    def __call__(self, x, causal: bool, lengths=None, context=None):
+    def __call__(self, x, causal: bool, lengths=None, cache=None):
         return T.attention(x, self.qkv, self.out, self.heads, causal,
-                           context=context, lengths=lengths)
+                           lengths=lengths, cache=cache)
+
+    def new_cache(self, capacity: int) -> T.KVCache:
+        return T.KVCache(self.heads, capacity, self.out.shape[0] // self.heads)
 
     def parameters(self, prefix):
         return {f"{prefix}.qkv.w": self.qkv, f"{prefix}.out.w": self.out}
@@ -123,18 +126,11 @@ class DecoderBlock:
         x = T.add(x, self.mlp(self.ln2(x)))
         return x
 
-    def decode(self, x, cache=None):
-        """``(block(x), cache + x's ln1 rows)`` for causal decoding: with no
-        cache x is the prompt, attending causally; else x is the next row,
-        attending over the cached attention inputs and its own."""
-        h = self.ln1(x)
-        if cache is None:
-            cache, a = h, self.attn(h, True)
-        else:
-            cache = T.concat_rows(cache, h)
-            a = self.attn(h, False, context=cache)
-        x = T.add(x, a)
-        return T.add(x, self.mlp(self.ln2(x))), cache
+    def decode(self, x, cache: T.KVCache):
+        """The causal block on rows x that follow the rows whose keys and
+        values ``cache`` holds (none for a prompt); writes x's after them."""
+        x = T.add(x, self.attn(self.ln1(x), True, cache=cache))
+        return T.add(x, self.mlp(self.ln2(x)))
 
     def parameters(self, prefix):
         out = self.ln1.parameters(f"{prefix}.ln1")

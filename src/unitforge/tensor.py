@@ -14,7 +14,12 @@ batch of sequences) losses, registered through ``record_custom``. An
 embedding lookup is a row gather (``gather_rows``). Attention also takes
 packed sequences: segment ``lengths`` over its rows keep each row to its
 own sequence, so every other op runs row-wise over a whole packed batch
-at once.
+at once. For inference it takes a ``KVCache``: the keys and values of
+earlier rows, so a decoding step projects only its new row.
+
+``relu``, ``log_softmax_last_dim`` and ``softplus`` build their
+derivatives (a mask, a softmax, a sigmoid) only in their backward, so an
+unrecorded call makes no such array.
 """
 
 from __future__ import annotations
@@ -280,12 +285,11 @@ def softmax_last_dim(x: Tensor) -> Tensor:
 def log_softmax_last_dim(x: Tensor) -> Tensor:
     _check_nonempty("log_softmax_last_dim", x)
     z = x.data - x.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    out = _wrap(z - lse)
-    sm = np.exp(z - lse)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    out = _wrap(logp)
 
     def bwd(g):
-        return [(x, g - sm * g.sum(axis=-1, keepdims=True))]
+        return [(x, g - np.exp(logp) * g.sum(axis=-1, keepdims=True))]
 
     return _record("log_softmax_last_dim", out, bwd, x)
 
@@ -294,12 +298,11 @@ def softplus(x: Tensor) -> Tensor:
     """log(1 + exp(x)), computed stably; -softplus(-m) is log sigmoid(m)."""
     _check_nonempty("softplus", x)
     d = x.data
-    out = _wrap(np.maximum(d, 0.0) + np.log1p(np.exp(-np.abs(d))))
-    sig = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                   np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    out = _wrap(np.maximum(d, 0.0) + np.log1p(e))
 
-    def bwd(g):
-        return [(x, g * sig)]
+    def bwd(g):  # g * sigmoid(d)
+        return [(x, g * np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e)))]
 
     return _record("softplus", out, bwd, x)
 
@@ -307,10 +310,9 @@ def softplus(x: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     _check_nonempty("relu", x)
     out = _wrap(np.maximum(x.data, 0.0))
-    mask = (x.data > 0).astype(np.float64)
 
     def bwd(g):
-        return [(x, g * mask)]
+        return [(x, g * (x.data > 0).astype(np.float64))]
 
     return _record("relu", out, bwd, x)
 
@@ -353,18 +355,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.data.shape != d or bias.data.shape != d:
         raise ShapeError(f"layer_norm: {x.data.shape} with gain {gain.data.shape}, "
                          f"bias {bias.data.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    # np.mean and np.var make exactly these float operations: a pairwise
+    # add.reduce over the last axis divided by its width, var from the
+    # squared deviations of the mean
+    n = d[0]
+    xc = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / n + eps)
+    xhat = xc * inv
     axes = tuple(range(x.data.ndim - 1))
 
     def bwd(g):
         gh = g * gain.data
-        gm = gh.mean(axis=-1, keepdims=True)
-        gxm = (gh * xhat).mean(axis=-1, keepdims=True)
+        gm = np.add.reduce(gh, axis=-1, keepdims=True) / n
+        gxm = np.add.reduce(gh * xhat, axis=-1, keepdims=True) / n
         return [(x, inv * (gh - gm - xhat * gxm)),
-                (gain, (g * xhat).sum(axis=axes)), (bias, g.sum(axis=axes))]
+                (gain, np.add.reduce(g * xhat, axis=axes)),
+                (bias, np.add.reduce(g, axis=axes))]
 
     return _record("layer_norm", _wrap(xhat * gain.data + bias.data), bwd,
                    x, gain, bias)
@@ -377,16 +383,37 @@ def segment_positions(lengths) -> np.ndarray:
     return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
+class KVCache:
+    """Keys and values of the rows one attention has seen, for inference:
+    ``[heads, capacity, dh]`` buffers whose first ``rows`` rows are filled."""
+
+    __slots__ = ("keys", "values", "rows")
+
+    def __init__(self, heads: int, capacity: int, dh: int):
+        self.keys = np.zeros((heads, capacity, dh))
+        self.values = np.zeros((heads, capacity, dh))
+        self.rows = 0
+
+
 def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int,
               causal: bool, context: Tensor | None = None,
-              lengths=None) -> Tensor:
+              lengths=None, cache: KVCache | None = None) -> Tensor:
     """Multi-head attention of x[T, d] over context[S, d] (default: x).
 
     ``w_qkv[d, 3d]`` holds the query, key and value projections side by
     side, each as ``heads`` column blocks of width d/heads; ``w_o[d, d]``
     maps the concatenated heads back. One matmul projects the rows
     ``[x; context]``, queries from x's, keys and values from the context's.
-    With ``causal``, row t sees rows <= t.
+    With ``causal``, row t sees rows <= t; a causal mask over a context,
+    which does not place x's rows among its keys, is a ``ContractError``.
+
+    ``cache`` (inference only: no input may be tracked) holds the keys and
+    values of the rows that came before x. x's keys and values are written
+    after them, and x's queries attend over all of them, the causal mask
+    offset by the rows the cache held. So a prompt and then one row at a
+    time give the rows of one causal call over the whole sequence. Writing
+    past the cache's capacity, or a cache with a context or ``lengths``,
+    is a ``ContractError``.
 
     ``lengths`` packs sequences into x (no context): consecutive segments
     of those lengths, summing to T, each seeing only its own rows. The
@@ -430,19 +457,38 @@ def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int,
 
         def ungrid(a):
             return a[seg, pos]
+    if causal and ctx:
+        raise ContractError("attention: a causal mask over a context")
+    past = 0  # rows before x's among the keys
+    if cache is not None:
+        past = cache.rows
+        if ctx or lengths is not None or tracked(x, w_qkv, w_o):
+            raise ContractError("attention: a key/value cache is for untracked "
+                                "self-attention only")
+        if cache.keys.shape[::2] != (heads, dh):
+            raise ShapeError(f"attention: cache of shape {cache.keys.shape} for "
+                             f"{heads} heads of width {dh}")
+        if past + t > cache.keys.shape[1]:
+            raise ContractError(f"attention: {past} cached rows and {t} new ones "
+                                f"exceed the cache's {cache.keys.shape[1]}")
     # [rows, 3d] -> [3, B, H, L, dh]: q, k, v, each with segment and head
     # axes; a packed x has t = n and s0 = 0, so the slices below take all L
     proj = grid((rows @ w_qkv.data).reshape(n, 3, heads, dh)).transpose(2, 0, 3, 1, 4)
     q, k, v = proj[0, :, :, :t], proj[1, :, :, s0:], proj[2, :, :, s0:]
+    if cache is not None:
+        cache.keys[:, past:past + t] = k[0]
+        cache.values[:, past:past + t] = v[0]
+        cache.rows = past + t
+        k, v = cache.keys[None, :, :past + t], cache.values[None, :, :past + t]
     s = (q @ k.swapaxes(-1, -2)) * c
-    if causal or lengths is not None:
-        qi, kj = np.ogrid[:q.shape[2], :k.shape[2]]
-        masked = (kj > qi) & causal
+    if (causal and t > 1) or lengths is not None:  # one row masks no key
+        kj = np.arange(k.shape[2])
+        masked = kj > np.arange(past, past + q.shape[2])[:, None] if causal else False
         if lengths is not None:  # and the padding after each segment
             masked = masked | (kj >= lengths[:, None, None, None])
         np.copyto(s, NEG_INF, where=masked)
-    e = np.exp(s - s.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(s - np.maximum.reduce(s, axis=-1, keepdims=True))
+    p = e / np.add.reduce(e, axis=-1, keepdims=True)
     heads_out = ungrid((p @ v).transpose(0, 2, 1, 3)).reshape(t, d)
 
     def bwd(g):

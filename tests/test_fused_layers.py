@@ -199,6 +199,25 @@ def test_layer_norm_matches_composition_bit_for_bit(t, d, seed):
         assert_close(f.grad, r.grad, 0)
 
 
+@given(d=st.sampled_from([32, 48, 64, 160]), t=st.integers(1, 130),
+       seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_layer_norm_matches_mean_var_composition_at_model_widths(d, t, seed):
+    # widths past numpy's 8-wide unrolled blocks, so each row mean, variance
+    # and gradient mean is a pairwise sum; rows up to past 128, the block of
+    # the column sums that give the gain and bias gradients; a row offset
+    # keeps the mean away from 0
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(rng.normal(0.0, 10.0), 1.0, (t, d)),
+              rng.normal(1.0, 0.2, d), rng.normal(size=d)]
+    up = rng.normal(size=(t, d))
+    fused, ref = [leaf(a) for a in arrays], [leaf(a) for a in arrays]
+    assert_close(run(lambda: T.layer_norm(*fused), up),
+                 run(lambda: ref_layer_norm(*ref), up), 0)
+    for f, r in zip(fused, ref):
+        assert_close(f.grad, r.grad, 0)
+
+
 @given(heads=st.sampled_from([1, 2, 4]), dh=st.integers(1, 3),
        t=st.integers(1, 12), causal=st.booleans(), seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=80, deadline=None)
@@ -243,6 +262,28 @@ def test_packed_attention_matches_per_segment_calls(heads, lengths, causal, seed
     assert_close(x.grad, np.concatenate([seg.grad for seg in segs]), ATTENTION_TOL)
     assert_close(qkv.grad, qkvr.grad, ATTENTION_TOL)
     assert_close(o.grad, orr.grad, ATTENTION_TOL)
+
+
+@given(heads=st.integers(1, 4), dh=st.integers(1, 3), prompt=st.integers(1, 8),
+       chunks=st.lists(st.integers(1, 3), max_size=8), spare=st.integers(0, 2),
+       seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=80, deadline=None)
+def test_cached_attention_matches_one_causal_call(heads, dh, prompt, chunks, spare,
+                                                  seed):
+    # a prompt, then rows one or a few at a time, each call writing its keys
+    # and values into the cache, against one causal call over all the rows
+    rng = np.random.default_rng(seed)
+    d = heads * dh
+    x0 = rng.normal(size=(prompt + sum(chunks), d))
+    qkv = Tensor(rng.normal(0.0, 1.0 / math.sqrt(d), (d, 3 * d)))
+    o = Tensor(rng.normal(0.0, 1.0 / math.sqrt(d), (d, d)))
+    want = T.attention(Tensor(x0), qkv, o, heads, True).data
+    cache = T.KVCache(heads, len(x0) + spare, dh)
+    bounds = np.cumsum([0, prompt, *chunks])
+    got = [T.attention(Tensor(x0[a:b]), qkv, o, heads, True, cache=cache).data
+           for a, b in zip(bounds, bounds[1:])]
+    assert cache.rows == len(x0)
+    assert_close(np.concatenate(got), want, ATTENTION_TOL)
 
 
 @pytest.mark.parametrize("lengths, context", [([2, 2], None), ([3, 0, 2], None),

@@ -85,7 +85,7 @@ def test_binary_primitive_gradients(seed):
              (lambda *t: T.attention(*t, 2, True), [a, qkv, out_w]),
              (lambda x, w, o, c: T.attention(x, w, o, 2, False, context=c),
               [a, qkv, out_w, rand(rng, 5, 4)]),
-             (lambda x, w, o, c: T.attention(x, w, o, 1, True, context=c),
+             (lambda x, w, o, c: T.attention(x, w, o, 1, False, context=c),
               [a, qkv, out_w, rand(rng, 2, 4)]),
              (T.expert_mix, [a, *experts, T.softmax_last_dim(rand(rng, 3, 2))])]
     for op, args in fused:  # every input of each fused layer
@@ -226,6 +226,45 @@ def test_gather_rows_gradient_matches_add_at_byte_for_byte(rows, d, n, seed):
     want = np.zeros((rows, d))
     np.add.at(want, idx, g)
     assert x.grad.tobytes() == want.tobytes()
+
+
+def test_attention_cache_takes_untracked_rows_within_its_capacity():
+    rng = np.random.default_rng(0)
+    x, w, o = (Tensor(rng.normal(size=s)) for s in ((3, 4), (4, 12), (4, 4)))
+    cache = T.KVCache(2, 4, 2)
+    with T.fresh_tape() as tape:
+        T.attention(x, w, o, 2, True, cache=cache)
+        with T.no_grad():  # a trainable weight is fine when nothing records
+            T.attention(Tensor(np.ones((1, 4))), Tensor(w.data, requires_grad=True),
+                        o, 2, True, cache=cache)
+        assert cache.rows == 4
+        refused = [
+            (ContractError, lambda: T.attention(Tensor(np.ones((1, 4))), w, o, 2, True,
+                                                cache=cache)),  # past capacity
+            (ContractError, lambda: T.attention(Tensor(x.data, requires_grad=True), w,
+                                                o, 2, True, cache=T.KVCache(2, 4, 2))),
+            (ContractError, lambda: T.attention(x, w, Tensor(o.data, requires_grad=True),
+                                                2, True, cache=T.KVCache(2, 4, 2))),
+            (ContractError, lambda: T.attention(x, w, o, 2, False, context=x,
+                                                cache=T.KVCache(2, 4, 2))),
+            (ContractError, lambda: T.attention(x, w, o, 2, True, lengths=[3],
+                                                cache=T.KVCache(2, 4, 2))),
+            (ShapeError, lambda: T.attention(x, w, o, 2, True, cache=T.KVCache(1, 4, 4))),
+        ]
+        for error, call in refused:
+            with pytest.raises(error):
+                call()
+        assert len(tape) == 0 and cache.rows == 4
+
+
+def test_causal_attention_over_a_context_is_refused():
+    rng = np.random.default_rng(0)
+    x, w, o, c = (Tensor(rng.normal(size=s), requires_grad=True)
+                  for s in ((3, 4), (4, 12), (4, 4), (2, 4)))
+    with T.fresh_tape() as tape:
+        with pytest.raises(ContractError):
+            T.attention(x, w, o, 2, True, context=c)
+        assert len(tape) == 0
 
 
 def test_attention_context_must_match_the_model_dim():
