@@ -202,15 +202,11 @@ class OmniModel:
                               for p, t in zip(prompts, targets)])
         n_text = n_prompt + n_target
         seg = n_pre + n_text
-        which, pos = np.repeat(np.arange(b), seg), T.segment_positions(seg)
-        # packed row r is row order[r] of [prefixes; text rows]
-        pre_at = (np.cumsum(n_pre) - n_pre)[which]
-        text_at = (prefixes.shape[0] + np.cumsum(n_text) - n_text)[which]
-        n_pre_r = n_pre[which]
-        order = np.where(pos < n_pre_r, pre_at + pos, text_at + pos - n_pre_r)
-        rows = T.gather_rows(T.concat_rows(prefixes, self._text_rows(ids)), order)
+        rows = T.gather_rows(T.concat_rows(prefixes, self._text_rows(ids)),
+                             T.pack_order(n_pre, n_text))
         logits = self.backbone.logits(rows, seg)
-        scored = np.flatnonzero(pos >= n_pre_r + n_prompt[which])
+        scored = np.flatnonzero(T.segment_positions(seg)
+                                >= np.repeat(n_pre + n_prompt, seg))
         return nn.cross_entropy(logits, scored, np.concatenate(targets),
                                 np.repeat(1.0 / (b * n_target), n_target))
 

@@ -3,8 +3,10 @@ log-space reference, collapse rules, greedy decoding, and a
 path-enumeration brute-force oracle.
 
 Blank id is 0. The loss consumes log-probabilities (callers apply
-log_softmax). ``ctc_losses`` scores a batch of (log-probs, target) pairs
-as one tape node; ``ctc_loss`` is its one-sequence case.
+log_softmax). ``ctc_losses`` scores a batch of targets, each over a
+span of rows of one packed log-prob tensor, as one tape node; targets
+may share a span, as a preference pair's winner and loser do.
+``ctc_loss`` is its one-sequence case.
 
 Read backwards in time and in state, beta obeys alpha's recursion (stay,
 step from s-1, skip from s-2, with the skips of the reversed target).
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import (ConfigurationError, ContractError, DomainError,
-                     InfeasibleAlignmentError, OracleError)
+                     InfeasibleAlignmentError, OracleError, ShapeError)
 from .tensor import NEG_INF, Tensor
 
 BLANK = 0
@@ -258,20 +260,25 @@ class RescaledLattice:
         return _posterior(self._log_space(i), self.log_probs[i])
 
 
-def _ctc_node(pairs, shape) -> Tensor:
-    """The losses of ``pairs`` as one ``ctc_loss`` tape node of ``shape``."""
-    if not pairs:
+def _ctc_node(log_probs: Tensor, targets, spans, shape) -> Tensor:
+    """The losses of ``targets`` over their ``spans`` of ``log_probs`` as
+    one ``ctc_loss`` tape node of ``shape``."""
+    units = [_as_units(target) for target in targets]
+    spans = [(int(a), int(b)) for a, b in spans]
+    if not units:
         raise ContractError("ctc_losses: no sequences")
-    inputs = [log_probs for log_probs, _ in pairs]
-    units = [_as_units(target) for _, target in pairs]
-    for x, u in zip(inputs, units):
-        t_len, need = x.data.shape[0], min_frames(u)
+    rows = log_probs.data.shape[0]
+    if len(spans) != len(units) or any(not 0 <= a <= b <= rows for a, b in spans):
+        raise ShapeError(f"ctc_losses: {len(units)} targets over row spans "
+                         f"{spans} of {rows} rows")
+    for (a, b), u in zip(spans, units):
+        t_len, need = b - a, min_frames(u)
         if t_len < need:
             raise InfeasibleAlignmentError(need, t_len)
         if t_len == 0:
             raise DomainError("ctc_loss: zero frames")
-    lattice = RescaledLattice([x.data for x in inputs], units,
-                              beta=T.tracked(*inputs))
+    lattice = RescaledLattice([log_probs.data[a:b] for a, b in spans], units,
+                              beta=T.tracked(log_probs))
     no_path = np.flatnonzero(lattice.log_z == -np.inf)
     if no_path.size:
         i = no_path[0]
@@ -281,27 +288,27 @@ def _ctc_node(pairs, shape) -> Tensor:
 
     def bwd(g):
         g = np.reshape(g, -1)
-        grads = []
-        for i, x in enumerate(inputs):
-            grad = np.zeros(x.data.shape)
-            np.add.at(grad, (slice(None), lattice.ext[i]), lattice.posterior(i))
-            grads.append((x, -float(g[i]) * grad))
-        return grads
+        grad = np.zeros(log_probs.data.shape)
+        for i, (a, b) in enumerate(spans):
+            np.add.at(grad[a:b], (slice(None), lattice.ext[i]),
+                      lattice.posterior(i) * -float(g[i]))
+        return [(log_probs, grad)]
 
-    return T.record_custom("ctc_loss", out, bwd, *inputs)
+    return T.record_custom("ctc_loss", out, bwd, log_probs)
 
 
-def ctc_losses(pairs) -> Tensor:
-    """[B] -log sum over all alignments collapsing to each target, for
-    ``(log_probs, target)`` pairs, as one tape node whose backward gives
-    each ``log_probs`` the posterior of its lattice."""
-    pairs = list(pairs)
-    return _ctc_node(pairs, (len(pairs),))
+def ctc_losses(log_probs: Tensor, targets, spans) -> Tensor:
+    """[B] -log sum over all alignments collapsing to ``targets[i]`` under
+    rows ``spans[i] = (start, stop)`` of one packed ``log_probs``, as one
+    tape node. Targets may share a span. The backward adds each target's
+    lattice posterior into its rows of one gradient array."""
+    targets = list(targets)
+    return _ctc_node(log_probs, targets, spans, (len(targets),))
 
 
 def ctc_loss(log_probs: Tensor, target) -> Tensor:
-    """The scalar loss of one sequence: ``ctc_losses`` of one pair."""
-    return _ctc_node([(log_probs, target)], ())
+    """The scalar loss of one sequence over all rows of ``log_probs``."""
+    return _ctc_node(log_probs, [target], [(0, log_probs.data.shape[0])], ())
 
 
 # ---------------------------------------------------------------------------

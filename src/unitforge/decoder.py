@@ -2,9 +2,13 @@
 stack, and the two generation modes (AR next-unit prediction, NAR with
 CTC). Condition features are frozen-backbone hidden states supplied by
 the corpus; the text-guided module fuses them with ground-truth response
-text embeddings during training only. AR generation prefills once, then
-runs one row per step, each block's attention keeping the keys and values
-of earlier rows in its ``tensor.KVCache`` (``SpeechDecoder._ar_steps``).
+text embeddings during training only. A training batch runs as one
+packed forward (``SpeechDecoder.loss``): text fusion per record, then
+every later layer once over all rows, attention keeping each record's
+rows to themselves; a one-record loss is a batch of one. AR generation
+prefills once, then runs one row per step, each block's attention keeping
+the keys and values of earlier rows in its ``tensor.KVCache``
+(``SpeechDecoder._ar_steps``).
 """
 
 from __future__ import annotations
@@ -17,8 +21,7 @@ from . import nn
 from . import tensor as T
 from .checkpoint import (assign_parameters, expect_keys, load_checkpoint,
                          save_checkpoint)
-from .ctc import (UnitSequence, ctc_loss, ctc_losses, greedy_decode,
-                  min_frames)
+from .ctc import UnitSequence, ctc_losses, greedy_decode, min_frames
 from .data import UnitTextVocab, decode_f32, unit_error_rate
 from .errors import (ConfigurationError, ContractError, DataError,
                      GenerationCapError)
@@ -128,27 +131,56 @@ class SpeechDecoder:
             return self.tgm(x, self.txt_emb(np.asarray(text_tokens, dtype=np.int64)))
         return x
 
+    def _contexts(self, conds, texts=None):
+        """The contexts, each fused with its text if ``texts`` (one
+        ``_condition`` each), one after another, and their row counts."""
+        texts = [None] * len(conds) if texts is None else texts
+        if not len(conds) or len(texts) != len(conds):
+            raise ContractError(f"decoder: {len(conds)} contexts with "
+                                f"{len(texts)} texts (need one each, at least one)")
+        xs = [self._condition(c, text) for c, text in zip(conds, texts)]
+        rows = np.array([x.data.shape[0] for x in xs])
+        return (T.concat_rows(*xs) if len(xs) > 1 else xs[0]), rows
+
+    def loss(self, conds, units, texts=None) -> Tensor:
+        """Mean over a batch of each context's CTC loss (NAR) or
+        teacher-forced next-unit loss (AR) of its ``units``; with ``texts``,
+        each context is fused with its response text. One packed forward."""
+        if self.config.mode == "nar":
+            log_probs, frames = self.nar_forward(conds, texts)
+            ends = np.cumsum(frames)
+            return T.mean(ctc_losses(log_probs, units, zip(ends - frames, ends)))
+        return self._ntp_loss(conds, [list(u) for u in units], texts)
+
     # -- NAR ----------------------------------------------------------------
 
-    def nar_forward(self, cond, text_tokens=None) -> Tensor:
-        """[T_c, d] conditions -> [upsample*T_c, V_n] row-normalized log-probs."""
+    def nar_forward(self, conds, texts=None):
+        """Contexts ``[T_c, d]`` (with ``texts``, each fused with its token
+        list) -> their row-normalized log-probs ``[upsample*T_c, V_n]``, one
+        after another in one packed tensor, and each one's frame count.
+        Text fusion runs per context; every later layer runs once over all
+        frames, attention keeping each context's frames to themselves."""
         if self.config.mode != "nar":
             raise ContractError("nar_forward on an AR-mode decoder")
-        x = self._condition(cond, text_tokens)
-        x = self.moe(x)
-        x = T.repeat_rows(x, self.config.upsample)
-        x = self.pos(x)
+        x, rows = self._contexts(conds, texts)
+        frames = self.config.upsample * rows
+        packed = frames if len(frames) > 1 else None  # else one sequence
+        x = T.repeat_rows(self.moe(x), self.config.upsample)
+        x = self.pos(x, packed)
         for block in self.blocks:
-            x = block(x, causal=False)
-        return T.log_softmax_last_dim(self.head(self.ln_f(x)))
+            x = block(x, False, packed)
+        return T.log_softmax_last_dim(self.head(self.ln_f(x))), frames
 
     def nar_loss(self, cond, units, text_tokens=None) -> Tensor:
-        return ctc_loss(self.nar_forward(cond, text_tokens), units)
+        """The CTC loss of one context: ``loss`` of a batch of one."""
+        if self.config.mode != "nar":
+            raise ContractError("nar_loss on an AR-mode decoder")
+        return self.loss([cond], [units], _one(text_tokens))
 
     def nar_generate(self, cond) -> GenerationResult:
         """Greedy best-path decode; exactly one forward pass."""
         with T.no_grad():
-            log_probs = self.nar_forward(cond)  # TGM bypassed: no text
+            log_probs, _ = self.nar_forward([cond])  # TGM bypassed: no text
         units, _ = greedy_decode(log_probs)
         return GenerationResult(units=units, sequential_steps=1)
 
@@ -167,7 +199,8 @@ class SpeechDecoder:
         return logits, x.data.shape[0]
 
     def ar_forward(self, cond, prev_units, text_tokens=None) -> Tensor:
-        """Next-unit log-probs [V_a] given the emitted prefix."""
+        """Next-unit log-probs [V_a] given the emitted prefix: the uncached
+        full forward, the reference for ``_ar_steps``."""
         if self.config.mode != "ar":
             raise ContractError("ar_forward on a NAR-mode decoder")
         if len(prev_units) >= self.config.max_units:
@@ -178,31 +211,52 @@ class SpeechDecoder:
         row = T.gather_rows(logits, [logits.data.shape[0] - 1])
         return T.log_softmax_last_dim(row)
 
+    def _ntp_loss(self, conds, units, texts) -> Tensor:
+        """Mean over the batch of each sequence's mean next-unit loss over its
+        units and end-of-speech, teacher-forced: one causal packed forward
+        over each ``[in_proj(context); BOS; units]``, assembled as
+        ``alignment.OmniModel.lm_loss`` does. ``ln_f`` and the head run on
+        the scored rows only, each weighing 1/(B * (len(units) + 1))."""
+        x, n_ctx = self._contexts(conds, texts)
+        n_units = np.array([len(u) + 1 for u in units])  # BOS, then the units
+        seg = n_ctx + n_units
+        ids = np.concatenate([[AR_BOS, *u] for u in units])
+        seq = T.gather_rows(T.concat_rows(self.in_proj(x), self.unit_emb(ids)),
+                            T.pack_order(n_ctx, n_units))
+        seq = self.pos(seq, seg)
+        for block in self.blocks:
+            seq = block(seq, True, seg)
+        scored = np.flatnonzero(T.segment_positions(seg) >= np.repeat(n_ctx, seg))
+        logits = self.head(self.ln_f(T.gather_rows(seq, scored)))
+        return nn.cross_entropy(logits, np.arange(len(scored)),
+                                np.concatenate([[*u, self.eos_id] for u in units]),
+                                np.repeat(1.0 / (len(units) * n_units), n_units))
+
     def ntp_loss(self, cond, units, text_tokens=None) -> Tensor:
-        """Teacher-forced next-token loss over units plus end-of-speech."""
+        """Teacher-forced next-token loss over units plus end-of-speech:
+        ``loss`` of a batch of one."""
         if self.config.mode != "ar":
             raise ContractError("ntp_loss on a NAR-mode decoder")
-        units = list(units)
-        logits, offset = self._ar_logits(cond, units, text_tokens)
-        return nn.cross_entropy(logits, np.arange(offset, offset + len(units) + 1),
-                                units + [self.eos_id])
+        return self.loss([cond], [units], _one(text_tokens))
 
     def _ar_steps(self, cond):
         """Next-unit logits ``[V_a]`` after ``[context; BOS]``, then after
         each unit sent in: one causal forward over the prompt writes each
         block's key/value cache, then each unit runs only its own row
-        (``decode``). Untracked inputs only (``tensor.attention``)."""
+        through the blocks. Untracked inputs only (``tensor.attention``)."""
         x = self.in_proj(self._condition(cond))
         x = self.pos(T.concat_rows(x, self.unit_emb([AR_BOS])))
         caches = [block.attn.new_cache(self.pos.table.shape[0])
                   for block in self.blocks]
+        for block, cache in zip(self.blocks, caches):
+            x = block(x, True, cache=cache)
+        x = T.gather_rows(x, [x.shape[0] - 1])  # later steps are one row
         while True:
-            for block, cache in zip(self.blocks, caches):
-                x = block.decode(x, cache)
-            last = T.gather_rows(x, [x.shape[0] - 1])
-            nxt = yield self.head(self.ln_f(last)).data[0]
+            nxt = yield self.head(self.ln_f(x)).data[0]
             x = T.add(self.unit_emb([nxt]),
                       T.gather_rows(self.pos.table, [caches[0].rows]))
+            for block, cache in zip(self.blocks, caches):
+                x = block(x, True, cache=cache)
 
     def ar_generate(self, cond, max_len=None) -> GenerationResult:
         """Greedy decode of at most ``max_len`` (>= 1) units."""
@@ -260,15 +314,16 @@ class TrainSchedule:
     seed: int = 0
 
 
-def _text(decoder: SpeechDecoder, record: dict):
-    return record["text_a"] if decoder.config.tgm else None
+def _one(text_tokens):
+    return None if text_tokens is None else [text_tokens]
 
 
-def sample_loss(decoder: SpeechDecoder, record: dict, cond: np.ndarray) -> Tensor:
-    text = _text(decoder, record)
-    if decoder.config.mode == "nar":
-        return decoder.nar_loss(cond, record["units"], text)
-    return decoder.ntp_loss(cond, record["units"], text)
+def batch_loss(decoder: SpeechDecoder, records, conds) -> Tensor:
+    """The decoder's mean training loss (``SpeechDecoder.loss``) over
+    ``records`` and their contexts, each fused with its ``text_a`` if the
+    decoder has a text-guided module."""
+    texts = [rec["text_a"] for rec in records] if decoder.config.tgm else None
+    return decoder.loss(conds, [rec["units"] for rec in records], texts)
 
 
 def read_context(record: dict, config: SpeechDecoderConfig, capped=False):
@@ -328,11 +383,8 @@ def train_decoder(records, config: SpeechDecoderConfig,
     def loss_fn(step):
         idx = rng.choice(usable, size=min(schedule.batch, len(usable)),
                          replace=False)
-        if config.mode == "nar":  # the batch's forwards, then one CTC node
-            return T.mean(ctc_losses(
-                (decoder.nar_forward(conds[i], _text(decoder, records[i])),
-                 records[i]["units"]) for i in idx))
-        return T.mean(sample_loss(decoder, records[i], conds[i]) for i in idx)
+        return batch_loss(decoder, [records[i] for i in idx],
+                          [conds[i] for i in idx])
 
     curve = [(step, loss) for step, loss, _ in T.fit(
         decoder.parameters(), loss_fn, schedule.steps, schedule.lr,

@@ -112,8 +112,9 @@ class Mlp:
 
 
 class DecoderBlock:
-    """Pre-norm residual block; `causal` picks the attention mask and
-    `lengths` packs sequences (see ``tensor.attention``)."""
+    """Pre-norm residual block; `causal` picks the attention mask,
+    `lengths` packs sequences and `cache` holds the keys and values of
+    earlier rows (see ``tensor.attention``)."""
 
     def __init__(self, rng, d, heads):
         self.ln1 = LayerNorm(d)
@@ -121,15 +122,8 @@ class DecoderBlock:
         self.ln2 = LayerNorm(d)
         self.mlp = Mlp(rng, d)
 
-    def __call__(self, x, causal: bool, lengths=None):
-        x = T.add(x, self.attn(self.ln1(x), causal, lengths))
-        x = T.add(x, self.mlp(self.ln2(x)))
-        return x
-
-    def decode(self, x, cache: T.KVCache):
-        """The causal block on rows x that follow the rows whose keys and
-        values ``cache`` holds (none for a prompt); writes x's after them."""
-        x = T.add(x, self.attn(self.ln1(x), True, cache=cache))
+    def __call__(self, x, causal: bool, lengths=None, cache=None):
+        x = T.add(x, self.attn(self.ln1(x), causal, lengths, cache))
         return T.add(x, self.mlp(self.ln2(x)))
 
     def parameters(self, prefix):

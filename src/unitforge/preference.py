@@ -3,7 +3,10 @@ with a frozen reference decoder.
 
 The policy likelihood of a unit sequence is the CTC marginal of the NAR
 decoder's output distribution; the text-guided module is bypassed (no
-ground-truth text exists for preference rollouts).
+ground-truth text exists for preference rollouts). A training step is one
+packed ``nar_forward`` over its pairs' contexts and one CTC node; a
+scoring pass without gradients (the reference scores, each logging pass)
+is one such forward per ``SCORE_PAIRS`` pairs.
 """
 
 from __future__ import annotations
@@ -74,12 +77,13 @@ def pairs_from_records(records, config=None) -> list:
 
 def _log_likelihoods(model: SpeechDecoder, pairs) -> Tensor:
     """[2N] log-likelihoods, the winner's then the loser's of each pair,
-    off one forward pass per context and one CTC node for them all."""
-    scored = []
-    for pair in pairs:
-        log_probs = model.nar_forward(pair.context_features)
-        scored += [(log_probs, pair.y_w), (log_probs, pair.y_l)]
-    return T.scale(ctc_losses(scored), -1.0)
+    off one packed forward over the contexts and one CTC node, in which a
+    pair's winner and loser share their context's rows."""
+    log_probs, frames = model.nar_forward([pair.context_features for pair in pairs])
+    ends = np.cumsum(frames)
+    spans = [span for span in zip(ends - frames, ends) for _ in (0, 1)]
+    targets = [y for pair in pairs for y in (pair.y_w, pair.y_l)]
+    return T.scale(ctc_losses(log_probs, targets, spans), -1.0)
 
 
 def _assert_frozen(reference: SpeechDecoder):
@@ -87,10 +91,20 @@ def _assert_frozen(reference: SpeechDecoder):
         raise ContractError("reference decoder must be frozen for DPO")
 
 
+# A packed forward over many contexts builds arrays that outgrow the CPU
+# caches: one no-gradient pass over 64 pairs (d=64, 2 layers, BLAS on one
+# thread) took 69.9 ms in one forward, 55.0 ms in forwards of 16 pairs and
+# 58.2 ms in forwards of 8, against 62.8 ms one context at a time.
+SCORE_PAIRS = 16
+
+
 def _scores(model: SpeechDecoder, pairs) -> list:
-    """[(log p(y_w), log p(y_l))] per pair, scored without gradients."""
+    """[(log p(y_w), log p(y_l))] per pair, scored without gradients in
+    packed forwards of at most ``SCORE_PAIRS`` pairs."""
+    pairs = list(pairs)
     with T.no_grad():
-        ll = _log_likelihoods(model, pairs).data
+        ll = np.concatenate([_log_likelihoods(model, pairs[i:i + SCORE_PAIRS]).data
+                             for i in range(0, len(pairs), SCORE_PAIRS)])
     return list(zip(ll[0::2].tolist(), ll[1::2].tolist()))
 
 

@@ -361,15 +361,28 @@ def log_space_gradient(lp, y):
     return -grad
 
 
+def packed(cases):
+    """The log-probs of ``cases`` packed into one leaf, and their spans; a
+    narrower vocabulary is widened by -inf columns that no target reads."""
+    frames = np.array([len(lp) for lp, *_ in cases])
+    ends = np.cumsum(frames)
+    v = max(lp.shape[1] for lp, *_ in cases)
+    x = Tensor(np.concatenate([np.pad(lp, ((0, 0), (0, v - lp.shape[1])),
+                                      constant_values=-np.inf)
+                               for lp, *_ in cases]), requires_grad=True)
+    return x, list(zip(ends - frames, ends))
+
+
 def score(cases, grad=True):
     """Losses and gradients of ``cases`` scored in one node."""
-    xs = [Tensor(lp, requires_grad=True) for lp, *_ in cases]
+    x, spans = packed(cases)
     with T.fresh_tape():
-        losses = ctc_losses([(x, y) for x, (_, y, *_) in zip(xs, cases)])
+        losses = ctc_losses(x, [y for _, y, *_ in cases], spans)
         if not grad:
             return losses.data, None
         T.backward(T.tsum(losses))
-    return losses.data, [x.grad for x in xs]
+    return losses.data, [x.grad[a:b, :lp.shape[1]]
+                         for (a, b), (lp, *_) in zip(spans, cases)]
 
 
 @given(st.lists(node_case(), min_size=1, max_size=4))
@@ -410,14 +423,14 @@ def test_log_z_with_and_without_gradients_bit_identical():
     rng = np.random.default_rng(11)
     cases = [(random_lp(rng, t, 5), (1, 2, 2, 3)[:n]) for t, n in
              ((9, 4), (5, 2), (12, 3), (3, 0))]
-    xs = [Tensor(lp, requires_grad=True) for lp, _ in cases]
-    pairs = [(x, y) for x, (_, y) in zip(xs, cases)]
+    x, spans = packed(cases)
+    targets = [y for _, y in cases]
     with T.fresh_tape() as tape:
-        with_grad = ctc_losses(pairs).data
+        with_grad = ctc_losses(x, targets, spans).data
         assert len(tape) == 1 and tape.nodes[0].kind == "ctc_loss"
     with T.fresh_tape() as tape:
         with T.no_grad():
-            without = ctc_losses(pairs).data
+            without = ctc_losses(x, targets, spans).data
         assert len(tape) == 0
     assert np.array_equal(with_grad, without)
 
@@ -430,11 +443,11 @@ def no_path_case():
 
 @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
 def test_target_with_no_path_is_a_domain_error(grad):
-    ok = Tensor(uniform_lp(4, 3), requires_grad=True)
+    both, spans = packed([(uniform_lp(4, 3),), (no_path_case(),)])
     bad = Tensor(no_path_case(), requires_grad=True)
     with T.fresh_tape() as tape, nullcontext() if grad else T.no_grad():
         with pytest.raises(DomainError, match="sequence 1"):
-            ctc_losses([(ok, [2]), (bad, [1, 2])])
+            ctc_losses(both, [[2], [1, 2]], spans)
         with pytest.raises(DomainError, match="sequence 0"):
             ctc_loss(bad, [2])
     assert len(tape) == 0

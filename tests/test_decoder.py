@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import unitforge.nn as nn
 import unitforge.tensor as T
-from unitforge.ctc import UnitSequence
+from unitforge.ctc import UnitSequence, ctc_loss, min_frames
 from unitforge.data import CorpusSpec, decode_f32, gen_supervised_corpus
 from unitforge.decoder import (AR_BOS, SpeechDecoder, SpeechDecoderConfig,
-                               TrainSchedule, evaluate_uer, feasible,
+                               TrainSchedule, _one, evaluate_uer, feasible,
                                train_decoder)
 from unitforge.errors import (ConfigurationError, ContractError, DataError,
                               GenerationCapError)
@@ -54,25 +55,26 @@ def test_config_validation():
 def test_nar_output_shape_and_normalization():
     dec = tiny("nar")
     cond = cond_for(dec, t=4)
-    lp = dec.nar_forward(cond)
+    lp, frames = dec.nar_forward([cond])
     assert lp.data.shape == (4 * dec.config.upsample, dec.config.vocab_nar)
+    assert list(frames) == [4 * dec.config.upsample]
     assert np.abs(np.exp(lp.data).sum(axis=1) - 1.0).max() < 1e-9
 
 
 def test_nar_rejects_wrong_condition_shape():
     dec = tiny("nar")
     with pytest.raises(ContractError):
-        dec.nar_forward(np.zeros((4, 3)))
+        dec.nar_forward([np.zeros((4, 3))])
     with pytest.raises(ContractError):
-        dec.nar_forward(np.zeros((dec.config.max_context + 1,
-                                  dec.config.model_dim)))
+        dec.nar_forward([np.zeros((dec.config.max_context + 1,
+                                   dec.config.model_dim))])
 
 
 def test_mode_isolation():
     nar, ar = tiny("nar"), tiny("ar")
     cond = cond_for(nar)
     with pytest.raises(ContractError):
-        ar.nar_forward(cond)
+        ar.nar_forward([cond])
     with pytest.raises(ContractError):
         nar.ar_forward(cond, [])
     with pytest.raises(ContractError):
@@ -87,8 +89,8 @@ def test_tgm_changes_training_forward_only():
     rng = np.random.default_rng(1)
     dec.tgm.proj.w.data[:] = rng.normal(0.0, 0.5, dec.tgm.proj.w.data.shape)
     cond = cond_for(dec)
-    with_text = dec.nar_forward(cond, text_tokens=[0, 1, 2]).data
-    without = dec.nar_forward(cond).data
+    with_text = dec.nar_forward([cond], [[0, 1, 2]])[0].data
+    without = dec.nar_forward([cond])[0].data
     assert not np.allclose(with_text, without)
     # generation never sees text, so the fusion weights are irrelevant
     gen1 = dec.nar_generate(cond).units.units
@@ -102,7 +104,7 @@ def test_tgm_disabled_config_has_no_fusion_parameters():
     assert dec.tgm is None
     assert not any(name.startswith("tgm") for name in dec.parameters())
     cond = cond_for(dec)
-    dec.nar_forward(cond)  # no text path at all
+    dec.nar_forward([cond])  # no text path at all
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +235,62 @@ def test_ar_loss_parameter_gradients():
 
 
 # ---------------------------------------------------------------------------
+# packed batches against one record at a time
+
+
+def one_record_loss(dec, cond, units, text):
+    """One record through an unpacked forward: the CTC loss of its own
+    log-probs (NAR), or the teacher-forced loss of ``ar_forward``'s full
+    causal forward (AR)."""
+    if dec.config.mode == "nar":
+        return ctc_loss(dec.nar_forward([cond], _one(text))[0], units)
+    logits, start = dec._ar_logits(cond, units, text)
+    return nn.cross_entropy(logits, np.arange(start, start + len(units) + 1),
+                            [*units, dec.eos_id])
+
+
+def loss_and_grads(dec, build):
+    params = dec.parameters()
+    for p in params.values():
+        p.grad = None
+    with T.fresh_tape():
+        loss = build()
+        T.backward(loss)
+    return loss.item(), {k: p.grad for k, p in params.items()}
+
+
+@given(mode=st.sampled_from(["nar", "ar"]), tgm=st.booleans(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_packed_batch_loss_matches_the_mean_of_one_record_losses(mode, tgm, data):
+    # up to 8 contexts of 1-24 rows, 4 frames a row: 4-96 frames, so both
+    # attention layouts (one padded grid, a grid per length) are drawn
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    dec = tiny(mode, tgm=tgm, upsample=4, max_context=24, seed=seed)
+    rng = np.random.default_rng(seed)
+    for p in dec.parameters().values():  # off the zero-init TGM projection
+        p.data += rng.normal(0.0, 0.3, p.shape)
+    batch = []
+    for _ in range(data.draw(st.integers(1, 8), label="batch")):
+        cond = cond_for(dec, t=data.draw(st.integers(1, 24)), seed=seed + len(batch))
+        top = dec.config.vocab_nar if mode == "nar" else dec.eos_id
+        units = data.draw(st.lists(st.integers(1, top - 1),
+                                   max_size=dec.config.max_units - 1))
+        while mode == "nar" and min_frames(tuple(units)) > 4 * len(cond):
+            units.pop()
+        text = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=5)) \
+            if tgm else None
+        batch.append((cond, units, text))
+    conds, units, texts = zip(*batch)
+    got, got_grads = loss_and_grads(
+        dec, lambda: dec.loss(conds, units, texts if tgm else None))
+    want, want_grads = loss_and_grads(
+        dec, lambda: T.mean(one_record_loss(dec, *rec) for rec in batch))
+    assert abs(got - want) <= 1e-10
+    for k, g in got_grads.items():
+        assert np.abs(g - want_grads[k]).max() <= 1e-10, k
+
+
+# ---------------------------------------------------------------------------
 # persistence
 
 
@@ -244,8 +302,8 @@ def test_checkpoint_round_trip_generation_bit_identical(tmp_path):
     assert clone.config == dec.config
     for seed in range(10):
         cond = cond_for(dec, t=3, seed=seed)
-        a = dec.nar_forward(cond).data
-        b = clone.nar_forward(cond).data
+        a = dec.nar_forward([cond])[0].data
+        b = clone.nar_forward([cond])[0].data
         assert np.array_equal(a, b)
         assert dec.nar_generate(cond).units.units == \
             clone.nar_generate(cond).units.units

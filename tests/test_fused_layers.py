@@ -13,7 +13,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import unitforge.nn as nn
@@ -26,7 +26,7 @@ from unitforge.data import (AlignmentSpec, CorpusSpec, decode_f32,
                             gen_speech_text_corpus, gen_supervised_corpus,
                             write_jsonl)
 from unitforge.decoder import (AR_BOS, SpeechDecoder, SpeechDecoderConfig,
-                               sample_loss)
+                               batch_loss)
 from unitforge.errors import DataError, ShapeError
 from unitforge.tensor import Tensor
 
@@ -240,9 +240,18 @@ def test_attention_matches_per_head_composition(heads, dh, t, causal, seed):
     assert_close(qkv.grad, ref_qkv, ATTENTION_TOL)
 
 
-@given(heads=st.sampled_from([1, 2, 4]), lengths=st.lists(st.integers(1, 12),
-                                                         min_size=1, max_size=8),
+# one [B, Lmax] padded grid (4 lengths save 944 cells, under 3 * GRID_CELLS)
+# and a grid per length (2 lengths save 16464 cells)
+PADDED_GRID = [16, 18, 20, 22, 16, 18, 20, 22]
+PER_LENGTH_GRIDS = [28, 84, 56, 28]
+
+
+@given(heads=st.sampled_from([1, 2, 4]),
+       lengths=st.integers(1, 90).flatmap(
+           lambda top: st.lists(st.integers(1, top), min_size=1, max_size=8)),
        causal=st.booleans(), seed=st.integers(0, 2**31 - 1))
+@example(heads=2, lengths=PADDED_GRID, causal=True, seed=1)
+@example(heads=2, lengths=PER_LENGTH_GRIDS, causal=False, seed=2)
 @settings(max_examples=80, deadline=None)
 def test_packed_attention_matches_per_segment_calls(heads, lengths, causal, seed):
     rng = np.random.default_rng(seed)
@@ -262,6 +271,23 @@ def test_packed_attention_matches_per_segment_calls(heads, lengths, causal, seed
     assert_close(x.grad, np.concatenate([seg.grad for seg in segs]), ATTENTION_TOL)
     assert_close(qkv.grad, qkvr.grad, ATTENTION_TOL)
     assert_close(o.grad, orr.grad, ATTENTION_TOL)
+
+
+@pytest.mark.parametrize("lengths, grids", [
+    (PADDED_GRID, [(0, 8, 22, "padded")]),
+    (PER_LENGTH_GRIDS, [(0, 2, 28, None), (56, 1, 56, None), (112, 1, 84, None)]),
+    ([5, 5, 5], [(0, 3, 5, None)]),
+], ids=["padded", "per-length", "one-length"])
+def test_attention_lays_segments_out_by_the_packing_rule(lengths, grids):
+    order, got = T._layout(np.array(lengths), sum(lengths))
+    assert [(*g[:3], g[3] and "padded") for g in got] == grids
+    # per-length grids read the rows in length order; the others as they are
+    if len(got) == 1:
+        assert order is None
+    else:
+        starts = np.cumsum(lengths) - lengths
+        assert order.tolist() == [starts[i] + r for i in np.argsort(lengths, kind="stable")
+                                  for r in range(lengths[i])]
 
 
 @given(heads=st.integers(1, 4), dh=st.integers(1, 3), prompt=st.integers(1, 8),
@@ -383,8 +409,8 @@ def decoder_step_loss(mode):
     decoder = SpeechDecoder(SpeechDecoderConfig(
         mode=mode, layers=2, experts=2, model_dim=spec.feature_dim, heads=2,
         vocab_nar=spec.vocab_nar, upsample=spec.upsample, max_context=32, seed=0))
-    return lambda: T.mean(sample_loss(decoder, r, decode_f32(r["features"]))
-                          for r in records)
+    return lambda: batch_loss(decoder, records,
+                              [decode_f32(r["features"]) for r in records])
 
 
 def align_one_step_loss(batch=32):
@@ -396,7 +422,7 @@ def align_one_step_loss(batch=32):
     return lambda: STAGE_LOSSES["I"](model, records)
 
 
-@pytest.mark.parametrize("case, budget", [("nar", 240), ("ar", 224), ("alignI", 15)],
+@pytest.mark.parametrize("case, budget", [("nar", 60), ("ar", 60), ("alignI", 15)],
                          ids=["nar", "ar", "alignI"])
 def test_training_step_stays_within_its_node_budget(case, budget):
     step_loss = align_one_step_loss() if case == "alignI" else decoder_step_loss(case)
@@ -453,10 +479,16 @@ def per_head_layout(params, heads):
 
 def per_op_layers(monkeypatch):
     """Route the layers through the reference compositions."""
-    def attention(self, x, causal, lengths=None):  # decoders pack nothing
+    def attention(self, x, causal, lengths=None, cache=None):
+        # no cache: the reference runs full forwards; packed segments one
+        # at a time
+        assert cache is None
         wq, wk, wv = [[Tensor(w) for w in part]
                       for part in split_qkv(self.qkv.data, self.heads)]
-        return ref_attention(x, wq, wk, wv, self.out, causal)
+        bounds = np.cumsum([0, *([len(x.data)] if lengths is None else lengths)])
+        return T.concat_rows(*[
+            ref_attention(T.gather_rows(x, np.arange(a, b)), wq, wk, wv,
+                          self.out, causal) for a, b in zip(bounds, bounds[1:])])
 
     def moe(self, x):
         return ref_expert_mix(x, self.router.w, [
@@ -497,7 +529,7 @@ def test_fused_decoder_generates_as_the_per_op_layers(monkeypatch, mode):
     def generate(cond, cached):
         with T.no_grad():
             if mode == "nar":
-                return decoder.nar_generate(cond).units, decoder.nar_forward(cond).data
+                return decoder.nar_generate(cond).units, decoder.nar_forward([cond])[0].data
             units = (decoder.ar_generate(cond, max_len=6).units if cached
                      else greedy_full_forwards(cond, max_len=6))
             return units, decoder.ar_forward(cond, list(units.units)).data

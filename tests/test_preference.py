@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import unitforge.tensor as T
 from unitforge.ctc import ctc_loss
@@ -11,6 +13,7 @@ from unitforge.data import CorpusSpec, gen_preference_corpus
 from unitforge.decoder import SpeechDecoder, SpeechDecoderConfig
 from unitforge.errors import ContractError
 from unitforge.preference import (DpoConfig, DpoSchedule, PreferencePair,
+                                  _dpo_loss, _log_likelihoods, _scores,
                                   ctc_dpo_loss, pair_margin,
                                   pairs_from_records, preference_accuracy,
                                   train_dpo)
@@ -98,6 +101,31 @@ def test_loss_is_softplus_of_negative_scaled_margin():
         assert loss.item() == pytest.approx(expected, abs=1e-9)
 
 
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_packed_log_likelihoods_match_one_pair_at_a_time(data):
+    # 1-20 pairs of 1-24-row contexts (4 frames a row): both attention
+    # layouts, and scoring passes of more than SCORE_PAIRS pairs
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    policy = tiny_decoder(upsample=4, max_context=24, seed=seed)
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(data.draw(st.integers(1, 20), label="pairs")):
+        t = data.draw(st.integers(1, 24))
+        y_w, y_l = (data.draw(st.lists(st.integers(1, 11), max_size=t))
+                    for _ in range(2))
+        if y_w != y_l:
+            pairs.append(PreferencePair(rng.normal(0.0, 1.0, (t, TINY["model_dim"])),
+                                        y_w, y_l, "sad"))
+    if not pairs:
+        return
+    with T.no_grad():
+        packed = _log_likelihoods(policy, pairs).data
+        alone = np.concatenate([_log_likelihoods(policy, [p]).data for p in pairs])
+    assert np.abs(packed - alone).max() <= 1e-12
+    assert np.abs(np.ravel(_scores(policy, pairs)) - alone).max() <= 1e-12
+
+
 def test_margin_sign_convention():
     # raising the policy's winner likelihood must move the margin off zero
     policy = tiny_decoder()
@@ -108,7 +136,7 @@ def test_margin_sign_convention():
                  if not k.startswith(("tgm.", "txt."))}
     opt = AdamW(trainable, lr=1e-2)
     with T.fresh_tape():
-        nll = ctc_loss(policy.nar_forward(pair.context_features), pair.y_w)
+        nll = ctc_loss(policy.nar_forward([pair.context_features])[0], pair.y_w)
         opt.zero_grad()
         T.backward(nll)
         opt.step()
@@ -207,7 +235,8 @@ def test_train_dpo_improves_margin_and_accuracy():
 def uncached_train_dpo(policy, reference, pairs, config, schedule):
     """The DPO loop that re-scored the reference at every step and logged
     through ``pair_margin`` and ``preference_accuracy``; the reference
-    for ``train_dpo``'s cached scoring."""
+    for ``train_dpo``'s cached scoring. Each step's loss is the trainer's
+    batch call."""
     params = {k: v for k, v in policy.parameters().items()
               if not k.startswith(("tgm.", "txt."))}
     opt = AdamW(params, lr=schedule.lr)
@@ -217,11 +246,8 @@ def uncached_train_dpo(policy, reference, pairs, config, schedule):
         T.reset_tape()
         idx = rng.choice(len(pairs), size=min(schedule.batch, len(pairs)),
                          replace=False)
-        loss = None
-        for i in idx:
-            term = ctc_dpo_loss(policy, reference, pairs[i], config.beta)
-            loss = term if loss is None else T.add(loss, term)
-        loss = T.scale(loss, 1.0 / len(idx))
+        batch = [pairs[i] for i in idx]
+        loss = _dpo_loss(policy, batch, _scores(reference, batch), config.beta)
         opt.zero_grad()
         T.backward(loss)
         lr = warmup_lr(schedule.lr, step + 1, schedule.steps,

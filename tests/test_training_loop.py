@@ -12,7 +12,7 @@ from unitforge.data import (AlignmentSpec, CorpusSpec, decode_f32, encode_f32,
                             gen_image_text_corpus, gen_instruct_corpus,
                             gen_speech_text_corpus, gen_supervised_corpus)
 from unitforge.decoder import (SpeechDecoder, SpeechDecoderConfig,
-                               TrainSchedule, feasible, sample_loss,
+                               TrainSchedule, batch_loss, feasible,
                                train_decoder)
 from unitforge.errors import DomainError
 from unitforge.tensor import AdamW, warmup_lr
@@ -30,7 +30,8 @@ def decoder_config(mode):
 
 
 # ---------------------------------------------------------------------------
-# the hand-written loops that ``fit`` replaced
+# the hand-written loops that ``fit`` replaced; each builds a step's loss
+# through the trainer's own batch call, so they test the loop mechanics
 
 
 def loop_train_decoder(records, config, schedule):
@@ -46,11 +47,8 @@ def loop_train_decoder(records, config, schedule):
         T.reset_tape()
         idx = rng.choice(usable, size=min(schedule.batch, len(usable)),
                          replace=False)
-        loss = None
-        for i in idx:
-            term = sample_loss(decoder, records[i], conds[i])
-            loss = term if loss is None else T.add(loss, term)
-        loss = T.scale(loss, 1.0 / len(idx))
+        loss = batch_loss(decoder, [records[i] for i in idx],
+                          [conds[i] for i in idx])
         opt.zero_grad()
         T.backward(loss)
         opt.step(lr=warmup_lr(schedule.lr, step + 1, schedule.steps,
