@@ -181,34 +181,19 @@ class OmniModel:
         ``prompts[i]`` (not scored; default none).
 
         ``prefixes`` holds the prefixes one after another, ``lengths[i]``
-        rows each. The batch runs as one packed forward: every row-wise op
+        rows each. The batch runs as one packed forward, laid out by
+        ``nn.lm_layout`` as the AR speech decoder's is: every row-wise op
         sees all rows at once and attention keeps each sequence to its own
         rows. Each scored token weighs 1/(B * len(targets[i])).
         """
-        b = len(targets)
-        prompts = [()] * b if prompts is None else prompts
-        n_pre = np.asarray(lengths, dtype=np.int64)
-        n_prompt = np.array([len(p) for p in prompts], dtype=np.int64)
-        n_target = np.array([len(t) for t in targets], dtype=np.int64)
-        if (not b or n_pre.shape != (b,) or len(prompts) != b or n_pre.min() < 1
-                or n_pre.sum() != prefixes.shape[0] or n_target.min() < 1):
-            raise ContractError(f"lm_loss: {b} targets and {len(prompts)} "
-                                f"prompts, prefix lengths {n_pre.tolist()} for "
-                                f"{prefixes.shape[0]} rows (prefixes and targets "
-                                f"must be non-empty)")
-        # after its prefix each sequence reads the separator, which emits
-        # the first text token, then its text but the last token
-        ids = np.concatenate([[self.vocab.sep, *p, *t][:-1]
-                              for p, t in zip(prompts, targets)])
-        n_text = n_prompt + n_target
-        seg = n_pre + n_text
-        rows = T.gather_rows(T.concat_rows(prefixes, self._text_rows(ids)),
-                             T.pack_order(n_pre, n_text))
-        logits = self.backbone.logits(rows, seg)
-        scored = np.flatnonzero(T.segment_positions(seg)
-                                >= np.repeat(n_pre + n_prompt, seg))
-        return nn.cross_entropy(logits, scored, np.concatenate(targets),
-                                np.repeat(1.0 / (b * n_target), n_target))
+        lay = nn.lm_layout(lengths, self.vocab.sep, targets, prompts)
+        if np.sum(lengths) != prefixes.shape[0]:
+            raise ContractError(f"lm_loss: prefix lengths {list(lengths)} for "
+                                f"{prefixes.shape[0]} rows")
+        rows = T.gather_rows(T.concat_rows(prefixes, self._text_rows(lay.ids)),
+                             lay.order)
+        logits = self.backbone.logits(rows, lay.lengths)
+        return nn.cross_entropy(logits, lay.scored, lay.targets, lay.weights)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ the corpus; the text-guided module fuses them with ground-truth response
 text embeddings during training only. A training batch runs as one
 packed forward (``SpeechDecoder.loss``): text fusion per record, then
 every later layer once over all rows, attention keeping each record's
-rows to themselves; a one-record loss is a batch of one. AR generation
-prefills once, then runs one row per step, each block's attention keeping
-the keys and values of earlier rows in its ``tensor.KVCache``
-(``SpeechDecoder._ar_steps``).
+rows to themselves; a one-record loss is a batch of one. The AR decoder
+is a causal LM over each ``[context; BOS; units]``, laid out by
+``nn.lm_layout`` as the alignment backbone's LM is; ``_ar_hidden`` runs
+it for the loss, ``ar_forward`` and the generation prefill, after which
+each step runs one row, each block's attention keeping the keys and
+values of earlier rows in its ``tensor.KVCache`` (``_ar_steps``).
 """
 
 from __future__ import annotations
@@ -115,30 +117,22 @@ class SpeechDecoder:
 
     # -- conditioning -------------------------------------------------------
 
-    def _condition(self, cond, text_tokens=None) -> Tensor:
-        x = cond if isinstance(cond, Tensor) else Tensor(np.asarray(cond))
-        if x.data.ndim != 2 or x.data.shape[1] != self.config.model_dim:
-            raise ContractError(
-                f"condition features must be [T_c, {self.config.model_dim}], "
-                f"got {x.data.shape}"
-            )
-        if x.data.shape[0] > self.config.max_context:
-            raise ContractError(
-                f"context length {x.data.shape[0]} exceeds cap "
-                f"{self.config.max_context}"
-            )
-        if self.tgm is not None and text_tokens is not None:
-            return self.tgm(x, self.txt_emb(np.asarray(text_tokens, dtype=np.int64)))
-        return x
-
     def _contexts(self, conds, texts=None):
-        """The contexts, each fused with its text if ``texts`` (one
-        ``_condition`` each), one after another, and their row counts."""
+        """The contexts ``[T_c, d]``, each fused with its text if ``texts``,
+        one after another, and their row counts."""
         texts = [None] * len(conds) if texts is None else texts
         if not len(conds) or len(texts) != len(conds):
             raise ContractError(f"decoder: {len(conds)} contexts with "
                                 f"{len(texts)} texts (need one each, at least one)")
-        xs = [self._condition(c, text) for c, text in zip(conds, texts)]
+        d, cap, xs = self.config.model_dim, self.config.max_context, []
+        for cond, text in zip(conds, texts):
+            x = cond if isinstance(cond, Tensor) else Tensor(np.asarray(cond))
+            if x.data.ndim != 2 or x.data.shape[1] != d or x.data.shape[0] > cap:
+                raise ContractError(f"condition features must be [T_c <= {cap}, "
+                                    f"{d}], got {x.data.shape}")
+            if self.tgm is not None and text is not None:
+                x = self.tgm(x, self.txt_emb(np.asarray(text, dtype=np.int64)))
+            xs.append(x)
         rows = np.array([x.data.shape[0] for x in xs])
         return (T.concat_rows(*xs) if len(xs) > 1 else xs[0]), rows
 
@@ -146,11 +140,18 @@ class SpeechDecoder:
         """Mean over a batch of each context's CTC loss (NAR) or
         teacher-forced next-unit loss (AR) of its ``units``; with ``texts``,
         each context is fused with its response text. One packed forward."""
+        if len(units) != len(conds):
+            raise ContractError(f"decoder loss: {len(conds)} contexts with "
+                                f"{len(units)} unit sequences (need one each)")
         if self.config.mode == "nar":
             log_probs, frames = self.nar_forward(conds, texts)
             ends = np.cumsum(frames)
             return T.mean(ctc_losses(log_probs, units, zip(ends - frames, ends)))
-        return self._ntp_loss(conds, [list(u) for u in units], texts)
+        # ln_f and the head run on the scored rows only
+        hidden, lay = self._ar_hidden(conds, units, texts)
+        logits = self.head(self.ln_f(T.gather_rows(hidden, lay.scored)))
+        return nn.cross_entropy(logits, np.arange(len(lay.scored)), lay.targets,
+                                lay.weights)
 
     # -- NAR ----------------------------------------------------------------
 
@@ -171,12 +172,6 @@ class SpeechDecoder:
             x = block(x, False, packed)
         return T.log_softmax_last_dim(self.head(self.ln_f(x))), frames
 
-    def nar_loss(self, cond, units, text_tokens=None) -> Tensor:
-        """The CTC loss of one context: ``loss`` of a batch of one."""
-        if self.config.mode != "nar":
-            raise ContractError("nar_loss on an AR-mode decoder")
-        return self.loss([cond], [units], _one(text_tokens))
-
     def nar_generate(self, cond) -> GenerationResult:
         """Greedy best-path decode; exactly one forward pass."""
         with T.no_grad():
@@ -186,70 +181,46 @@ class SpeechDecoder:
 
     # -- AR -----------------------------------------------------------------
 
-    def _ar_logits(self, cond, prev_units, text_tokens=None):
-        """Full causal forward; returns (logits, first unit-position row)."""
-        x = self._condition(cond, text_tokens)
-        x = self.in_proj(x)
-        ids = np.concatenate(([AR_BOS], np.asarray(prev_units, dtype=np.int64)))
-        seq = T.concat_rows(x, self.unit_emb(ids))
-        seq = self.pos(seq)
-        for block in self.blocks:
-            seq = block(seq, causal=True)
-        logits = self.head(self.ln_f(seq))
-        return logits, x.data.shape[0]
+    def _ar_hidden(self, conds, units, texts=None, caches=None):
+        """Each ``[in_proj(context); BOS; units]`` through the blocks as one
+        causal packed forward: the hidden rows before ``ln_f``, and the
+        ``nn.lm_layout``, whose scored rows predict the units, then
+        end-of-speech. With ``caches`` (one context, untracked) the blocks
+        run without lengths and keep its keys and values for later rows."""
+        x, n_ctx = self._contexts(conds, texts)
+        lay = nn.lm_layout(n_ctx, AR_BOS, [[*u, self.eos_id] for u in units])
+        seq = T.concat_rows(self.in_proj(x), self.unit_emb(lay.ids))
+        lengths = None if caches else lay.lengths
+        if lengths is not None:  # one cached sequence is in pack order
+            seq = T.gather_rows(seq, lay.order)
+        seq = self.pos(seq, lengths)
+        for block, cache in zip(self.blocks, caches or [None] * len(self.blocks)):
+            seq = block(seq, True, lengths, cache)
+        return seq, lay
 
     def ar_forward(self, cond, prev_units, text_tokens=None) -> Tensor:
-        """Next-unit log-probs [V_a] given the emitted prefix: the uncached
-        full forward, the reference for ``_ar_steps``."""
+        """Next-unit log-probs ``[1, V_a]`` given the emitted prefix: a batch
+        of one through the uncached full forward, the reference for
+        ``_ar_steps``."""
         if self.config.mode != "ar":
             raise ContractError("ar_forward on a NAR-mode decoder")
         if len(prev_units) >= self.config.max_units:
             raise GenerationCapError(
                 f"prefix length {len(prev_units)} >= cap {self.config.max_units}"
             )
-        logits, _ = self._ar_logits(cond, prev_units, text_tokens)
-        row = T.gather_rows(logits, [logits.data.shape[0] - 1])
-        return T.log_softmax_last_dim(row)
-
-    def _ntp_loss(self, conds, units, texts) -> Tensor:
-        """Mean over the batch of each sequence's mean next-unit loss over its
-        units and end-of-speech, teacher-forced: one causal packed forward
-        over each ``[in_proj(context); BOS; units]``, assembled as
-        ``alignment.OmniModel.lm_loss`` does. ``ln_f`` and the head run on
-        the scored rows only, each weighing 1/(B * (len(units) + 1))."""
-        x, n_ctx = self._contexts(conds, texts)
-        n_units = np.array([len(u) + 1 for u in units])  # BOS, then the units
-        seg = n_ctx + n_units
-        ids = np.concatenate([[AR_BOS, *u] for u in units])
-        seq = T.gather_rows(T.concat_rows(self.in_proj(x), self.unit_emb(ids)),
-                            T.pack_order(n_ctx, n_units))
-        seq = self.pos(seq, seg)
-        for block in self.blocks:
-            seq = block(seq, True, seg)
-        scored = np.flatnonzero(T.segment_positions(seg) >= np.repeat(n_ctx, seg))
-        logits = self.head(self.ln_f(T.gather_rows(seq, scored)))
-        return nn.cross_entropy(logits, np.arange(len(scored)),
-                                np.concatenate([[*u, self.eos_id] for u in units]),
-                                np.repeat(1.0 / (len(units) * n_units), n_units))
-
-    def ntp_loss(self, cond, units, text_tokens=None) -> Tensor:
-        """Teacher-forced next-token loss over units plus end-of-speech:
-        ``loss`` of a batch of one."""
-        if self.config.mode != "ar":
-            raise ContractError("ntp_loss on a NAR-mode decoder")
-        return self.loss([cond], [units], _one(text_tokens))
+        hidden, _ = self._ar_hidden([cond], [prev_units],
+                                    None if text_tokens is None else [text_tokens])
+        last = T.gather_rows(hidden, [hidden.shape[0] - 1])
+        return T.log_softmax_last_dim(self.head(self.ln_f(last)))
 
     def _ar_steps(self, cond):
         """Next-unit logits ``[V_a]`` after ``[context; BOS]``, then after
         each unit sent in: one causal forward over the prompt writes each
         block's key/value cache, then each unit runs only its own row
         through the blocks. Untracked inputs only (``tensor.attention``)."""
-        x = self.in_proj(self._condition(cond))
-        x = self.pos(T.concat_rows(x, self.unit_emb([AR_BOS])))
         caches = [block.attn.new_cache(self.pos.table.shape[0])
                   for block in self.blocks]
-        for block, cache in zip(self.blocks, caches):
-            x = block(x, True, cache=cache)
+        x, _ = self._ar_hidden([cond], [[]], caches=caches)
         x = T.gather_rows(x, [x.shape[0] - 1])  # later steps are one row
         while True:
             nxt = yield self.head(self.ln_f(x)).data[0]
@@ -312,10 +283,6 @@ class TrainSchedule:
     warmup_ratio: float = 0.3
     weight_decay: float = 0.0
     seed: int = 0
-
-
-def _one(text_tokens):
-    return None if text_tokens is None else [text_tokens]
 
 
 def batch_loss(decoder: SpeechDecoder, records, conds) -> Tensor:

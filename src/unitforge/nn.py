@@ -9,17 +9,22 @@ output projection starts at zero so the fused path is exactly the
 identity until trained. Attention (self and cross), biased Linear,
 LayerNorm, the expert mix and the cross-entropy are one tape node each
 (see ``tensor``); an embedding is a row gather of its table.
+``lm_layout`` lays out a causal-LM batch for the alignment backbone and
+the AR speech decoder alike.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, ContractError, ShapeError
 from .tensor import Tensor
+
+EMBED_STD = 0.02  # std of the token and positional embedding draws
 
 
 def _normal(rng, d_in, d_out):
@@ -51,8 +56,8 @@ class Linear:
 
 
 class Embedding:
-    def __init__(self, rng, vocab, d, scale=0.02):
-        self.table = Tensor(rng.normal(0.0, scale, (vocab, d)), requires_grad=True)
+    def __init__(self, rng, vocab, d):
+        self.table = Tensor(rng.normal(0.0, EMBED_STD, (vocab, d)), requires_grad=True)
 
     def __call__(self, ids):
         return T.gather_rows(self.table, ids)
@@ -98,9 +103,9 @@ class SelfAttention:
 
 
 class Mlp:
-    def __init__(self, rng, d, widen=4):
-        self.fc1 = Linear(rng, d, widen * d)
-        self.fc2 = Linear(rng, widen * d, d)
+    def __init__(self, rng, d):
+        self.fc1 = Linear(rng, d, 4 * d)
+        self.fc2 = Linear(rng, 4 * d, d)
 
     def __call__(self, x):
         return self.fc2(T.relu(self.fc1(x)))
@@ -197,8 +202,9 @@ class TextGuidedModule:
 
 
 class PositionalEmbedding:
-    def __init__(self, rng, max_len, d, scale=0.02):
-        self.table = Tensor(rng.normal(0.0, scale, (max_len, d)), requires_grad=True)
+    def __init__(self, rng, max_len, d):
+        self.table = Tensor(rng.normal(0.0, EMBED_STD, (max_len, d)),
+                            requires_grad=True)
 
     def __call__(self, x, lengths=None):
         """``x`` plus each row's position, counted from 0 in each packed
@@ -208,6 +214,43 @@ class PositionalEmbedding:
 
     def parameters(self, prefix):
         return {f"{prefix}.table": self.table}
+
+
+LmLayout = namedtuple("LmLayout", "ids order lengths scored targets weights")
+
+
+def lm_layout(prefix_lengths, start, targets, prompts=None) -> LmLayout:
+    """The packed layout of a causal-LM batch. Sequence i is its
+    ``prefix_lengths[i]`` prefix rows, the token ``start``, ``prompts[i]``
+    (unscored; default none) and ``targets[i]`` but its last token; the
+    rows from the last of ``start`` and the prompt on predict ``targets[i]``.
+
+    Returns the token ``ids`` after the prefixes; the ``order`` that takes
+    rows ``[prefixes; embedded ids]`` to the sequences, one after another,
+    of ``lengths`` rows; the ``scored`` rows, the concatenated ``targets``
+    and ``weights`` 1/(B * len(targets[i])), so a weighted loss is the mean
+    of the per-sequence means. An empty batch, prefix or target, or other
+    than one prefix and prompt per target, is a ``ContractError``."""
+    b = len(targets)
+    prompts = [()] * b if prompts is None else prompts
+    n_pre = [int(n) for n in prefix_lengths]
+    if (not b or len(n_pre) != b or len(prompts) != b or min(n_pre) < 1
+            or min(len(t) for t in targets) < 1):
+        raise ContractError(f"lm_layout: {b} targets, {len(prompts)} prompts and "
+                            f"prefix lengths {n_pre}")
+    ids, order, lengths, scored, weights = [], [], [], [], []
+    pre_at, text_at = 0, sum(n_pre)  # next prefix row, next id row
+    for n, p, t in zip(n_pre, prompts, targets):
+        text = [start, *p, *t][:-1]
+        first = len(order) + n + len(p)  # the row that predicts t[0]
+        scored += range(first, first + len(t))
+        weights += [1.0 / (b * len(t))] * len(t)
+        order += [*range(pre_at, pre_at + n), *range(text_at, text_at + len(text))]
+        ids += text
+        lengths.append(n + len(text))
+        pre_at, text_at = pre_at + n, text_at + len(text)
+    return LmLayout(np.array(ids, dtype=np.int64), np.array(order), np.array(lengths),
+                    np.array(scored), np.concatenate(targets), np.array(weights))
 
 
 def cross_entropy(logits, rows, targets, weights=None) -> Tensor:

@@ -386,19 +386,6 @@ def segment_positions(lengths) -> np.ndarray:
     return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
-def pack_order(heads, tails) -> np.ndarray:
-    """The row order that packs ``[head_i; tail_i]`` for each i one after
-    another, from rows laid out as all heads, then all tails, where head i
-    has ``heads[i]`` rows and tail i ``tails[i]``."""
-    heads, tails = np.asarray(heads), np.asarray(tails)
-    seg = heads + tails
-    which, pos = np.repeat(np.arange(len(seg)), seg), segment_positions(seg)
-    head_at = (np.cumsum(heads) - heads)[which]
-    tail_at = (heads.sum() + np.cumsum(tails) - tails)[which]
-    n_head = heads[which]
-    return np.where(pos < n_head, head_at + pos, tail_at + pos - n_head)
-
-
 class KVCache:
     """Keys and values of the rows one attention has seen, for inference:
     ``[heads, capacity, dh]`` buffers whose first ``rows`` rows are filled."""
@@ -746,14 +733,13 @@ def check_parameter_gradients(loss_fn, params: dict, h: float = 1e-5) -> float:
 class AdamW:
     """Decoupled-weight-decay Adam over a named parameter dict."""
 
-    def __init__(self, params: dict, lr: float, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict, lr: float, weight_decay: float = 0.0):
         if lr <= 0:
             raise ContractError("AdamW: lr must be > 0")
         self.params = dict(params)
         self.lr = float(lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = float(weight_decay)
         self.t = 0
         self.state = {

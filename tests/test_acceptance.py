@@ -118,10 +118,10 @@ def test_composite_model_gradients_to_1e3():
     cond = rng.normal(0.0, 1.0, (3, 8))
 
     assert check_parameter_gradients(
-        lambda: nar.nar_loss(cond, [1, 2], text_tokens=[0, 1]),
+        lambda: nar.loss([cond], [[1, 2]], [[0, 1]]),
         nar.parameters()) < 1e-3
     assert check_parameter_gradients(
-        lambda: ar.ntp_loss(cond, [2, 3], text_tokens=[0, 1]),
+        lambda: ar.loss([cond], [[2, 3]], [[0, 1]]),
         ar.parameters()) < 1e-3
 
     reference = SpeechDecoder(SpeechDecoderConfig(

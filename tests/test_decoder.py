@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import unitforge.nn as nn
 import unitforge.tensor as T
 from unitforge.ctc import UnitSequence, ctc_loss, min_frames
 from unitforge.data import CorpusSpec, decode_f32, gen_supervised_corpus
 from unitforge.decoder import (AR_BOS, SpeechDecoder, SpeechDecoderConfig,
-                               TrainSchedule, _one, evaluate_uer, feasible,
+                               TrainSchedule, evaluate_uer, feasible,
                                train_decoder)
 from unitforge.errors import (ConfigurationError, ContractError, DataError,
                               GenerationCapError)
@@ -79,8 +78,17 @@ def test_mode_isolation():
         nar.ar_forward(cond, [])
     with pytest.raises(ContractError):
         nar.ar_generate(cond)
-    with pytest.raises(ContractError):
-        nar.ntp_loss(cond, [1])
+
+
+@pytest.mark.parametrize("mode", ["nar", "ar"])
+@pytest.mark.parametrize("n_units, n_texts", [(1, 3), (2, 3), (4, 3), (3, 2)])
+def test_loss_rejects_a_mismatched_batch_before_any_forward(mode, n_units, n_texts):
+    dec = tiny(mode)
+    conds = [cond_for(dec, seed=i) for i in range(3)]
+    with T.fresh_tape():
+        with pytest.raises(ContractError):
+            dec.loss(conds, [[1, 2]] * n_units, [[0, 1]] * n_texts)
+        assert len(T._ACTIVE_TAPE) == 0  # no forward ran
 
 
 def test_tgm_changes_training_forward_only():
@@ -190,20 +198,23 @@ def test_ar_forward_cap_errors():
 
 
 def test_ar_prefix_extension_is_causal():
-    # logits for the prefix positions do not change when the prefix grows
+    # each scored row of one forward over the whole sequence predicts as a
+    # forward over only its own prefix does: later units do not leak back
     dec = tiny("ar")
-    cond = cond_for(dec)
-    short, offset = dec._ar_logits(cond, [3, 5])
-    longer, _ = dec._ar_logits(cond, [3, 5, 7])
-    assert np.allclose(short.data, longer.data[:short.data.shape[0]],
-                       atol=1e-12)
-    assert offset == cond.shape[0]
+    cond, units = cond_for(dec), [3, 5, 7]
+    hidden, lay = dec._ar_hidden([cond], [units])
+    assert lay.scored[0] == cond.shape[0]
+    full = T.log_softmax_last_dim(
+        dec.head(dec.ln_f(T.gather_rows(hidden, lay.scored)))).data
+    for k in range(len(units) + 1):
+        assert np.allclose(full[k], dec.ar_forward(cond, units[:k]).data[0],
+                           atol=1e-12)
 
 
 def test_ntp_loss_teacher_forcing_targets():
     dec = tiny("ar")
     cond = cond_for(dec)
-    loss = dec.ntp_loss(cond, [2, 3])
+    loss = dec.loss([cond], [[2, 3]])
     assert loss.data.shape == ()
     assert loss.item() > 0
 
@@ -218,7 +229,7 @@ def test_nar_loss_parameter_gradients():
     params = dec.parameters()
 
     def loss_fn():
-        return dec.nar_loss(cond, [1, 2], text_tokens=[0, 1])
+        return dec.loss([cond], [[1, 2]], [[0, 1]])
 
     assert check_parameter_gradients(loss_fn, params) < 1e-3
 
@@ -229,7 +240,7 @@ def test_ar_loss_parameter_gradients():
     params = dec.parameters()
 
     def loss_fn():
-        return dec.ntp_loss(cond, [2, 3], text_tokens=[0, 1])
+        return dec.loss([cond], [[2, 3]], [[0, 1]])
 
     assert check_parameter_gradients(loss_fn, params) < 1e-3
 
@@ -240,13 +251,19 @@ def test_ar_loss_parameter_gradients():
 
 def one_record_loss(dec, cond, units, text):
     """One record through an unpacked forward: the CTC loss of its own
-    log-probs (NAR), or the teacher-forced loss of ``ar_forward``'s full
-    causal forward (AR)."""
+    log-probs (NAR), or the mean over its units and end-of-speech of each
+    one's negative log-prob under ``ar_forward`` of only its own prefix
+    (AR)."""
+    texts = None if text is None else [text]
     if dec.config.mode == "nar":
-        return ctc_loss(dec.nar_forward([cond], _one(text))[0], units)
-    logits, start = dec._ar_logits(cond, units, text)
-    return nn.cross_entropy(logits, np.arange(start, start + len(units) + 1),
-                            [*units, dec.eos_id])
+        return ctc_loss(dec.nar_forward([cond], texts)[0], units)
+    nlls = []
+    for k, target in enumerate([*units, dec.eos_id]):
+        logp = dec.ar_forward(cond, units[:k], text)
+        pick = np.zeros(logp.shape)
+        pick[0, target] = -1.0
+        nlls.append(T.tsum(T.mul(logp, Tensor(pick))))
+    return T.mean(nlls)
 
 
 def loss_and_grads(dec, build):

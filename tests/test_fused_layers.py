@@ -551,11 +551,11 @@ def test_fused_text_guided_module_gives_the_per_op_text_loss(monkeypatch):
     cases = [(rng.normal(size=(t, TINY["model_dim"])), units, text)
              for t, units, text in ((3, [1, 2], [0, 4]), (6, [3, 3, 1, 5], [2, 1, 3, 0]))]
     with T.no_grad():
-        got = [decoder.nar_loss(c, u, text).item() for c, u, text in cases]
-        bypassed = [decoder.nar_loss(c, u).item() for c, u, _ in cases]
+        got = [decoder.loss([c], [u], [text]).item() for c, u, text in cases]
+        bypassed = [decoder.loss([c], [u]).item() for c, u, _ in cases]
         with monkeypatch.context() as m:
             per_op_layers(m)
-            want = [decoder.nar_loss(c, u, text).item() for c, u, text in cases]
+            want = [decoder.loss([c], [u], [text]).item() for c, u, text in cases]
     assert np.abs(np.subtract(got, want)).max() <= ATTENTION_TOL
     assert min(abs(a - b) for a, b in zip(got, bypassed)) > 1e-6
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import unitforge.nn as nn
 import unitforge.tensor as T
-from unitforge.errors import ConfigurationError, ShapeError
+from unitforge.errors import ConfigurationError, ContractError, ShapeError
 from unitforge.tensor import Tensor, check_parameter_gradients
 
 
@@ -276,6 +276,48 @@ def test_cross_entropy_weighs_each_scored_row():
     assert np.abs(x.grad - want).max() <= 1e-15
     with pytest.raises(ShapeError):
         nn.cross_entropy(x, [0, 3], [1, 2], [1.0])
+
+
+# ---------------------------------------------------------------------------
+# causal-LM batch layout
+
+
+def test_lm_layout_with_a_separator_and_prompts():
+    # the alignment backbone's shape: prefix rows, SEP (9), an unscored
+    # prompt, then the target; the last prompt token predicts the first
+    # target token
+    lay = nn.lm_layout([2, 1], 9, [[4, 5], [6]], prompts=[[7], [8, 3]])
+    assert lay.ids.tolist() == [9, 7, 4, 9, 8, 3]
+    # rows [prefixes; ids]: prefix rows 0-1 and 2, id rows 3-5 and 6-8
+    assert lay.order.tolist() == [0, 1, 3, 4, 5, 2, 6, 7, 8]
+    assert lay.lengths.tolist() == [5, 4]
+    assert lay.scored.tolist() == [3, 4, 8]
+    assert lay.targets.tolist() == [4, 5, 6]
+    assert lay.weights.tolist() == [0.25, 0.25, 0.5]
+
+
+def test_lm_layout_with_a_start_token_and_end_of_sequence():
+    # the AR decoder's shape: context rows, BOS (0), units and then
+    # end-of-speech (15) as targets; BOS predicts the first unit
+    lay = nn.lm_layout([3, 1], 0, [[2, 5, 15], [15]])
+    assert lay.ids.tolist() == [0, 2, 5, 0]
+    assert lay.order.tolist() == [0, 1, 2, 4, 5, 6, 3, 7]
+    assert lay.lengths.tolist() == [6, 2]
+    assert lay.scored.tolist() == [3, 4, 5, 7]
+    assert lay.targets.tolist() == [2, 5, 15, 15]
+    assert np.array_equal(lay.weights, [1 / 6, 1 / 6, 1 / 6, 1 / 2])
+
+
+@pytest.mark.parametrize("prefix_lengths, targets, prompts", [
+    ([], [], None), ([2], [[1], [2]], None), ([2, 1], [[1]], None),
+    ([0, 1], [[1], [2]], None), ([1, 1], [[1], []], None),
+    ([1], [[1]], [[2], [3]])],
+    ids=["no-sequences", "too-few-prefixes", "too-many-prefixes",
+         "empty-prefix", "empty-target", "prompt-count"])
+def test_lm_layout_rejects_an_empty_or_mismatched_batch(prefix_lengths, targets,
+                                                        prompts):
+    with pytest.raises(ContractError):
+        nn.lm_layout(prefix_lengths, 0, targets, prompts)
 
 
 # ---------------------------------------------------------------------------
