@@ -102,6 +102,8 @@ RANGES = {  # field -> (rule, test), applied to every value a config sets
     "log_every": (">= 1", lambda v: v >= 1),
     "t": (">= 1", lambda v: v >= 1), "v": (">= 1", lambda v: v >= 1),
     "warmup_ratio": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    "seed": (">= 0", lambda v: v >= 0),
+    "weight_decay": (">= 0", lambda v: v >= 0),
 }
 
 
@@ -350,8 +352,6 @@ def _train_align_stage(args, out) -> list:
 def _train_dpo(args, out) -> list:
     sched, dpo = read_config(load_config(args), DPO_SCHEDULE, DpoConfig)
     reference = SpeechDecoder.load(args.init)
-    if reference.config.mode != "nar":
-        raise KindMismatchError("preference training expects a NAR reference")
     reference.set_trainable(False)
     policy = SpeechDecoder.load(args.init)
     pairs = pairs_from_records(load_corpus(args.corpus, ("preference",)),
@@ -385,7 +385,8 @@ def _eval_emotion_acc(args, out):
     decoder = SpeechDecoder.load(args.checkpoint)
     records = load_corpus(args.corpus, ("supervised_units",))
     buckets = {}
-    for rec, cond in feasible_contexts(records, decoder):
+    for rec, cond in feasible_contexts(records, decoder,
+                                       fields=("units", "emotion", "lang")):
         pred = emotion_oracle_classify(decoder.generate(cond).units)
         hit = int(pred == rec["emotion"])
         for key in ("overall", f"lang={rec['lang']}",
@@ -454,7 +455,7 @@ def cmd_bench_latency(args, out) -> list:
     rows = []
     ratios = []
     walls = []
-    for rec, cond in feasible_contexts(records, ar, nar):
+    for rec, cond in feasible_contexts(records, ar, nar, fields=("units", "id")):
         t0 = time.perf_counter()
         ar_result = ar.ar_generate(cond)
         t1 = time.perf_counter()
@@ -519,8 +520,10 @@ def cmd_ablate(args, out) -> list:
     for cell, _ in cells:  # before any cell trains
         cell.validate()
     records = load_corpus(args.corpus, ("supervised_units",))
-    for rec in records:  # every cell has the base config's width
-        read_context(rec, config)
+    fused = any(cell.tgm for cell, _ in cells)
+    for rec in records:  # every cell has the base config's width and vocabularies
+        read_context(rec, config,
+                     fields=("units", "text_a") if fused else ("units",))
     payloads = [(records, *cell) for cell in cells]
 
     if args.workers and args.workers > 1:

@@ -200,7 +200,7 @@ def unit_error_rate(ref, hyp) -> float:
 # corpus specs and feature encoders
 
 
-def _at_least(spec, low, *names):
+def at_least(spec, low, *names):
     for name in names:
         if getattr(spec, name) < low:
             raise ConfigurationError(f"{name} must be >= {low}, got "
@@ -228,8 +228,8 @@ class CorpusSpec:
         return UnitTextVocab(self.n_content, self.n_question)
 
     def validate(self):
-        _at_least(self, 0, "seed", "world_seed", "noise")
-        _at_least(self, 1, "size", "feature_dim", "n_content", "n_question")
+        at_least(self, 0, "seed", "world_seed", "noise")
+        at_least(self, 1, "size", "feature_dim", "n_content", "n_question")
         if not 0.0 <= self.lang_mix <= 1.0:
             raise ConfigurationError("lang_mix must be in [0, 1]")
         if self.vocab().max_unit >= self.vocab_nar:
@@ -393,10 +393,10 @@ class AlignmentSpec:
             raise ConfigurationError(
                 f"seq_len {(lo, hi)}: {hi} tokens and their features take "
                 f"{2 * hi} rows, more than the backbone's {BACKBONE_POSITIONS}")
-        _at_least(self, 0, "seed", "world_seed", "noise")
-        _at_least(self, 1, "n_speech_text", "n_image_text", "n_instruct", "n_probe",
-                  "speech_dim", "image_dim", "n_objects", "n_colors", "n_sizes",
-                  "n_fillers")
+        at_least(self, 0, "seed", "world_seed", "noise")
+        at_least(self, 1, "n_speech_text", "n_image_text", "n_instruct", "n_probe",
+                 "speech_dim", "image_dim", "n_objects", "n_colors", "n_sizes",
+                 "n_fillers")
 
 
 class AlignmentVocab:

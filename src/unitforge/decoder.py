@@ -24,7 +24,7 @@ from . import tensor as T
 from .checkpoint import (assign_parameters, expect_keys, load_checkpoint,
                          save_checkpoint)
 from .ctc import UnitSequence, ctc_losses, greedy_decode, min_frames
-from .data import UnitTextVocab, decode_f32, unit_error_rate
+from .data import UnitTextVocab, at_least, decode_f32, unit_error_rate
 from .errors import (ConfigurationError, ContractError, DataError,
                      GenerationCapError)
 from .tensor import Tensor
@@ -52,12 +52,12 @@ class SpeechDecoderConfig:
         if self.mode not in ("nar", "ar"):
             raise ConfigurationError(f"unknown decoder mode {self.mode!r}")
         nn.check_dims(self.model_dim, self.heads)
-        if self.experts < 1:
-            raise ConfigurationError("experts must be >= 1")
+        at_least(self, 0, "seed")
+        at_least(self, 1, "layers", "experts", "max_units", "max_context",
+                 "text_vocab")
+        at_least(self, 2, "vocab_nar", "upsample")  # blank and one unit
         if self.vocab_ar <= self.vocab_nar:
             raise ConfigurationError("AR vocab must exceed NAR vocab")
-        if self.upsample < 2:
-            raise ConfigurationError("upsample factor must be >= 2")
 
 
 @dataclass
@@ -293,11 +293,27 @@ def batch_loss(decoder: SpeechDecoder, records, conds) -> Tensor:
     return decoder.loss(conds, [rec["units"] for rec in records], texts)
 
 
-def read_context(record: dict, config: SpeechDecoderConfig, capped=False):
+def read_context(record: dict, config: SpeechDecoderConfig, capped=False,
+                 fields=()):
     """``record["features"]`` as a ``[T_c, model_dim]`` context, ``T_c >= 1``
     and, if ``capped``, ``<= max_context`` (else ``feasible`` decides), or a
-    ``DataError`` that names the record."""
+    ``DataError`` that names the record. Each of ``fields``, the other
+    fields the command reads, must be present; a unit field (``units``,
+    ``units_w``, ``units_l``) must be a non-empty list of ids the decoder
+    emits, in [1, ``vocab_nar``) (NAR) or [1, ``eos_id``) (AR), and
+    ``text_a`` such a list of ids in [0, ``text_vocab``)."""
     name, cap = record.get("id"), config.max_context if capped else np.inf
+    top = config.vocab_nar if config.mode == "nar" else config.vocab_ar - 1
+    for key in fields:
+        if key not in record:
+            raise DataError(f"record {name!r} lacks {key!r}")
+        ids = record[key]
+        lo, hi = (0, config.text_vocab) if key == "text_a" else (1, top)
+        if key in ("units", "units_w", "units_l", "text_a") and not (
+                type(ids) is list and ids
+                and all(type(t) is int and lo <= t < hi for t in ids)):
+            raise DataError(f"record {name!r}: {key} must be a non-empty "
+                            f"list of ints in [{lo}, {hi}), got {ids!r}")
     try:
         cond = decode_f32(record["features"])
     except (KeyError, TypeError, ValueError, DataError) as exc:
@@ -330,13 +346,8 @@ def train_decoder(records, config: SpeechDecoderConfig,
     decoder = SpeechDecoder(config)
     rng = np.random.default_rng(schedule.seed)
 
-    conds = [read_context(rec, config) for rec in records]
-    if config.tgm:
-        bad = [t for rec in records for t in rec["text_a"]
-               if not 0 <= t < config.text_vocab]
-        if bad:
-            raise DataError(f"text token {bad[0]} outside the decoder's text "
-                            f"vocabulary [0, {config.text_vocab})")
+    fields = ("units", "text_a") if config.tgm else ("units",)
+    conds = [read_context(rec, config, fields=fields) for rec in records]
     usable = [i for i, rec in enumerate(records)
               if feasible(decoder, rec, conds[i].shape[0])]
     skipped = len(records) - len(usable)
@@ -359,13 +370,14 @@ def train_decoder(records, config: SpeechDecoderConfig,
     return decoder, curve
 
 
-def feasible_contexts(records, *decoders) -> list:
+def feasible_contexts(records, *decoders, fields=("units",)) -> list:
     """``(record, context)`` for each record, in order, that every decoder
-    can generate from (``read_context``, then ``feasible``); ``DataError``
-    if there is none, so that no report is computed over an empty set."""
+    can generate from (``read_context`` with the ``fields`` the caller
+    reads, then ``feasible``); ``DataError`` if there is none, so that no
+    report is computed over an empty set."""
     out = []
     for rec in records:
-        conds = [read_context(rec, d.config) for d in decoders]
+        conds = [read_context(rec, d.config, fields=fields) for d in decoders]
         if all(feasible(d, rec, c.shape[0]) for d, c in zip(decoders, conds)):
             out.append((rec, conds[0]))
     if not out:
@@ -381,5 +393,5 @@ def evaluate_uer(decoder: SpeechDecoder, records) -> dict:
     for rec, cond in feasible_contexts(records, decoder):
         uer = unit_error_rate(rec["units"], decoder.generate(cond).units.units)
         totals.setdefault("overall", []).append(uer)
-        totals.setdefault(rec.get("lang", "?"), []).append(uer)
+        totals.setdefault(str(rec.get("lang", "?")), []).append(uer)
     return {k: float(np.mean(v)) for k, v in totals.items()}

@@ -5,16 +5,20 @@ import json
 import math
 import os
 import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from unitforge.alignment import OmniModel
 from unitforge.checkpoint import load_checkpoint, save_checkpoint
-from unitforge.cli import (EXIT_INVALID_SPEC, EXIT_KIND_MISMATCH,
-                           EXIT_MISSING_INPUT, EXIT_OK, EXIT_SEQUENCING,
-                           build_parser, file_digest, main, parse_config,
-                           read_config)
+from unitforge.cli import (DECODER_MODEL, DECODER_SCHEDULE, EXIT_INVALID_SPEC,
+                           EXIT_KIND_MISMATCH, EXIT_MISSING_INPUT, EXIT_OK,
+                           EXIT_SEQUENCING, build_parser, file_digest, main,
+                           parse_config, read_config)
 from unitforge.data import (CorpusSpec, decode_f32, encode_f32, read_jsonl,
                             write_jsonl)
 from unitforge.errors import ConfigurationError
@@ -189,6 +193,17 @@ def test_eval_pref_acc_report(workdir, tmp_path, swap_lang, rows):
                  "--out", str(tmp_path)]) == EXIT_OK
     assert read_csv(tmp_path / "pref_acc.csv") == [
         ["group", "n", "accuracy"], *[r.split(",") for r in rows]]
+
+
+@pytest.mark.parametrize("argv", [["eval", "pref-acc", "--checkpoint"],
+                                  ["train", "dpo", "--init"]],
+                         ids=["eval-pref-acc", "train-dpo"])
+def test_preference_commands_refuse_an_ar_decoder(workdir, tmp_path, argv):
+    out = tmp_path / "out"
+    assert main([*argv, str(workdir / "ar" / "decoder.ckpt"),
+                 "--corpus", str(workdir / "pref" / "preference.jsonl"),
+                 "--out", str(out)]) == EXIT_KIND_MISMATCH
+    assert not any(out.iterdir())
 
 
 def test_eval_missing_checkpoint(workdir, tmp_path):
@@ -658,6 +673,11 @@ def test_subcommands_keep_the_flags_they_read():
     ("gen-data", "noise", "nan"), ("decoder-nar", "lr", "inf"),
     ("decoder-nar", "weight_decay", "nan"), ("ablate", "grid_tgm", "maybe"),
     ("ablate", "grid_experts", 0), ("ablate", "experts", 1),
+    ("decoder-nar", "seed", -1), ("decoder-nar", "weight_decay", -1),
+    ("align-1", "seed", -1), ("dpo", "seed", -1), ("ablate", "seed", -1),
+    ("sidecar", "seed", -1), ("decoder-nar", "text_vocab", -3),
+    ("decoder-nar", "vocab", 1), ("decoder-nar", "max_context", -3),
+    ("sidecar", "vocab_nar", -3),
 ], ids=lambda v: str(v))
 def test_bad_config_or_sidecar_value_exits_3(workdir, align_dir, tmp_path,
                                              target, key, value):
@@ -907,6 +927,104 @@ def test_record_that_cannot_feed_its_command_exits_3(unfit, tmp_path, case):
     assert not any(out.iterdir())
 
 
+DROP = object()  # a MALFORMED value: the field is removed
+MALFORMED = [  # (field, its value in every record, the commands that read it)
+    ("units", DROP, ("train-decoder-nar", "train-decoder-ar", "eval-uer",
+                     "eval-emotion-acc", "bench-latency", "ablate")),
+    ("text_a", DROP, ("train-decoder-nar", "train-decoder-ar", "ablate")),
+    ("text_a", [], ("train-decoder-nar", "train-decoder-ar", "ablate")),
+    ("text_a", "ab", ("train-decoder-nar", "train-decoder-ar", "ablate")),
+    ("units", [999], ("train-decoder-nar", "train-decoder-ar", "eval-uer",
+                      "bench-latency", "ablate")),
+    ("units", [1.5, 2], ("train-decoder-nar", "train-decoder-ar", "eval-uer")),
+    ("units", [0, 1], ("train-decoder-nar", "train-decoder-ar", "eval-uer")),
+    ("units", [], ("train-decoder-nar", "eval-uer")),
+    ("units", "ab", ("train-decoder-ar",)),
+    ("units_w", [999], ("train-dpo", "eval-pref-acc")),
+    ("units_l", [999], ("train-dpo", "eval-pref-acc")),
+    ("units_w", "ab", ("train-dpo", "eval-pref-acc")),
+    ("units_w", [1.5, 2], ("train-dpo",)),
+    ("units_w", list(range(1, 61)) * 4, ("train-dpo", "eval-pref-acc")),
+    ("emotion", DROP, ("eval-emotion-acc",)),
+    ("lang", DROP, ("eval-emotion-acc",)),
+    ("id", DROP, ("bench-latency",)),
+]
+READERS = {  # command -> its argv but --corpus; a <name> is a path of ``unfit``
+    "train-decoder-nar": ["train", "decoder-nar", "--config", "<train.cfg>"],
+    "train-decoder-ar": ["train", "decoder-ar", "--config", "<train.cfg>"],
+    "eval-uer": ["eval", "uer", "--checkpoint", "<nar>"],
+    "eval-emotion-acc": ["eval", "emotion-acc", "--checkpoint", "<nar>"],
+    "bench-latency": ["bench-latency", "--checkpoint-ar", "<ar>",
+                      "--checkpoint-nar", "<nar>"],
+    "ablate": ["ablate", "--config", "<grid.cfg>"],
+    "decode": ["decode", "--checkpoint", "<nar>"],
+    "train-dpo": ["train", "dpo", "--init", "<nar>", "--config", "<steps.cfg>"],
+    "eval-pref-acc": ["eval", "pref-acc", "--checkpoint", "<nar>"],
+}
+
+
+def run_reader(unfit, command, records, out):
+    """Exit code of ``command`` over ``records`` written to ``out``'s
+    parent, with its report and model files going to ``out``."""
+    corpus = out.parent / "corpus.jsonl"
+    write_jsonl(corpus, records)
+    argv = [str(unfit[a[1:-1]]) if a.startswith("<") else a
+            for a in READERS[command]]
+    flag = "--contexts" if command == "decode" else "--corpus"
+    return main([*argv, flag, str(corpus), "--out", str(out)])
+
+
+def reader_corpus(workdir, command):
+    """The records of the fixture corpus that ``command`` reads."""
+    kind = "pref/preference" if command in ("train-dpo", "eval-pref-acc") \
+        else "sup/supervised"
+    return read_jsonl(workdir / f"{kind}.jsonl")
+
+
+@pytest.mark.parametrize("field, value, command", [
+    (field, value, command) for field, value, commands in MALFORMED
+    for command in commands], ids=lambda v: "dropped" if v is DROP
+    else f"{len(v)}-ids" if isinstance(v, list) and len(v) > 9 else str(v))
+def test_malformed_record_exits_3(workdir, unfit, tmp_path, field, value,
+                                  command):
+    # each unit field a command reads must be a non-empty list of ints the
+    # decoder emits, text_a one of ints its text vocabulary covers; 240
+    # preference units need more CTC frames than any context gives
+    records = reader_corpus(workdir, command)
+    for rec in records:
+        if value is DROP:
+            del rec[field]
+        else:
+            rec[field] = value
+    out = tmp_path / "out"
+    assert run_reader(unfit, command, records, out) == EXIT_INVALID_SPEC
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["align-1", "decoder-nar", "dpo", "ablate"])
+def test_negative_seed_flag_exits_3(workdir, align_dir, tmp_path, command):
+    sup = str(workdir / "sup" / "supervised.jsonl")
+    argv, cfg = {
+        "align-1": (["train", command, "--corpus",
+                     str(align_dir / "speech-text.jsonl")],
+                    dict(steps=1, batch=2, pretrain_steps=1, d=8, layers=1)),
+        "decoder-nar": (["train", command, "--corpus", sup],
+                        dict(experts=1, layers=1, steps=1, batch=2,
+                             max_context=32)),
+        "dpo": (["train", command, "--corpus",
+                 str(workdir / "pref" / "preference.jsonl"),
+                 "--init", str(workdir / "nar" / "decoder.ckpt")],
+                dict(steps=1, batch=2)),
+        "ablate": ([command, "--corpus", sup],
+                   dict(grid_experts=1, grid_layers=1, steps=1, batch=2,
+                        max_context=32)),
+    }[command]
+    out = tmp_path / "out"
+    assert main([*argv, "--config", write_cfg(tmp_path / "a.cfg", **cfg),
+                 "--seed", "-1", "--out", str(out)]) == EXIT_INVALID_SPEC
+    assert not any(out.iterdir())
+
+
 def wide_text_corpus(root):
     """A supervised corpus whose text ids run past the default 41-id text
     vocabulary of the decoder."""
@@ -1018,3 +1136,79 @@ def test_manifest_digests_inputs(workdir, align_dir, tmp_path):
         sidecars = [f"{n}.meta.json" for n in wrote if n.endswith(".ckpt")]
         assert sorted(os.listdir(out)) == sorted(
             wrote + sidecars + ["run_manifest.json"]), out
+
+
+# ---------------------------------------------------------------------------
+# property tests of user input: a malformed value exits 0 or 3, never 1
+
+
+FUZZ = settings(max_examples=25, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+JSON_VALUE = st.one_of(st.just([]), st.text(max_size=3), st.floats(),
+                       st.integers(-3, 300))
+RECORD_VALUE = st.one_of(st.just(DROP), JSON_VALUE,
+                         st.lists(JSON_VALUE, min_size=1, max_size=4))
+
+
+@FUZZ
+@given(command=st.sampled_from(sorted(READERS)), data=st.data())
+def test_one_malformed_field_of_one_record_exits_0_or_3(workdir, unfit,
+                                                        command, data):
+    # kind is left alone: a corpus of another kind exits 5 by design
+    records = reader_corpus(workdir, command)
+    rec = data.draw(st.sampled_from(records))
+    field = data.draw(st.sampled_from(sorted(set(rec) - {"kind"})))
+    value = data.draw(RECORD_VALUE)
+    if value is DROP:
+        del rec[field]
+    else:
+        rec[field] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        code = run_reader(unfit, command, records, Path(tmp) / "out")
+    assert code in (EXIT_OK, EXIT_INVALID_SPEC)
+
+
+DIMENSION = st.integers(-3, 64)  # no example allocates a large array
+CONFIG_VALUE = st.one_of(DIMENSION, st.floats(-3, 64), st.booleans(),
+                         st.sampled_from(["abc", "2,3", ""]))
+LR = st.one_of(st.floats(0, 0.1, exclude_min=True), st.integers(-3, 0),
+               st.sampled_from(["abc", "nan"]))  # no example diverges
+
+
+@FUZZ
+@given(mode=st.sampled_from(["nar", "ar"]),
+       key=st.sampled_from(sorted({*DECODER_SCHEDULE[1], *DECODER_MODEL[1]})),
+       data=st.data())
+def test_one_bad_decoder_config_value_exits_0_or_3(workdir, mode, key, data):
+    # upsample (lambda) multiplies the NAR rows, and attention grows with
+    # their square, so it stays small
+    value = data.draw(LR if key == "lr" else st.integers(-3, 8)
+                      if key in ("upsample", "lambda") else CONFIG_VALUE)
+    cfg = {**dict(layers=1, experts=1, steps=1, batch=2, max_context=32),
+           key: value}
+    with tempfile.TemporaryDirectory() as tmp:
+        code = main(["train", f"decoder-{mode}",
+                     "--corpus", str(workdir / "sup" / "supervised.jsonl"),
+                     "--config", write_cfg(Path(tmp) / "a.cfg", **cfg),
+                     "--out", str(Path(tmp) / "out")])
+    assert code in (EXIT_OK, EXIT_INVALID_SPEC)
+
+
+@FUZZ
+@given(mode=st.sampled_from(["nar", "ar"]), data=st.data())
+def test_one_bad_decoder_sidecar_value_exits_0_or_3(workdir, mode, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "decoder.ckpt"
+        for name in ("decoder.ckpt", "decoder.ckpt.meta.json"):
+            shutil.copy(workdir / mode / name, Path(tmp) / name)
+        meta = json.loads((Path(tmp) / "decoder.ckpt.meta.json").read_text())
+        key = data.draw(st.sampled_from(sorted(meta)))
+        value = data.draw(st.one_of(
+            st.none(), st.booleans(), st.text(max_size=3), st.floats(),
+            DIMENSION, st.sampled_from(["nar", "ar"]),
+            st.lists(DIMENSION, max_size=3)))
+        _edit_sidecar(ckpt, lambda m: m.update({key: value}))
+        code = main(["eval", "uer", "--checkpoint", str(ckpt),
+                     "--corpus", str(workdir / "sup" / "supervised.jsonl"),
+                     "--out", str(Path(tmp) / "out")])
+    assert code in (EXIT_OK, EXIT_INVALID_SPEC)

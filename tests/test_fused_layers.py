@@ -365,6 +365,57 @@ def test_expert_mix_matches_per_expert_loop_bit_for_bit(experts, t, d, seed):
         assert_close(s.grad, np.stack([p[i].grad for p in per_expert]), 0)
 
 
+def loop_expert_mix(x, w1, b1, w2, b2, weights, g):
+    """The expert mix as a loop over experts, in NumPy: its output and the
+    gradients of x, w1, b1, w2, b2 and weights under the upstream ``g``."""
+    cache, out = [], None
+    for e in range(len(w1)):
+        a = x @ w1[e] + b1[e]
+        r = np.maximum(a, 0.0)
+        h = r @ w2[e] + b2[e]
+        term = h * weights[:, e][:, None]
+        out = term if out is None else out + term
+        cache.append((a, r, h))
+    grads = [np.empty_like(arr) for arr in (w1, b1, w2, b2, weights)]
+    gw1, gb1, gw2, gb2, gwt = grads
+    gx = None
+    for e in reversed(range(len(w1))):
+        a, r, h = cache[e]
+        gwt[:, e] = (g * h).sum(axis=1)
+        gh = g * weights[:, e][:, None]
+        gb2[e] = gh.sum(axis=0)
+        gw2[e] = r.T @ gh
+        ga = (gh @ w2[e].T) * (a > 0).astype(np.float64)
+        gb1[e] = ga.sum(axis=0)
+        gw1[e] = x.T @ ga
+        gxe = ga @ w1[e].T
+        gx = gxe if gx is None else gx + gxe
+    return out, [gx, *grads]
+
+
+@given(experts=st.integers(1, 4), t=st.integers(1, 130),
+       d=st.sampled_from([32, 64]), seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=30, deadline=None)
+@example(experts=4, t=130, d=64, seed=0)
+def test_expert_mix_matches_the_loop_over_experts_at_model_shapes(experts, t,
+                                                                  d, seed):
+    # the decoders' widths and context lengths, with softmax routing
+    rng = np.random.default_rng(seed)
+    shapes = [(t, d), (experts, d, 4 * d), (experts, 4 * d), (experts, 4 * d, d),
+              (experts, d)]
+    arrays = [rng.normal(size=s) for s in shapes]
+    logits = rng.normal(size=(t, experts))
+    weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+    weights /= weights.sum(axis=1, keepdims=True)
+    up = rng.normal(size=(t, d))
+    leaves = [leaf(a) for a in (*arrays, weights)]
+    got = run(lambda: T.expert_mix(*leaves), up)
+    want, grads = loop_expert_mix(*arrays, weights, up)
+    assert_close(got, want, 0)
+    for tensor, grad in zip(leaves, grads):
+        assert_close(tensor.grad, grad, 0)
+
+
 @given(n=st.integers(1, 10), seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=40, deadline=None)
 def test_mean_matches_add_chain_and_scale_bit_for_bit(n, seed):
