@@ -248,20 +248,29 @@ STAGE_LOSSES = {s: functools.partial(stage_loss, stage=s) for s in STAGES}
 
 def check_fields(model: OmniModel, stage: str, records, extra=None):
     """``DataError`` naming the first record that lacks a field ``stage``
-    reads, or holds it empty, or holds features that are not rows of its
-    projector's input width or whose base64 ``data`` is not as long as
-    their ``shape`` says (read without decoding), or whose feature, prompt
-    and target rows do not fit the backbone's positions. ``extra`` maps
-    more feature fields to their projectors."""
+    reads, or holds it empty, or holds target or prompt tokens that are
+    not a list of ints in [0, vocabulary size), or holds features that are
+    not rows of its projector's input width or whose base64 ``data`` is
+    not as long as their ``shape`` says (read without decoding), or whose
+    feature, prompt and target rows do not fit the backbone's positions.
+    ``extra`` maps more feature fields to their projectors."""
     spec = STAGE_TABLE[stage]
     widths = {f: getattr(model, proj).proj.w.shape[0] for f, proj in
               {spec.features: spec.projector, **(extra or {})}.items()}
-    need = [f for f in (spec.target, spec.prompt, *widths) if f]
+    tokens = [f for f in (spec.target, spec.prompt) if f]
+    need, top = tokens + list(widths), model.vocab.size
     for rec in records:
         lacking = [f for f in need if not rec.get(f)]
         if lacking:
             raise DataError(f"stage {stage} record {rec.get('id')!r} lacks "
                             f"{lacking}")
+        for f in tokens:
+            ids = rec[f]
+            if type(ids) is not list or not all(
+                    type(t) is int and 0 <= t < top for t in ids):
+                raise DataError(f"stage {stage} record {rec.get('id')!r}: {f} "
+                                f"must be a list of ints in [0, {top}), got "
+                                f"{ids!r}")
         for f, width in widths.items():
             feats = rec[f] if isinstance(rec[f], dict) else {}
             # data: base64 of the float32s, 4 characters per 3 bytes

@@ -14,12 +14,14 @@ So one recursion carries alpha forward from the first frame in some
 rows and beta back from the last frame in others.
 
 ``RescaledLattice`` runs it in probability space, padded to the batch's
-longest T and S, over ``[2B, S]`` lanes: the B alpha lanes, then the B
-reversed beta lanes. Without gradients (``no_grad``, or inputs that need
-none) only the alpha lanes run. Each lane is divided by its row max at
-every frame, and log_z is the sum of the logs of those maxima plus the
-log of the final scaled mass (Rabiner, 1989, HMM scaling; the CTC form
-of Graves et al., 2006). A max is exact and every other op is
+longest T and S, over 2B lanes: the B alpha lanes, then the B reversed
+beta lanes. Its tables are laid out ``[frame, state, lane]``, so a
+frame's s, s-1 and s-2 rows, its emissions and its rescale each read
+contiguous memory. Without gradients (``no_grad``, or inputs that need
+none) only the alpha lanes run. Each lane is divided by its max over
+states at every frame, and log_z is the sum of the logs of those maxima
+plus the log of the final scaled mass (Rabiner, 1989, HMM scaling; the
+CTC form of Graves et al., 2006). A max is exact and every other op is
 elementwise within a lane, so a sequence's log_z and gradient are
 bit-identical whatever its batch partners, and its alpha is the same
 with or without beta lanes. A lane whose scale or final mass is zero,
@@ -113,9 +115,10 @@ def _sanitize(table: np.ndarray) -> np.ndarray:
 
 def _can_skip(ext: np.ndarray) -> np.ndarray:
     """Where the skip s-2 -> s is allowed: ext[s] is a label differing
-    from ext[s-2]."""
-    can = np.zeros(ext.shape[0], dtype=bool)
-    can[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
+    from ext[s-2]. States run along axis 0; a negative id pads a state
+    past its target and allows no skip."""
+    can = np.zeros(ext.shape, dtype=bool)
+    can[2:] = (ext[2:] > BLANK) & (ext[2:] != ext[:-2])
     return can
 
 
@@ -190,46 +193,51 @@ class RescaledLattice:
         states = np.array([e.shape[0] for e in self.ext])
         t_max, s_max = int(lengths.max()), int(states.max())
         lanes = 2 * b if beta else b
-        # padded frames emit 1 so that a finished lane stays finite
-        emit = np.ones((t_max, lanes, s_max))
-        skip = np.zeros((lanes, s_max))
+        last = np.tile(lengths - 1, lanes // b)
+        # gathered lane by lane, then laid out [frame, state, lane] in one
+        # copy; a state past a lane's target emits 0, and padded frames
+        # emit 1 so that a finished lane stays finite
+        p = np.zeros((lanes, t_max, s_max))
+        labels = np.full((lanes, s_max), -1)  # -1: past the lane's target
         for i, (lp, ext) in enumerate(zip(log_probs, self.ext)):
             t_len, s_len = lp.shape[0], ext.shape[0]
-            p = np.exp(lp[:, ext])
-            emit[:t_len, i::b, s_len:] = 0.0  # lane i and, with beta, B+i
-            emit[:t_len, i, :s_len] = p
-            skip[i, :s_len] = _can_skip(ext)
+            q = p[i, :t_len, :s_len]
+            np.exp(lp[:, ext], out=q)
+            labels[i, :s_len] = ext
             if beta:
-                emit[:t_len, b + i, :s_len] = p[::-1, ::-1]
-                skip[b + i, :s_len] = _can_skip(ext[::-1])
+                p[b + i, :t_len, :s_len] = q[::-1, ::-1]
+                labels[b + i, :s_len] = ext[::-1]
+        p[np.arange(t_max) > last[:, None]] = 1.0
+        emit = np.ascontiguousarray(p.transpose(1, 2, 0))
+        skip = _can_skip(labels.T).astype(float)
 
-        # two zero columns in front stand in for the s-1 / s-2
-        # predecessors of state 0; ``acc`` is a frame's mass before its
-        # emission, at frame 0 a path's start in state 0 or 1
-        lat = np.zeros((t_max if beta else 2, lanes, s_max + 2))
-        acc = np.zeros((t_max if beta else 1, lanes, s_max))
-        acc[0, :, :2] = 1.0
-        skipped = np.empty((lanes, s_max))
+        # two zero rows in front stand in for the s-1 / s-2 predecessors
+        # of state 0; ``acc`` is a frame's mass before its emission, at
+        # frame 0 a path's start in state 0 or 1
+        lat = np.zeros((t_max if beta else 2, s_max + 2, lanes))
+        acc = np.zeros((t_max if beta else 1, s_max, lanes))
+        acc[0, :2] = 1.0
+        skipped = np.empty((s_max, lanes))
         scale = np.empty((t_max, lanes))
-        last = np.tile(lengths - 1, lanes // b)
-        col = np.tile(states + 1, lanes // b)  # the final state's column
+        row = np.tile(states + 1, lanes // b)  # the final state's row
         ends = {int(t): np.flatnonzero(last == t) for t in np.unique(last)}
         z = np.empty(lanes)
+        # views of each frame's states, and of their s-1 and s-2 rows
+        stay, step, jump = lat[:, 2:], lat[:, 1:-1], lat[:, :-2]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for t in range(t_max):
-                cur = lat[t % lat.shape[0]]
-                a = acc[t % acc.shape[0]]
+                k, a = t % len(lat), acc[t % len(acc)]
                 if t:
-                    prev = lat[(t - 1) % lat.shape[0]]
-                    np.add(prev[:, 2:], prev[:, 1:-1], out=a)
-                    np.multiply(prev[:, :-2], skip, out=skipped)
+                    np.add(stay[k - 1], step[k - 1], out=a)
+                    np.multiply(jump[k - 1], skip, out=skipped)
                     np.add(a, skipped, out=a)
-                np.multiply(emit[t], a, out=cur[:, 2:])
-                np.max(cur[:, 2:], axis=1, out=scale[t])
-                np.divide(cur[:, 2:], scale[t][:, None], out=cur[:, 2:])
+                cur = stay[k]
+                np.multiply(emit[t], a, out=cur)
+                np.maximum.reduce(cur, axis=0, out=scale[t])
+                np.divide(cur, scale[t], out=cur)
                 if t in ends:
                     i = ends[t]
-                    z[i] = cur[i, col[i]] + cur[i, col[i] - 1]
+                    z[i] = lat[k, row[i], i] + lat[k, row[i] - 1, i]
             log_scale = np.cumsum(np.log(scale), axis=0)
             trusted = (np.isfinite(scale) & (scale >= TINY)) \
                 | (np.arange(t_max)[:, None] > last)
@@ -252,8 +260,8 @@ class RescaledLattice:
         b = len(self.log_probs)
         t_len, s_len = self.log_probs[i].shape[0], self.ext[i].shape[0]
         if self.sound[i] and self.sound[b + i]:
-            both = (self.lat[:t_len, i, 2:2 + s_len]
-                    * self.acc[t_len - 1::-1, b + i, s_len - 1::-1])
+            both = (self.lat[:t_len, 2:2 + s_len, i]
+                    * self.acc[t_len - 1::-1, s_len - 1::-1, b + i])
             mass = both.sum(axis=1, keepdims=True)
             if (mass >= TINY).all():
                 return both / mass

@@ -106,8 +106,9 @@ def _assert_frozen(reference: SpeechDecoder):
 
 # A packed forward over many contexts builds arrays that outgrow the CPU
 # caches: one no-gradient pass over 64 pairs (d=64, 2 layers, BLAS on one
-# thread) took 69.9 ms in one forward, 55.0 ms in forwards of 16 pairs and
-# 58.2 ms in forwards of 8, against 62.8 ms one context at a time.
+# thread; best of 15) took 46.4 ms in one forward, 44.1 ms in forwards of
+# 16 pairs and 46.8 ms in forwards of 8, against 77.3 ms one context at a
+# time.
 SCORE_PAIRS = 16
 
 

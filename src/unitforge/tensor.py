@@ -26,12 +26,26 @@ unrecorded call makes no such array.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import ContractError, DomainError, OracleError, ShapeError
+
+# glibc returns a freed step's arrays to the OS (arrays above its mmap
+# threshold, and the heap top above its trim threshold), so the next step
+# page-faults the same memory in again. Fixing both thresholds keeps those
+# pages in the process; fixing one lets glibc keep moving the other.
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+except (AttributeError, OSError, TypeError):  # no glibc: leave malloc as is
+    pass
+else:
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: 32 MiB, glibc's largest
+    _mallopt(-1, 1 << 30)   # M_TRIM_THRESHOLD: 1 GiB
 
 NEG_INF = -1.0e30
 
@@ -591,9 +605,10 @@ def expert_mix(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     # Memory order decides the bits: a contiguous copy of the routing weights
     # and a C-ordered [T, E] gradient of them keep every sum in loop order.
     wt = np.ascontiguousarray(weights.data.T)[:, :, None]
-    # The [E, T, 4d] arrays are built in place: fresh ones page-fault on
-    # every call (about 390 minor faults a forward at E=2, T=160, d=64,
-    # none in place), which cost more than their arithmetic.
+    # The [E, T, 4d] arrays are built in place. With malloc's thresholds
+    # fixed (top of module) fresh ones no longer page-fault (43 minor
+    # faults a recorded forward at E=2, T=160, d=64 under glibc's default
+    # thresholds, 0 now), but they still cost 630 against 557 us a forward.
     r = x.data @ w1.data
     r += b1.data[:, None]
     np.maximum(r, 0.0, out=r)

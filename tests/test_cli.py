@@ -784,6 +784,9 @@ def unfit(workdir, align_dir, tmp_path_factory):
     paths = {"nar": workdir / "nar" / "decoder.ckpt",
              "ar": workdir / "ar" / "decoder.ckpt",
              "s1": align_dir / "s1" / "align.ckpt",
+             "supervised": sup, "preference": pref,
+             **{kind: align_dir / f"{kind}.jsonl"
+                for kind in ("speech-text", "image-text", "instruct")},
              "train.cfg": workdir / "train.cfg",
              "steps.cfg": write_cfg(root / "steps.cfg", steps=1, batch=2),
              "grid.cfg": write_cfg(root / "grid.cfg", grid_experts=1,
@@ -948,6 +951,12 @@ MALFORMED = [  # (field, its value in every record, the commands that read it)
     ("emotion", DROP, ("eval-emotion-acc",)),
     ("lang", DROP, ("eval-emotion-acc",)),
     ("id", DROP, ("bench-latency",)),
+    *((field, value, (command,))
+      for field, command in (("tokens", "train-align-1"),
+                             ("caption", "train-align-2"),
+                             ("q_tokens", "train-align-3"),
+                             ("a_tokens", "train-align-3"))
+      for value in (5, [999], [-1], "ab", [1.5])),
 ]
 READERS = {  # command -> its argv but --corpus; a <name> is a path of ``unfit``
     "train-decoder-nar": ["train", "decoder-nar", "--config", "<train.cfg>"],
@@ -960,7 +969,15 @@ READERS = {  # command -> its argv but --corpus; a <name> is a path of ``unfit``
     "decode": ["decode", "--checkpoint", "<nar>"],
     "train-dpo": ["train", "dpo", "--init", "<nar>", "--config", "<steps.cfg>"],
     "eval-pref-acc": ["eval", "pref-acc", "--checkpoint", "<nar>"],
+    "train-align-1": ["train", "align-1", "--config", "<s1.cfg>"],
+    "train-align-2": ["train", "align-2", "--init", "<s1>",
+                      "--config", "<steps.cfg>"],
+    "train-align-3": ["train", "align-3", "--init", "<s2>",
+                      "--config", "<steps.cfg>"],
 }
+READER_CORPUS = {"train-dpo": "preference", "eval-pref-acc": "preference",
+                 "train-align-1": "speech-text", "train-align-2": "image-text",
+                 "train-align-3": "instruct"}  # the others: "supervised"
 
 
 def run_reader(unfit, command, records, out):
@@ -974,23 +991,21 @@ def run_reader(unfit, command, records, out):
     return main([*argv, flag, str(corpus), "--out", str(out)])
 
 
-def reader_corpus(workdir, command):
+def reader_corpus(unfit, command):
     """The records of the fixture corpus that ``command`` reads."""
-    kind = "pref/preference" if command in ("train-dpo", "eval-pref-acc") \
-        else "sup/supervised"
-    return read_jsonl(workdir / f"{kind}.jsonl")
+    return read_jsonl(unfit[READER_CORPUS.get(command, "supervised")])
 
 
 @pytest.mark.parametrize("field, value, command", [
     (field, value, command) for field, value, commands in MALFORMED
     for command in commands], ids=lambda v: "dropped" if v is DROP
     else f"{len(v)}-ids" if isinstance(v, list) and len(v) > 9 else str(v))
-def test_malformed_record_exits_3(workdir, unfit, tmp_path, field, value,
-                                  command):
+def test_malformed_record_exits_3(unfit, tmp_path, field, value, command):
     # each unit field a command reads must be a non-empty list of ints the
-    # decoder emits, text_a one of ints its text vocabulary covers; 240
-    # preference units need more CTC frames than any context gives
-    records = reader_corpus(workdir, command)
+    # decoder emits, text_a and an alignment stage's token fields ones of
+    # ints their vocabulary covers; 240 preference units need more CTC
+    # frames than any context gives
+    records = reader_corpus(unfit, command)
     for rec in records:
         if value is DROP:
             del rec[field]
@@ -1152,10 +1167,10 @@ RECORD_VALUE = st.one_of(st.just(DROP), JSON_VALUE,
 
 @FUZZ
 @given(command=st.sampled_from(sorted(READERS)), data=st.data())
-def test_one_malformed_field_of_one_record_exits_0_or_3(workdir, unfit,
-                                                        command, data):
+def test_one_malformed_field_of_one_record_exits_0_or_3(unfit, command,
+                                                        data):
     # kind is left alone: a corpus of another kind exits 5 by design
-    records = reader_corpus(workdir, command)
+    records = reader_corpus(unfit, command)
     rec = data.draw(st.sampled_from(records))
     field = data.draw(st.sampled_from(sorted(set(rec) - {"kind"})))
     value = data.draw(RECORD_VALUE)

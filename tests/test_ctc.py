@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unitforge.tensor as T
-from unitforge.ctc import (BLANK, RescaledLattice, UnitSequence,
-                           brute_force_marginals, collapse, compute_lattice,
-                           ctc_brute_force, ctc_loss, ctc_losses,
-                           extended_target, greedy_decode, min_frames)
+from unitforge.ctc import (BLANK, TINY, RescaledLattice, UnitSequence,
+                           _can_skip, _posterior, brute_force_marginals,
+                           collapse, compute_lattice, ctc_brute_force,
+                           ctc_loss, ctc_losses, extended_target,
+                           greedy_decode, min_frames)
 from unitforge.errors import (ConfigurationError, DomainError,
                               InfeasibleAlignmentError, OracleError)
 from unitforge.tensor import NEG_INF, Tensor, finite_difference_check
@@ -417,6 +418,120 @@ def test_a_sequence_scores_alone_as_in_its_batch(cases, data):
     assert np.array_equal(grads[i], alone_grad[0])
     no_grad, _ = score(cases, grad=False)
     assert np.array_equal(losses, no_grad)
+
+
+class LaneMajorLattice(RescaledLattice):
+    """The recursion laid out ``[frame, lane, state]``, as before the
+    state-major layout: the bit-for-bit reference of ``RescaledLattice``."""
+
+    def __init__(self, log_probs, targets, beta: bool):
+        self.log_probs = log_probs
+        self.units = targets
+        self.ext = [extended_target(u) for u in targets]
+        b = len(log_probs)
+        lengths = np.array([lp.shape[0] for lp in log_probs])
+        states = np.array([e.shape[0] for e in self.ext])
+        t_max, s_max = int(lengths.max()), int(states.max())
+        lanes = 2 * b if beta else b
+        emit = np.ones((t_max, lanes, s_max))
+        skip = np.zeros((lanes, s_max))
+        for i, (lp, ext) in enumerate(zip(log_probs, self.ext)):
+            t_len, s_len = lp.shape[0], ext.shape[0]
+            p = np.exp(lp[:, ext])
+            emit[:t_len, i::b, s_len:] = 0.0
+            emit[:t_len, i, :s_len] = p
+            skip[i, :s_len] = _can_skip(ext)
+            if beta:
+                emit[:t_len, b + i, :s_len] = p[::-1, ::-1]
+                skip[b + i, :s_len] = _can_skip(ext[::-1])
+        lat = np.zeros((t_max if beta else 2, lanes, s_max + 2))
+        acc = np.zeros((t_max if beta else 1, lanes, s_max))
+        acc[0, :, :2] = 1.0
+        skipped = np.empty((lanes, s_max))
+        scale = np.empty((t_max, lanes))
+        last = np.tile(lengths - 1, lanes // b)
+        col = np.tile(states + 1, lanes // b)
+        ends = {int(t): np.flatnonzero(last == t) for t in np.unique(last)}
+        z = np.empty(lanes)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for t in range(t_max):
+                cur = lat[t % lat.shape[0]]
+                a = acc[t % acc.shape[0]]
+                if t:
+                    prev = lat[(t - 1) % lat.shape[0]]
+                    np.add(prev[:, 2:], prev[:, 1:-1], out=a)
+                    np.multiply(prev[:, :-2], skip, out=skipped)
+                    np.add(a, skipped, out=a)
+                np.multiply(emit[t], a, out=cur[:, 2:])
+                np.max(cur[:, 2:], axis=1, out=scale[t])
+                np.divide(cur[:, 2:], scale[t][:, None], out=cur[:, 2:])
+                if t in ends:
+                    i = ends[t]
+                    z[i] = cur[i, col[i]] + cur[i, col[i] - 1]
+            log_scale = np.cumsum(np.log(scale), axis=0)
+            trusted = (np.isfinite(scale) & (scale >= TINY)) \
+                | (np.arange(t_max)[:, None] > last)
+            self.sound = trusted.all(axis=0) & (z >= TINY)
+            self.log_z = log_scale[last[:b], np.arange(b)] + np.log(z[:b])
+        self._fallback = {}
+        for i in np.flatnonzero(~self.sound[:b]):
+            self.log_z[i] = self._log_space(i).log_z
+        self.lat, self.acc = lat, acc
+
+    def posterior(self, i):
+        b = len(self.log_probs)
+        t_len, s_len = self.log_probs[i].shape[0], self.ext[i].shape[0]
+        if self.sound[i] and self.sound[b + i]:
+            both = (self.lat[:t_len, i, 2:2 + s_len]
+                    * self.acc[t_len - 1::-1, b + i, s_len - 1::-1])
+            mass = both.sum(axis=1, keepdims=True)
+            if (mass >= TINY).all():
+                return both / mass
+        return _posterior(self._log_space(i), self.log_probs[i])
+
+
+def assert_lattices_equal(log_probs, targets, beta):
+    new = RescaledLattice(log_probs, targets, beta)
+    ref = LaneMajorLattice(log_probs, targets, beta)
+    assert np.array_equal(new.log_z, ref.log_z)
+    assert np.array_equal(new.sound, ref.sound)
+    for i in range(len(targets) if beta else 0):
+        assert np.array_equal(new.posterior(i), ref.posterior(i), equal_nan=True)
+    return new
+
+
+@given(st.lists(node_case(), min_size=1, max_size=5), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_state_major_lattice_equals_lane_major_reference(cases, beta, data):
+    log_probs = [lp for lp, *_ in cases]
+    targets = [y for _, y, _ in cases]
+    # a second target over some spans, as a preference pair's loser shares
+    # its winner's frames
+    for lp, _, _ in cases:
+        if data.draw(st.booleans()):
+            y = data.draw(st.lists(st.integers(1, lp.shape[1] - 1),
+                                   max_size=lp.shape[0]))
+            while min_frames(tuple(y)) > lp.shape[0]:
+                y.pop()
+            log_probs.append(lp)
+            targets.append(tuple(y))
+    assert_lattices_equal(log_probs, targets, beta)
+
+
+@pytest.mark.parametrize("beta", [False, True], ids=["alpha", "beta"])
+def test_state_major_lattice_equals_lane_major_at_scoring_shapes(beta):
+    # 32 sequences of up to 84 frames and 57 states, as a preference
+    # scoring pass packs them; one lane underflows
+    rng = np.random.default_rng(5)
+    log_probs, targets = [], []
+    for _ in range(32):
+        t = int(rng.integers(40, 85))
+        log_probs.append(random_lp(rng, t, 40))
+        targets.append(tuple(feasible_target(rng, t, 40, 28)))
+    targets[0] = tuple(range(1, 29))
+    log_probs[1][3] -= 740.0
+    lattice = assert_lattices_equal(log_probs, targets, beta)
+    assert np.flatnonzero(~lattice.sound[:32]).tolist() == [1]
 
 
 def test_log_z_with_and_without_gradients_bit_identical():

@@ -1,16 +1,21 @@
 """The trainers over ``tensor.fit``: bit-identical to their hand-written
-loops, and stopped by a non-finite loss."""
+loops, stopped by a non-finite loss, and free of page faults once warm."""
+
+import copy
+import platform
 
 import numpy as np
 import pytest
 
 import unitforge.tensor as T
+from unitforge import preference
 from unitforge.alignment import (STAGE_TABLE, OmniModel, _set_freeze,
                                  _trainable, default_schedule,
                                  pretrain_backbone, run_stage)
 from unitforge.data import (AlignmentSpec, CorpusSpec, decode_f32, encode_f32,
                             gen_image_text_corpus, gen_instruct_corpus,
-                            gen_speech_text_corpus, gen_supervised_corpus)
+                            gen_preference_corpus, gen_speech_text_corpus,
+                            gen_supervised_corpus)
 from unitforge.decoder import (SpeechDecoder, SpeechDecoderConfig,
                                TrainSchedule, batch_loss, feasible,
                                train_decoder)
@@ -185,3 +190,47 @@ def test_ar_training_on_nan_features_stops_at_step_zero():
         train_decoder(records, decoder_config("ar"),
                       TrainSchedule(steps=2, batch=2))
     assert len(T._ACTIVE_TAPE) == 0
+
+
+# ---------------------------------------------------------------------------
+# memory reuse across steps
+
+
+def minor_faults_per_step(params, loss_fn, warm=2, steps=10):
+    """Mean minor page faults of ``steps`` training steps after ``warm``."""
+    resource = pytest.importorskip("resource")
+    counts = []
+    for _ in T.fit(params, loss_fn, warm + steps, 1e-4):
+        counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return (counts[-1] - counts[warm - 1]) / steps
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator setting is glibc's")
+@pytest.mark.parametrize("phase", ["nar", "dpo"])
+def test_warm_training_steps_reuse_their_memory(phase):
+    # the speech_train shapes: d=64, 2 layers, 2 experts, TGM, batch 8; a
+    # step that hands its pages back to the OS faults them in again, about
+    # 760 (NAR) and 610 (DPO) times a step
+    spec = CorpusSpec(seed=7777, size=48)
+    decoder = SpeechDecoder(SpeechDecoderConfig(
+        mode="nar", layers=2, experts=2, model_dim=spec.feature_dim, heads=2,
+        vocab_nar=spec.vocab_nar, upsample=spec.upsample, max_context=32,
+        tgm=True, seed=0))
+    params = decoder.parameters()
+    records = gen_supervised_corpus(spec)[:8]
+    conds = [decode_f32(r["features"]) for r in records]
+    pairs = preference.pairs_from_records(gen_preference_corpus(spec)[:8])
+    reference = copy.deepcopy(decoder)
+    reference.set_trainable(False)
+    ref = preference._scores(reference, pairs)
+
+    def loss_fn(step):
+        if phase == "nar":
+            return batch_loss(decoder, records, conds)
+        return preference._dpo_loss(decoder, pairs, ref, 0.1)
+
+    if phase == "dpo":
+        params = {k: v for k, v in params.items()
+                  if not k.startswith(("tgm.", "txt."))}
+    assert minor_faults_per_step(params, loss_fn) < 50
