@@ -3,14 +3,15 @@ stack, and the two generation modes (AR next-unit prediction, NAR with
 CTC). Condition features are frozen-backbone hidden states supplied by
 the corpus; the text-guided module fuses them with ground-truth response
 text embeddings during training only. A training batch runs as one
-packed forward (``SpeechDecoder.loss``): text fusion per record, then
-every later layer once over all rows, attention keeping each record's
-rows to themselves; a one-record loss is a batch of one. The AR decoder
-is a causal LM over each ``[context; BOS; units]``, laid out by
-``nn.lm_layout`` as the alignment backbone's LM is; ``_ar_hidden`` runs
-it for the loss, ``ar_forward`` and the generation prefill, after which
-each step runs one row, each block's attention keeping the keys and
-values of earlier rows in its ``tensor.KVCache`` (``_ar_steps``).
+packed forward (``SpeechDecoder.loss``): every layer, text fusion
+included, runs once over all rows, attention keeping each record's rows
+(and in fusion its text) to themselves; a one-record loss is a batch of
+one. The AR decoder is a causal LM over each ``[context; BOS; units]``,
+laid out by ``nn.lm_layout`` as the alignment backbone's LM is;
+``_ar_hidden`` runs it for the loss, ``ar_forward`` and the generation
+prefill, after which each step runs one row, each block's attention
+keeping the keys and values of earlier rows in its ``tensor.KVCache``
+(``_ar_steps``).
 """
 
 from __future__ import annotations
@@ -118,23 +119,27 @@ class SpeechDecoder:
     # -- conditioning -------------------------------------------------------
 
     def _contexts(self, conds, texts=None):
-        """The contexts ``[T_c, d]``, each fused with its text if ``texts``,
-        one after another, and their row counts."""
-        texts = [None] * len(conds) if texts is None else texts
-        if not len(conds) or len(texts) != len(conds):
+        """The contexts ``[T_c, d]`` one after another, and their row counts.
+        With ``texts`` (one non-empty token list per context) and a
+        text-guided module, each is fused with its text: one embedding
+        gather and one packed fusion for the whole batch."""
+        if not len(conds) or (texts is not None and len(texts) != len(conds)):
             raise ContractError(f"decoder: {len(conds)} contexts with "
                                 f"{len(texts)} texts (need one each, at least one)")
         d, cap, xs = self.config.model_dim, self.config.max_context, []
-        for cond, text in zip(conds, texts):
+        for cond in conds:
             x = cond if isinstance(cond, Tensor) else Tensor(np.asarray(cond))
             if x.data.ndim != 2 or x.data.shape[1] != d or x.data.shape[0] > cap:
                 raise ContractError(f"condition features must be [T_c <= {cap}, "
                                     f"{d}], got {x.data.shape}")
-            if self.tgm is not None and text is not None:
-                x = self.tgm(x, self.txt_emb(np.asarray(text, dtype=np.int64)))
             xs.append(x)
         rows = np.array([x.data.shape[0] for x in xs])
-        return (T.concat_rows(*xs) if len(xs) > 1 else xs[0]), rows
+        x = T.concat_rows(*xs) if len(xs) > 1 else xs[0]
+        if self.tgm is not None and texts is not None:
+            ids = [np.asarray(text, dtype=np.int64) for text in texts]
+            x = self.tgm(x, self.txt_emb(np.concatenate(ids)), rows,
+                         [len(i) for i in ids])
+        return x, rows
 
     def loss(self, conds, units, texts=None) -> Tensor:
         """Mean over a batch of each context's CTC loss (NAR) or
@@ -159,8 +164,8 @@ class SpeechDecoder:
         """Contexts ``[T_c, d]`` (with ``texts``, each fused with its token
         list) -> their row-normalized log-probs ``[upsample*T_c, V_n]``, one
         after another in one packed tensor, and each one's frame count.
-        Text fusion runs per context; every later layer runs once over all
-        frames, attention keeping each context's frames to themselves."""
+        Every layer, text fusion included, runs once over the whole batch,
+        attention keeping each context's frames to themselves."""
         if self.config.mode != "nar":
             raise ContractError("nar_forward on an AR-mode decoder")
         x, rows = self._contexts(conds, texts)

@@ -4,7 +4,8 @@ Everything is desk scale: pre-norm transformer blocks whose attention
 holds one [d, 3d] query/key/value weight and runs its heads as a tensor
 axis, dense soft MoE routing over experts stacked into [E, ...] weights,
 and a text-guided module: single-head cross-attention through the same
-``tensor.attention``, keys and values taken from the response text, whose
+``tensor.attention``, keys and values taken from the response text, a
+whole batch of contexts and their texts packed into one call, whose
 output projection starts at zero so the fused path is exactly the
 identity until trained. Attention (self and cross), biased Linear,
 LayerNorm, the expert mix and the cross-entropy are one tape node each
@@ -177,10 +178,12 @@ class TextGuidedModule:
 
     Queries come from the conditioning hidden states, keys/values from
     ground-truth response text embeddings, through one [d, 3d] weight and
-    one ``tensor.attention`` node. The output projection is
-    zero-initialized, so before any training the module is exactly the
-    identity on its hidden-state input. With no text (inference), the
-    module is bypassed.
+    one ``tensor.attention`` node. A batch is packed: ``lengths`` hidden
+    rows per context and ``text_lengths`` text rows per context (default:
+    one context), each context attending only to its own text, so a batch
+    fuses in one node. The output projection is zero-initialized, so
+    before any training the module is exactly the identity on its
+    hidden-state input. With no text (inference), the module is bypassed.
     """
 
     def __init__(self, rng, d):
@@ -189,11 +192,12 @@ class TextGuidedModule:
                                          axis=1), requires_grad=True)
         self.proj = Linear(rng, d, d, bias=False, zero_init=True)
 
-    def __call__(self, hidden, text_embed=None):
+    def __call__(self, hidden, text_embed=None, lengths=None, text_lengths=None):
         if text_embed is None:
             return hidden
         return T.add(hidden, T.attention(hidden, self.qkv, self.proj.w, 1, False,
-                                         context=text_embed))
+                                         context=text_embed, lengths=lengths,
+                                         key_lengths=text_lengths))
 
     def parameters(self, prefix="tgm"):
         out = {f"{prefix}.xattn.qkv.w": self.qkv}

@@ -15,9 +15,12 @@ embedding lookup is a row gather (``gather_rows``). Attention also takes
 packed sequences: segment ``lengths`` over its rows keep each row to its
 own sequence, so every other op runs row-wise over a whole packed batch
 at once. It runs the segments of each length as one grid, or all of them
-as one padded grid where padding is cheaper (``GRID_CELLS``). For
-inference it takes a ``KVCache``: the keys and values of earlier rows, so
-a decoding step projects only its new row.
+as one padded grid where padding is cheaper (``GRID_CELLS``). A packed
+cross-attention also takes ``key_lengths`` over its context, one key
+segment per query segment, so a batch of contexts fuses with its texts
+in one node, on one padded grid. For inference it takes a ``KVCache``:
+the keys and values of earlier rows, so a decoding step projects only its
+new row.
 
 ``relu``, ``log_softmax_last_dim`` and ``softplus`` build their
 derivatives (a mask, a softmax, a sigmoid) only in their backward, so an
@@ -420,7 +423,12 @@ class KVCache:
 # padded grid. Timed forward and backward (d=32 and 64, 2 heads, BLAS on
 # one thread) over 32 layouts, 24 of them from decoder and alignment
 # training batches: the rule picked the faster layout in 31, and the miss
-# was a 5% difference.
+# was a 5% difference. Packed cross-attention (text fusion) always runs one
+# padded [B, Lq, Lk] grid: on the fusion batches of speech_train (batch 8,
+# 7-21 context rows, 2-9 text tokens, seeds 1 and 7) that grid holds 520 to
+# 1,512 cells over 3-6 distinct (Lq, Lk) pairs, so a grid per pair would
+# save at most 329 cells per added grid; on the decoder tests' batch of 8,
+# 1,216 cells and 160 per added grid. Both are far under GRID_CELLS.
 GRID_CELLS = 1000
 
 
@@ -449,11 +457,24 @@ def _layout(lengths, n):
                    for first, seg, width in zip(firsts, segments, widths)]
 
 
+def _cross_grids(lengths, keys, t, s):
+    """The grids of a cross-attention over ``t`` query and ``s`` key rows:
+    ``(x_grid, context_grid)``, whose grid row i holds query segment i and
+    key segment i. Without lengths, or with one segment, each is a reshape;
+    else each is zero-padded to [segments, longest] and carries the key
+    lengths that mask the padded keys."""
+    if lengths is None or len(lengths) == 1:
+        return (0, 1, t, None), (0, 1, s, None)
+    return [(0, len(a), int(a.max()),
+             (np.repeat(np.arange(len(a)), a), segment_positions(a), keys))
+            for a in (lengths, keys)]
+
+
 def _take(grid, a):
     """Rows of ``a`` (in grid order) on ``grid``: [segments, width, ...]."""
     first, b, w, pad = grid
-    if pad is None:  # -1: a context grid also takes x's rows alone
-        return a[first:first + b * w].reshape(b, -1, *a.shape[1:])
+    if pad is None:
+        return a[first:first + b * w].reshape(b, w, *a.shape[1:])
     out = np.zeros((b, w, *a.shape[1:]))
     out[pad[0], pad[1]] = a
     return out
@@ -474,15 +495,17 @@ def _ungrid(grids, order, parts):
 
 def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int,
               causal: bool, context: Tensor | None = None,
-              lengths=None, cache: KVCache | None = None) -> Tensor:
+              lengths=None, cache: KVCache | None = None,
+              key_lengths=None) -> Tensor:
     """Multi-head attention of x[T, d] over context[S, d] (default: x).
 
     ``w_qkv[d, 3d]`` holds the query, key and value projections side by
     side, each as ``heads`` column blocks of width d/heads; ``w_o[d, d]``
-    maps the concatenated heads back. One matmul projects the rows
-    ``[x; context]``, queries from x's, keys and values from the context's.
-    With ``causal``, row t sees rows <= t; a causal mask over a context,
-    which does not place x's rows among its keys, is a ``ContractError``.
+    maps the concatenated heads back. Without a context one matmul
+    projects x's rows to all three; with one, x's rows are projected to
+    queries only and the context's to keys and values only. With
+    ``causal``, row t sees rows <= t; a causal mask over a context, which
+    does not place x's rows among its keys, is a ``ContractError``.
 
     ``cache`` (inference only: no input may be tracked) holds the keys and
     values of the rows that came before x. x's keys and values are written
@@ -492,16 +515,21 @@ def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int,
     past the cache's capacity, or a cache with a context or ``lengths``,
     is a ``ContractError``.
 
-    ``lengths`` packs sequences into x (no context): consecutive segments
-    of those lengths, summing to T, each seeing only its own rows (packing
-    as in Krell et al., 2021; per-sequence bounds as in variable-length
-    attention, Dao, 2023). The segments of each length run as one
-    [segments, length] grid, a reshape of their rows with no mask; or, where
-    the padding costs less than the added grids (``GRID_CELLS``), all run
-    on one [segments, longest] grid whose padded keys are masked. Without
-    ``lengths`` the rows are one segment. Segments and heads run as leading
-    axes of batched matmuls (sums in another order than per head or per
-    segment; about 1e-15).
+    ``lengths`` packs sequences into x: consecutive segments of those
+    lengths, summing to T, each seeing only its own rows (packing as in
+    Krell et al., 2021; per-sequence bounds as in variable-length
+    attention, Dao, 2023). Without a context the segments of each length
+    run as one [segments, length] grid, a reshape of their rows with no
+    mask; or, where the padding costs less than the added grids
+    (``GRID_CELLS``), all run on one [segments, longest] grid whose padded
+    keys are masked. With a context, ``key_lengths`` packs it the same way,
+    one segment per query segment, summing to S: query segment i attends
+    only to key segment i, all on one zero-padded [segments, longest
+    query, longest key] grid with the padded keys masked. Lengths that do
+    not tile x or the context, or key lengths without a context, are a
+    ``ShapeError``. Without ``lengths`` the rows are one segment. Segments
+    and heads run as leading axes of batched matmuls (sums in another
+    order than per head or per segment; about 1e-15).
     """
     ctx = () if context is None else (context,)
     _check_nonempty("attention", x, w_qkv, w_o, *ctx)
@@ -511,15 +539,19 @@ def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int,
             or w_o.data.shape != (d, d) or kv[1:] != (d,)):
         raise ShapeError(f"attention: x {x.data.shape}, w_qkv {w_qkv.data.shape}, "
                          f"w_o {w_o.data.shape}, {heads} heads, context {kv}")
-    rows = np.concatenate([x.data, context.data]) if ctx else x.data
-    n, s0, dh = len(rows), len(rows) - kv[0], d // heads  # s0: first k/v row
+    dh = d // heads
     c = 1.0 / math.sqrt(dh)
-    if lengths is not None:
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if (ctx or lengths.ndim != 1 or not lengths.size or lengths.min() < 1
-                or lengths.sum() != t):
-            raise ShapeError(f"attention: segment lengths {lengths.tolist()} "
-                             f"for x {x.data.shape}, context {kv}")
+    if lengths is not None or key_lengths is not None:
+        # the query segments tile x's rows and, with a context, the key
+        # segments tile its rows, one key segment per query segment
+        sides = [np.asarray([] if a is None else a, dtype=np.int64)
+                 for a in ((lengths, key_lengths) if ctx else (lengths,))]
+        if ((not ctx and key_lengths is not None) or sides[0].shape != sides[-1].shape
+                or any(a.ndim != 1 or not a.size or a.min() < 1 or a.sum() != m
+                       for a, m in zip(sides, (t, kv[0])))):
+            raise ShapeError(f"attention: segment lengths {lengths} and key lengths "
+                             f"{key_lengths} for x {x.data.shape}, context {kv}")
+        lengths, key_lengths = sides[0], sides[-1]
     if causal and ctx:
         raise ContractError("attention: a causal mask over a context")
     past = 0  # rows before x's among the keys
@@ -534,17 +566,22 @@ def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int,
         if past + t > cache.keys.shape[1]:
             raise ContractError(f"attention: {past} cached rows and {t} new ones "
                                 f"exceed the cache's {cache.keys.shape[1]}")
-    order, grids = _layout(lengths, n)
-    proj = (rows @ w_qkv.data).reshape(n, 3, heads, dh)
-    if order is not None:
-        proj = proj[order]
+    w = w_qkv.data
+    if ctx:  # one grid; queries from x's rows, keys and values from the context's
+        x_grid, kv_grid = _cross_grids(lengths, key_lengths, t, kv[0])
+        order, grids = None, [x_grid]
+        q = _take(x_grid, (x.data @ w[:, :d]).reshape(t, heads, dh)).transpose(0, 2, 1, 3)
+        k, v = _take(kv_grid, (context.data @ w[:, d:]).reshape(-1, 2, heads, dh)
+                     ).transpose(2, 0, 3, 1, 4)
+    else:
+        order, grids = _layout(lengths, t)
+        proj = (x.data @ w).reshape(t, 3, heads, dh)
+        if order is not None:
+            proj = proj[order]
     parts, saved = [], []
     for grid in grids:
-        # [rows, 3, H, dh] -> [3, B, H, L, dh]: q, k, v, each with segment
-        # and head axes; a packed x has t = n and s0 = 0, so the slices
-        # below take all L
-        qkv = _take(grid, proj).transpose(2, 0, 3, 1, 4)
-        q, k, v = qkv[0, :, :, :t], qkv[1, :, :, s0:], qkv[2, :, :, s0:]
+        if not ctx:  # [rows, 3, H, dh] -> q, k, v, each [B, H, L, dh]
+            q, k, v = _take(grid, proj).transpose(2, 0, 3, 1, 4)
         if cache is not None:  # one grid: no lengths
             cache.keys[:, past:past + t] = k[0]
             cache.values[:, past:past + t] = v[0]
@@ -555,13 +592,13 @@ def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int,
         if (causal and q.shape[2] > 1) or pad is not None:  # one row masks no key
             kj = np.arange(k.shape[2])
             masked = kj > np.arange(past, past + q.shape[2])[:, None] if causal else False
-            if pad is not None:  # and the padding after each segment
+            if pad is not None:  # and the padding after each key segment
                 masked = masked | (kj >= pad[2][:, None, None, None])
             np.copyto(s, NEG_INF, where=masked)
         e = np.exp(s - np.maximum.reduce(s, axis=-1, keepdims=True))
         p = e / np.add.reduce(e, axis=-1, keepdims=True)
         parts.append((p @ v).transpose(0, 2, 1, 3))
-        saved.append((grid, q, k, v, p))
+        saved.append((q, k, v, p))
     heads_out = _ungrid(grids, order, parts).reshape(t, d)
 
     def bwd(g):
@@ -569,19 +606,28 @@ def attention(x: Tensor, w_qkv: Tensor, w_o: Tensor, heads: int,
         if order is not None:
             g_out = g_out[order]
         g_parts = []
-        for grid, q, k, v, p in saved:
+        for grid, (q, k, v, p) in zip(grids, saved):
             g_o = _take(grid, g_out).transpose(0, 2, 1, 3)
             g_p = g_o @ v.swapaxes(-1, -2)
             g_s = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * c
-            g_grid = np.zeros((q.shape[0], s0 + k.shape[2], 3, heads, dh))
-            g_grid[:, :t, 0] = (g_s @ k).transpose(0, 2, 1, 3)
-            g_grid[:, s0:, 1] = (g_s.swapaxes(-1, -2) @ q).transpose(0, 2, 1, 3)
-            g_grid[:, s0:, 2] = (p.swapaxes(-1, -2) @ g_o).transpose(0, 2, 1, 3)
+            # q's gradient in slot 0 of the grid; k's and v's in its slots
+            # 1-2, or with a context in a grid of the key rows
+            g_grid = np.zeros((q.shape[0], q.shape[2], 1 if ctx else 3, heads, dh))
+            g_kv = (np.zeros((k.shape[0], k.shape[2], 2, heads, dh)) if ctx
+                    else g_grid[:, :, 1:])
+            g_grid[:, :, 0] = (g_s @ k).transpose(0, 2, 1, 3)
+            g_kv[:, :, 0] = (g_s.swapaxes(-1, -2) @ q).transpose(0, 2, 1, 3)
+            g_kv[:, :, 1] = (p.swapaxes(-1, -2) @ g_o).transpose(0, 2, 1, 3)
             g_parts.append(g_grid)
-        g_rows = _ungrid(grids, order, g_parts).reshape(n, 3 * d)
-        g_in = g_rows @ w_qkv.data.T
-        return [(x, g_in[:t]), *[(cx, g_in[t:]) for cx in ctx],
-                (w_qkv, rows.T @ g_rows), (w_o, heads_out.T @ g)]
+        g_w = (w_o, heads_out.T @ g)
+        if ctx:
+            g_q = _ungrid(grids, None, g_parts).reshape(t, d)
+            g_kv = _ungrid([kv_grid], None, [g_kv]).reshape(-1, 2 * d)
+            return [(x, g_q @ w[:, :d].T), (context, g_kv @ w[:, d:].T),
+                    (w_qkv, np.concatenate([x.data.T @ g_q, context.data.T @ g_kv], axis=1)),
+                    g_w]
+        g_rows = _ungrid(grids, order, g_parts).reshape(t, 3 * d)
+        return [(x, g_rows @ w.T), (w_qkv, x.data.T @ g_rows), g_w]
 
     return _record("attention", _wrap(heads_out @ w_o.data), bwd, x, w_qkv, w_o, *ctx)
 

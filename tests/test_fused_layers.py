@@ -312,14 +312,54 @@ def test_cached_attention_matches_one_causal_call(heads, dh, prompt, chunks, spa
     assert_close(np.concatenate(got), want, ATTENTION_TOL)
 
 
-@pytest.mark.parametrize("lengths, context", [([2, 2], None), ([3, 0, 2], None),
-                                              ([], None), ([5], 2)],
-                         ids=["short", "empty-segment", "no-segments", "context"])
-def test_packed_attention_rejects_bounds_that_do_not_tile_x(lengths, context):
+@pytest.mark.parametrize("lengths, context, keys", [
+    ([2, 2], None, None), ([3, 0, 2], None, None), ([], None, None), ([5], 2, None),
+    # key lengths must tile the context, one segment per query segment
+    ([2, 3], 5, [2, 2]), ([2, 3], 5, [5, 0]), ([2, 3], 5, [5]), ([2, 3], 5, [1, 1, 3]),
+    ([5], None, [5])],
+    ids=["short", "empty-segment", "no-segments", "context", "key-sum",
+         "empty-key-segment", "fewer-key-segments", "more-key-segments",
+         "keys-without-context"])
+def test_packed_attention_rejects_bounds_that_do_not_tile_x(lengths, context, keys):
     x, w_qkv, w_o = (Tensor(np.ones(shape)) for shape in ((5, 4), (4, 12), (4, 4)))
     ctx = None if context is None else Tensor(np.ones((context, 4)))
     with pytest.raises(ShapeError):
-        T.attention(x, w_qkv, w_o, 2, True, context=ctx, lengths=lengths)
+        T.attention(x, w_qkv, w_o, 2, True, context=ctx, lengths=lengths,
+                    key_lengths=keys)
+
+
+@given(heads=st.sampled_from([1, 2]),
+       segments=st.lists(st.tuples(st.integers(1, 24), st.integers(1, 9)),
+                         min_size=1, max_size=8),
+       seed=st.integers(0, 2**31 - 1))
+@example(heads=1, segments=[(7, 4), (21, 4), (12, 4)], seed=1)  # equal key lengths
+@example(heads=2, segments=[(9, 5), (14, 1), (3, 9)], seed=2)  # a one-token text
+@settings(max_examples=80, deadline=None)
+def test_packed_cross_attention_matches_per_segment_calls(heads, segments, seed):
+    # (query rows, key rows) per segment: one packed call against one call
+    # per pair of segments
+    rng = np.random.default_rng(seed)
+    d = 2 * heads
+    lengths, keys = [list(side) for side in zip(*segments)]
+    x0, ctx0 = rng.normal(size=(sum(lengths), d)), rng.normal(size=(sum(keys), d))
+    qkv0 = rng.normal(0.0, 1.0 / math.sqrt(d), (d, 3 * d))
+    o0 = rng.normal(0.0, 1.0 / math.sqrt(d), (d, d))
+    up = rng.normal(size=x0.shape)
+    x, ctx, qkv, o = leaf(x0), leaf(ctx0), leaf(qkv0), leaf(o0)
+    got = run(lambda: T.attention(x, qkv, o, heads, False, context=ctx,
+                                  lengths=lengths, key_lengths=keys), up)
+    rows, cols = np.cumsum([0, *lengths]), np.cumsum([0, *keys])
+    segs = [leaf(x0[a:b]) for a, b in zip(rows, rows[1:])]
+    texts = [leaf(ctx0[a:b]) for a, b in zip(cols, cols[1:])]
+    qkvr, orr = leaf(qkv0), leaf(o0)
+    want = run(lambda: T.concat_rows(*[
+        T.attention(seg, qkvr, orr, heads, False, context=text)
+        for seg, text in zip(segs, texts)]), up)
+    assert_close(got, want, ATTENTION_TOL)
+    assert_close(x.grad, np.concatenate([seg.grad for seg in segs]), ATTENTION_TOL)
+    assert_close(ctx.grad, np.concatenate([text.grad for text in texts]), ATTENTION_TOL)
+    assert_close(qkv.grad, qkvr.grad, ATTENTION_TOL)
+    assert_close(o.grad, orr.grad, ATTENTION_TOL)
 
 
 @given(d=st.sampled_from([4, 8, 16]), t=st.integers(1, 12), s=st.integers(1, 9),
@@ -453,10 +493,10 @@ def test_mean_of_a_vector_matches_mean_of_its_elements_bit_for_bit(n, seed):
 # tape budget
 
 
-def decoder_step_loss(mode):
+def decoder_step_loss(mode, batch=8):
     # the DPO acceptance shapes: d=64, 2 layers, 2 experts, 2 heads, TGM
     spec = CorpusSpec(seed=7777, size=48)
-    records = gen_supervised_corpus(spec)[:8]
+    records = gen_supervised_corpus(spec)[:batch]
     decoder = SpeechDecoder(SpeechDecoderConfig(
         mode=mode, layers=2, experts=2, model_dim=spec.feature_dim, heads=2,
         vocab_nar=spec.vocab_nar, upsample=spec.upsample, max_context=32, seed=0))
@@ -473,7 +513,7 @@ def align_one_step_loss(batch=32):
     return lambda: STAGE_LOSSES["I"](model, records)
 
 
-@pytest.mark.parametrize("case, budget", [("nar", 60), ("ar", 60), ("alignI", 15)],
+@pytest.mark.parametrize("case, budget", [("nar", 30), ("ar", 29), ("alignI", 15)],
                          ids=["nar", "ar", "alignI"])
 def test_training_step_stays_within_its_node_budget(case, budget):
     step_loss = align_one_step_loss() if case == "alignI" else decoder_step_loss(case)
@@ -489,6 +529,17 @@ def test_packed_alignment_step_records_as_many_nodes_at_batch_1_as_at_32():
             align_one_step_loss(batch)()
             counts.append(len(tape))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("mode", ["nar", "ar"])
+def test_packed_decoder_step_records_as_many_nodes_at_batch_1_8_and_32(mode):
+    # text fusion included: one packed cross-attention per batch
+    counts = []
+    for batch in (1, 8, 32):
+        with T.fresh_tape() as tape:
+            decoder_step_loss(mode, batch)()
+            counts.append(len(tape))
+    assert counts[0] == counts[1] == counts[2]
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +597,19 @@ def per_op_layers(monkeypatch):
             [Tensor(a.data[e]) for a in (self.w1, self.b1, self.w2, self.b2)]
             for e in range(self.w1.shape[0])])
 
-    def tgm(self, hidden, text_embed=None):
+    def tgm(self, hidden, text_embed=None, lengths=None, text_lengths=None):
+        # packed (context, text) segments one pair at a time
         if text_embed is None:
             return hidden
         (wq,), (wk,), (wv,) = [[Tensor(w) for w in part]
                                for part in split_qkv(self.qkv.data, 1)]
-        return ref_tgm(hidden, text_embed, wq, wk, wv, self.proj.w)
+        rows = np.cumsum([0, *([len(hidden.data)] if lengths is None else lengths)])
+        keys = np.cumsum([0, *([len(text_embed.data)] if text_lengths is None
+                               else text_lengths)])
+        return T.concat_rows(*[
+            ref_tgm(T.gather_rows(hidden, np.arange(a, b)),
+                    T.gather_rows(text_embed, np.arange(ka, kb)), wq, wk, wv, self.proj.w)
+            for a, b, ka, kb in zip(rows, rows[1:], keys, keys[1:])])
 
     monkeypatch.setattr(nn.SelfAttention, "__call__", attention)
     monkeypatch.setattr(nn.TextGuidedModule, "__call__", tgm)
@@ -601,12 +659,15 @@ def test_fused_text_guided_module_gives_the_per_op_text_loss(monkeypatch):
     decoder, rng = perturbed_decoder("nar", 8)
     cases = [(rng.normal(size=(t, TINY["model_dim"])), units, text)
              for t, units, text in ((3, [1, 2], [0, 4]), (6, [3, 3, 1, 5], [2, 1, 3, 0]))]
+    conds, units, texts = zip(*cases)
     with T.no_grad():
         got = [decoder.loss([c], [u], [text]).item() for c, u, text in cases]
+        got.append(decoder.loss(conds, units, texts).item())  # one packed batch
         bypassed = [decoder.loss([c], [u]).item() for c, u, _ in cases]
         with monkeypatch.context() as m:
             per_op_layers(m)
             want = [decoder.loss([c], [u], [text]).item() for c, u, text in cases]
+            want.append(decoder.loss(conds, units, texts).item())
     assert np.abs(np.subtract(got, want)).max() <= ATTENTION_TOL
     assert min(abs(a - b) for a, b in zip(got, bypassed)) > 1e-6
 
