@@ -297,9 +297,12 @@ def _set_freeze(model: OmniModel, frozen: bool):
 @contextmanager
 def _in_stage(model: OmniModel, stage: str, records):
     """``STAGE_LOSSES[stage]`` once every record holds the stage's fields,
-    with the backbone frozen in a frozen stage and unfrozen on exit."""
+    with the backbone frozen in a frozen stage and unfrozen on exit. The
+    shared input embedding is frozen in every stage, as ``_trainable``
+    leaves it out: no step computes a gradient that nothing applies."""
     check_fields(model, stage, records)
     _set_freeze(model, STAGE_TABLE[stage].frozen)
+    model.backbone.emb.table.requires_grad = False
     try:
         yield STAGE_LOSSES[stage]
     finally:

@@ -1,9 +1,11 @@
 """Reverse-mode automatic differentiation over float64 numpy buffers.
 
-A single module-global tape records every op applied to tensors that
-require gradients. ``backward`` replays the tape in reverse creation
-order, which is a valid topological order by construction. Parameters
-(leaf tensors) survive tape clearing; intermediate activations do not.
+One context-local switch decides whether an op records: the active tape,
+a list of nodes, or None while recording is off (``no_grad``). An op on
+tensors that require gradients appends a node to it. ``backward`` replays
+the tape in reverse creation order, which is a valid topological order by
+construction. Parameters (leaf tensors) survive tape clearing;
+intermediate activations do not.
 
 All math is float64. Structurally unreachable lattice cells and masked
 attention scores use the ``NEG_INF`` sentinel. Attention, biased
@@ -32,6 +34,7 @@ from __future__ import annotations
 import ctypes
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -62,59 +65,49 @@ class _Node:
         self.backward_fn = backward_fn
 
 
-class Tape:
-    """Append-only op record; reverse traversal is topological."""
-
-    def __init__(self):
-        self.nodes = []
-
-    def push(self, kind, out, backward_fn):
-        out.node_id = len(self.nodes)
-        out._tape = self
-        self.nodes.append(_Node(kind, out, backward_fn))
-
-    def clear(self):
-        self.nodes.clear()
-
-    def __len__(self):
-        return len(self.nodes)
-
-
-_ACTIVE_TAPE = Tape()
-_GRAD_ENABLED = True
+# The active tape: the nodes recorded so far, or None while recording is
+# off. It is context-local, so ``no_grad`` or ``fresh_tape`` in one thread
+# (or asyncio task) leaves the others' recording as it was. Every context
+# starts on this one shared module tape, so trainers that run at once each
+# enter ``fresh_tape()``.
+_ACTIVE_TAPE = ContextVar("unitforge_tape", default=[])
 
 
 def reset_tape():
-    _ACTIVE_TAPE.clear()
+    """Empty the active tape, if recording is on."""
+    tape = _ACTIVE_TAPE.get()
+    if tape is not None:
+        tape.clear()
 
 
 @contextmanager
+def _swap(tape):
+    """Make ``tape`` the active tape until exit, then restore the previous
+    one. Recording that is off stays off."""
+    saved = _ACTIVE_TAPE.get()
+    _ACTIVE_TAPE.set(None if saved is None else tape)
+    try:
+        yield tape
+    finally:
+        _ACTIVE_TAPE.set(saved)
+
+
 def fresh_tape():
-    """Temporarily swap in an empty tape (restores the previous one)."""
-    global _ACTIVE_TAPE
-    saved = _ACTIVE_TAPE
-    _ACTIVE_TAPE = Tape()
-    try:
-        yield _ACTIVE_TAPE
-    finally:
-        _ACTIVE_TAPE = saved
+    """Record on a new empty tape (a list of nodes, which it yields) until
+    exit. Under ``no_grad`` the tape stays empty: recording stays off."""
+    return _swap([])
 
 
-@contextmanager
 def no_grad():
-    global _GRAD_ENABLED
-    saved = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = saved
+    """Record nothing until exit: ops give untracked outputs even from
+    tensors that require gradients."""
+    return _swap(None)
 
 
 class Tensor:
-    """Dense float64 value with optional gradient buffer and tape link."""
+    """Dense float64 value with optional gradient buffer and tape position."""
 
-    __slots__ = ("data", "requires_grad", "grad", "node_id", "_tape")
+    __slots__ = ("data", "requires_grad", "grad", "node_id")
 
     def __init__(self, data, requires_grad=False):
         arr = np.array(data, dtype=np.float64)
@@ -123,7 +116,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self.node_id = None
-        self._tape = None
 
     @property
     def shape(self):
@@ -150,16 +142,16 @@ def _wrap(arr) -> Tensor:
     t.requires_grad = False
     t.grad = None
     t.node_id = None
-    t._tape = None
     return t
 
 
 def tracked(*tensors) -> bool:
-    """Whether an op on ``tensors`` is recorded on the active tape."""
-    if _GRAD_ENABLED:
-        tape = _ACTIVE_TAPE
+    """Whether an op on ``tensors`` is recorded: recording is on (there is
+    an active tape) and some input requires grad, as every op output on
+    the active tape does."""
+    if _ACTIVE_TAPE.get() is not None:
         for t in tensors:
-            if isinstance(t, Tensor) and (t.requires_grad or t._tape is tape):
+            if isinstance(t, Tensor) and t.requires_grad:
                 return True
     return False
 
@@ -172,8 +164,10 @@ def _check_nonempty(kind, *tensors):
 
 def _record(kind, out, backward_fn, *inputs):
     if tracked(*inputs):
+        tape = _ACTIVE_TAPE.get()
         out.requires_grad = True
-        _ACTIVE_TAPE.push(kind, out, backward_fn)
+        out.node_id = len(tape)
+        tape.append(_Node(kind, out, backward_fn))
     return out
 
 
@@ -693,17 +687,16 @@ def backward(loss: Tensor):
 
     ``.grad`` is populated on leaves only: tensors that require grad and
     are not op outputs on the active tape (parameters, and tensors left
-    over from before ``reset_tape()`` or from another tape).
-    Intermediates get no ``.grad``. Gradients add across calls; callers
-    zero grads between steps.
+    over from before ``reset_tape()`` or from another tape, whose
+    ``node_id`` names no earlier node that holds them). Intermediates get
+    no ``.grad``. Gradients add across calls; callers zero grads between
+    steps. The loss must be on the active tape: none under ``no_grad``.
     """
     if loss.data.size != 1:
         raise ContractError("backward: loss must be scalar")
-    tape = _ACTIVE_TAPE
-    nodes = tape.nodes
+    nodes = _ACTIVE_TAPE.get()
     top = loss.node_id
-    if (loss._tape is not tape or top is None or top >= len(nodes)
-            or nodes[top].out is not loss):
+    if nodes is None or top is None or top >= len(nodes) or nodes[top].out is not loss:
         raise ContractError("backward: loss is not on the active tape")
 
     # One slot per node output, freed once that node has run; gradients
@@ -722,7 +715,7 @@ def backward(loss: Tensor):
             if not isinstance(inp, Tensor):
                 continue
             j = inp.node_id
-            if inp._tape is tape and j < i and nodes[j].out is inp:
+            if j is not None and j < i and nodes[j].out is inp:
                 cur = slots[j]
                 slots[j] = gi if cur is None else cur + gi
             elif inp.requires_grad:
@@ -838,35 +831,22 @@ def warmup_lr(base_lr: float, step: int, total_steps: int, warmup_ratio: float =
     return base_lr * step / warmup_steps
 
 
-def mean(terms) -> Tensor:
-    """Mean of scalar loss terms as one node: summed left to right, then
-    scaled by 1/n, the float operations of an ``add`` chain and a
-    ``scale``. ``terms`` is an iterable of scalar tensors (a generator
-    too) or one 1-D tensor whose elements are the terms."""
-    if isinstance(terms, Tensor):
-        if terms.data.ndim != 1:
-            raise ShapeError(f"mean: terms of shape {terms.data.shape}")
-        inputs, values = [terms], list(terms.data)
-    else:
-        inputs = list(terms)
-        values = [term.data for term in inputs]
-    if not values:
+def mean(terms: Tensor) -> Tensor:
+    """Mean of a 1-D tensor of loss terms as one node: summed left to
+    right, then scaled by 1/n, the float operations of an ``add`` chain
+    and a ``scale``."""
+    if terms.data.ndim != 1:
+        raise ShapeError(f"mean: terms of shape {terms.data.shape}")
+    if not terms.data.size:
         raise ContractError("mean: no terms")
-    _check_nonempty("mean_terms", *inputs)
-    total = values[0]
-    for value in values[1:]:
-        if np.shape(value) != np.shape(total):
-            raise ShapeError(f"mean: {np.shape(value)} vs {np.shape(total)}")
-        total = total + value
-    s = 1.0 / len(values)
+    s = 1.0 / terms.data.size
+    # accumulate adds strictly left to right; add.reduce would pair terms
+    total = np.add.accumulate(terms.data)[-1]
 
     def bwd(g):
-        gs = g * s
-        if isinstance(terms, Tensor):
-            return [(terms, np.full(terms.data.shape, gs))]
-        return [(term, gs) for term in inputs]
+        return [(terms, np.full(terms.data.shape, g * s))]
 
-    return _record("mean_terms", _wrap(total * s), bwd, *inputs)
+    return _record("mean_terms", _wrap(total * s), bwd, terms)
 
 
 def fit(params: dict, loss_fn, steps: int, lr: float, warmup_ratio: float = 0.3,

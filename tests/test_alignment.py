@@ -1,5 +1,7 @@
 """Progressive alignment: freeze contracts, stage order, losses, probes."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,6 +157,12 @@ def per_sample_loss(model, prefix_rows, target, prompt=()):
                             np.arange(start, start + len(target)), target)
 
 
+def ref_mean(terms):
+    """The add chain and scale whose float operations ``T.mean`` makes."""
+    terms = list(terms)
+    return T.scale(functools.reduce(T.add, terms), 1.0 / len(terms))
+
+
 def loss_and_grads(model, build):
     params = {k: p for k, p in model.parameters().items() if p.requires_grad}
     for p in params.values():
@@ -193,7 +201,7 @@ def test_packed_loss_matches_the_mean_of_per_sample_losses(corpora, task, data):
                                          rec[spec.prompt] if spec.prompt else ())
                          for rec in batch)
     got, got_grads = loss_and_grads(model, packed)
-    want, want_grads = loss_and_grads(model, lambda: T.mean(terms()))
+    want, want_grads = loss_and_grads(model, lambda: ref_mean(terms()))
     _set_freeze(model, False)
     assert abs(got - want) <= 1e-12
     for k, g in got_grads.items():  # None for a projector the task skips
@@ -369,6 +377,17 @@ def test_untrained_probe_similarity_is_near_zero(corpora):
                                   corpora["probe"]).similarity
             for s in range(3)]
     assert max(abs(s) for s in sims) <= 0.1
+
+
+def test_stage_III_leaves_the_shared_embedding_without_a_gradient(corpora):
+    # the unfrozen stage trains the backbone but not its input embedding
+    # (left out of the optimizer), so no step may compute that gradient:
+    # fit never zeroes it, and it would add up over the stage
+    model = small_model()
+    emb = model.backbone.emb.table
+    run_stage(model, short("III"), corpora["III"], enforce_order=False)
+    assert emb.grad is None
+    assert emb.requires_grad  # unfrozen on exit, for pretraining
 
 
 def test_probe_leaves_the_tape_empty(corpora):

@@ -23,11 +23,12 @@ from unitforge.checkpoint import save_checkpoint
 from unitforge.cli import EXIT_INVALID_SPEC, main
 from unitforge.ctc import UnitSequence
 from unitforge.data import (AlignmentSpec, CorpusSpec, decode_f32,
-                            gen_speech_text_corpus, gen_supervised_corpus,
-                            write_jsonl)
+                            gen_preference_corpus, gen_speech_text_corpus,
+                            gen_supervised_corpus, write_jsonl)
 from unitforge.decoder import (AR_BOS, SpeechDecoder, SpeechDecoderConfig,
                                batch_loss)
 from unitforge.errors import DataError, ShapeError
+from unitforge.preference import _dpo_loss, pairs_from_records
 from unitforge.tensor import Tensor
 
 ATTENTION_TOL = 1e-12
@@ -459,13 +460,17 @@ def test_expert_mix_matches_the_loop_over_experts_at_model_shapes(experts, t,
 @given(n=st.integers(1, 10), seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=40, deadline=None)
 def test_mean_matches_add_chain_and_scale_bit_for_bit(n, seed):
+    # terms computed from x: the add chain runs over the elements of one
+    # term vector, each taken out as a scalar
     rng = np.random.default_rng(seed)
-    x0, ws = rng.normal(size=(3, 4)), [Tensor(rng.normal(size=(3, 4))) for _ in range(n)]
+    x0, w = rng.normal(size=n), Tensor(rng.normal(size=n))
     values = []
-    for mean in (T.mean, ref_mean):
+    for split in (False, True):
         x = leaf(x0)
         with T.fresh_tape():
-            loss = mean([T.tsum(T.mul(T.mul(x, w), x)) for w in ws])
+            terms = T.mul(T.mul(x, w), x)
+            loss = (ref_mean([T.gather_rows(terms, i) for i in range(n)]) if split
+                    else T.mean(terms))
             T.backward(loss)
         values.append((loss.data, x.grad))
     assert_close(values[0][0], values[1][0], 0)
@@ -481,8 +486,8 @@ def test_mean_of_a_vector_matches_mean_of_its_elements_bit_for_bit(n, seed):
     for split in (False, True):
         v = leaf(v0)
         with T.fresh_tape():
-            loss = T.mean([T.gather_rows(v, i) for i in range(n)] if split
-                          else v)
+            loss = (ref_mean([T.gather_rows(v, i) for i in range(n)]) if split
+                    else T.mean(v))
             T.backward(loss)
         values.append((loss.data, v.grad))
     assert_close(values[0][0], values[1][0], 0)
@@ -504,6 +509,17 @@ def decoder_step_loss(mode, batch=8):
                               [decode_f32(r["features"]) for r in records])
 
 
+def dpo_step_loss(batch=8):
+    # a DPO step at the DPO acceptance shapes: the policy's packed NAR
+    # forward over the pairs' contexts, with constant reference scores
+    spec = CorpusSpec(seed=7778, size=batch)
+    pairs = pairs_from_records(gen_preference_corpus(spec))
+    policy = SpeechDecoder(SpeechDecoderConfig(
+        mode="nar", layers=2, experts=2, model_dim=spec.feature_dim, heads=2,
+        vocab_nar=spec.vocab_nar, upsample=spec.upsample, max_context=32, seed=0))
+    return lambda: _dpo_loss(policy, pairs, [(0.0, 0.0)] * len(pairs), 0.1)
+
+
 def align_one_step_loss(batch=32):
     # stage I at the perfbench shapes: batch 32, seq_len 8-12, frozen backbone
     spec = AlignmentSpec(seed=3, n_speech_text=32, seq_len=(8, 12))
@@ -513,10 +529,13 @@ def align_one_step_loss(batch=32):
     return lambda: STAGE_LOSSES["I"](model, records)
 
 
-@pytest.mark.parametrize("case, budget", [("nar", 30), ("ar", 29), ("alignI", 15)],
-                         ids=["nar", "ar", "alignI"])
-def test_training_step_stays_within_its_node_budget(case, budget):
-    step_loss = align_one_step_loss() if case == "alignI" else decoder_step_loss(case)
+@pytest.mark.parametrize("build, budget",
+                         [(lambda: decoder_step_loss("nar"), 30),
+                          (lambda: decoder_step_loss("ar"), 29),
+                          (dpo_step_loss, 37), (align_one_step_loss, 15)],
+                         ids=["nar", "ar", "dpo", "alignI"])
+def test_training_step_stays_within_its_node_budget(build, budget):
+    step_loss = build()
     with T.fresh_tape() as tape:
         step_loss()
         assert len(tape) <= budget

@@ -249,7 +249,7 @@ def test_cross_entropy_is_one_tape_node():
     x = Tensor(np.zeros((4, 3)), requires_grad=True)
     with T.fresh_tape() as tape:
         nn.cross_entropy(x, [0, 3], [1, 2])
-        assert [n.kind for n in tape.nodes] == ["cross_entropy"]
+        assert [n.kind for n in tape] == ["cross_entropy"]
 
 
 @pytest.mark.parametrize("rows, targets", [

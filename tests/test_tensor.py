@@ -1,5 +1,6 @@
 """Autodiff core: primitive gradients, tape semantics, optimizer math."""
 
+import functools
 import math
 
 import numpy as np
@@ -22,6 +23,12 @@ def rand(rng, *shape):
     return Tensor(rng.normal(0.0, 1.0, shape))
 
 
+def ref_mean(terms):
+    """The add chain and scale whose float operations ``T.mean`` makes."""
+    terms = list(terms)
+    return T.scale(functools.reduce(T.add, terms), 1.0 / len(terms))
+
+
 def embed(table, ids):
     """``nn.Embedding`` over ``table``."""
     emb = nn.Embedding(np.random.default_rng(0), *table.shape)
@@ -41,7 +48,7 @@ UNARY_CASES = [
     ("layer_norm", lambda x: T.tsum(T.mul(T.layer_norm(x, GAIN, BIAS), x)), (3, 4)),
     ("softplus", lambda x: T.tsum(T.softplus(x)), (3, 4)),
     ("sum", T.tsum, (3, 4)),
-    ("mean", lambda x: T.tsum(T.mean([x, T.mul(x, x)])), (3, 4)),
+    ("mean", lambda x: T.mean(T.mul(x, x)), (5,)),
     ("gather_rows", lambda x: T.tsum(T.gather_rows(x, [0, 2, 2])), (3, 4)),
     ("cross_entropy", lambda x: nn.cross_entropy(x, [2, 0], [1, 3]), (3, 4)),
     ("embedding", lambda x: T.tsum(embed(x, [0, 1, 1, 2])), (3, 4)),
@@ -77,7 +84,7 @@ def test_binary_primitive_gradients(seed):
         (lambda x: T.tsum(T.mul(T.layer_norm(a, x, vec), other)), vec),
         (lambda x: T.tsum(T.mul(T.layer_norm(a, vec, x), other)), vec),
         (lambda x: T.tsum(T.concat_rows(x, other)), a),
-        (lambda x: T.mean([T.tsum(T.mul(x, x)), T.tsum(T.mul(x, other))]), a),
+        (lambda x: ref_mean([T.tsum(T.mul(x, x)), T.tsum(T.mul(x, other))]), a),
     ]
     qkv, out_w = rand(rng, 4, 12), rand(rng, 4, 4)
     experts = [rand(rng, 2, 4, 16), rand(rng, 2, 16), rand(rng, 2, 16, 4), rand(rng, 2, 4)]
@@ -169,6 +176,42 @@ def test_no_grad_suppresses_recording():
             y = T.mul(x, x)
         assert len(tape) == 0
         assert not y.requires_grad
+
+
+def test_fresh_tape_under_no_grad_yields_an_empty_tape_and_records_nothing():
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    with T.no_grad():
+        with T.fresh_tape() as tape:
+            y = T.mul(x, x)
+            assert not T.tracked(x)
+            T.reset_tape()
+        assert len(tape) == 0
+        assert not y.requires_grad and y.node_id is None
+
+
+def test_recording_resumes_after_no_grad_inside_fresh_tape():
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    with T.fresh_tape() as tape:
+        with T.no_grad():
+            T.mul(x, x)
+        y = T.mul(x, x)
+        assert [node.out for node in tape] == [y]
+        T.backward(T.tsum(y))
+    assert np.array_equal(x.grad, 2.0 * x.data)
+
+
+def test_tensor_left_from_a_cleared_tape_is_a_leaf():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    with T.fresh_tape() as tape:
+        stale = T.mul(x, x)  # node 0, then cleared
+        T.reset_tape()
+        other = T.scale(x, 3.0)  # node 0 now holds another tensor
+        loss = T.tsum(T.add(stale, other))
+        T.backward(loss)
+        assert len(tape) == 3 and stale.node_id == 0 and tape[0].out is other
+    # stale takes its gradient as a leaf; x gets only other's part
+    assert np.array_equal(stale.grad, np.ones(2))
+    assert np.array_equal(x.grad, np.full(2, 3.0))
 
 
 def test_forward_determinism():
@@ -374,7 +417,9 @@ def test_warmup_schedule():
 
 def test_mean_of_no_terms_rejected():
     with pytest.raises(ContractError):
-        T.mean([])
+        T.mean(Tensor(np.zeros(0)))
+    with pytest.raises(ShapeError):
+        T.mean(Tensor(np.ones((2, 1))))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -392,7 +437,7 @@ def test_fit_rejects_non_finite_loss_before_the_update(bad):
             before = w.data.copy()
     assert seen == [0, 1]
     assert np.array_equal(w.data, before)
-    assert len(T._ACTIVE_TAPE) == 0
+    assert len(T._ACTIVE_TAPE.get()) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +446,7 @@ def test_fit_rejects_non_finite_loss_before_the_update(bad):
 
 def _dict_backward(loss):
     """Reference: the id()-keyed dict walk the slot walk must match bit for bit."""
-    tape = T._ACTIVE_TAPE
+    tape = T._ACTIVE_TAPE.get()
     work, keep = {}, {}
 
     def seed(t, g):
@@ -413,12 +458,12 @@ def _dict_backward(loss):
             keep[key] = t
 
     seed(loss, np.ones_like(loss.data))
-    for node in reversed(tape.nodes[: loss.node_id + 1]):
+    for node in reversed(tape[: loss.node_id + 1]):
         g = work.get(id(node.out))
         if g is None:
             continue
         for inp, gi in node.backward_fn(g):
-            if isinstance(inp, Tensor) and (inp.requires_grad or inp._tape is tape):
+            if isinstance(inp, Tensor) and inp.requires_grad:
                 seed(inp, gi)
     for key, t in keep.items():
         if not t.requires_grad:
@@ -488,10 +533,10 @@ def _run_graph(seed, ops, backward_fn):
         total = pool[0]
         for p in pool[1:]:
             total = T.add(total, p)
-        loss = T.mean([T.tsum(total), *scalars])
+        loss = ref_mean([T.tsum(total), *scalars])
         backward_fn(loss)
         backward_fn(loss)
-        inner = [node.out for node in tape.nodes]
+        inner = [node.out for node in tape]
     return [*leaves, extra["vec"], extra["qkv"], extra["out"], extra["table"],
             *extra["experts"], stale, foreign], inner
 
@@ -546,7 +591,7 @@ def _alias_cases():
         ("attention_context_one_row", lambda x, w, o, c: T.attention(x, w, o, 1, False,
                                                                      context=c),
          (r(1, 3), r(3, 9), r(3, 3), r(1, 3))),
-        ("mean_terms", lambda *xs: T.mean(xs), (sq, r(3, 3))),
+        ("mean_terms", T.mean, (r(4),)),
         ("concat_rows", T.concat_rows, (sq, r(1, 3))),
         ("concat_rows_one", T.concat_rows, (sq,)),
         ("repeat_rows", lambda x: T.repeat_rows(x, 1), (sq,)),
@@ -561,7 +606,7 @@ def _alias_cases():
         ("softplus", T.softplus, (sq,)),
         ("relu", T.relu, (Tensor(np.abs(sq.data) + 1.0),)),
         ("sum", T.tsum, (sq,)),
-        ("mean", lambda x: T.mean([x]), (sq,)),
+        ("mean", T.mean, (r(1),)),
         ("sum_scalar", T.tsum, (Tensor(2.0),)),
         ("ctc_loss", lambda x: ctc_loss(T.log_softmax_last_dim(x), [1]), (sq,)),
     ]

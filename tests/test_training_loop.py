@@ -1,8 +1,11 @@
 """The trainers over ``tensor.fit``: bit-identical to their hand-written
-loops, stopped by a non-finite loss, and free of page faults once warm."""
+loops and beside generation in another thread, stopped by a non-finite
+loss, and free of page faults once warm."""
 
 import copy
 import platform
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -174,7 +177,61 @@ def test_trainer_matches_hand_written_loop_bit_for_bit(case):
     assert params.keys() == ref_params.keys()
     for name, p in params.items():
         assert np.array_equal(p.data, ref_params[name].data), name
-    assert len(T._ACTIVE_TAPE) == 0
+    assert len(T._ACTIVE_TAPE.get()) == 0
+
+
+def test_training_beside_no_grad_generation_in_other_threads_matches_sequential_runs():
+    # recording is context-local: two generating threads hold no_grad for
+    # the whole training run, and the trainer still records on its tape;
+    # three threads on a short switch interval interleave their ops
+    records = gen_supervised_corpus(CorpusSpec(seed=1, size=10))
+    generator = SpeechDecoder(decoder_config("ar"))
+    conds = [decode_f32(rec["features"]) for rec in records[:4]]
+
+    def train():
+        with T.fresh_tape():  # each concurrent trainer records on its own tape
+            decoder, curve = train_decoder(records, decoder_config("nar"),
+                                           TrainSchedule(steps=3, batch=3, seed=2))
+        return curve, {k: p.data.copy() for k, p in decoder.parameters().items()}
+
+    def generate():
+        return [generator.ar_generate(cond) for cond in conds]
+
+    want_curve, want_params = train()
+    want_units = generate()
+    got, started, trained = {}, threading.Barrier(3, timeout=60), threading.Event()
+
+    def training_thread():
+        started.wait()
+        try:
+            got["train"] = train()
+        finally:
+            trained.set()
+
+    def generating_thread(k):
+        with T.no_grad():
+            started.wait()
+            got[k] = generate()
+            trained.wait(timeout=60)
+
+    threads = [threading.Thread(target=training_thread),
+               *(threading.Thread(target=generating_thread, args=(k,)) for k in (0, 1))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got.keys() == {"train", 0, 1}
+    assert got[0] == got[1] == want_units
+    curve, params = got["train"]
+    assert curve == want_curve
+    for name, p in params.items():
+        assert np.array_equal(p, want_params[name]), name
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +246,7 @@ def test_ar_training_on_nan_features_stops_at_step_zero():
     with pytest.raises(DomainError, match="step 0"):
         train_decoder(records, decoder_config("ar"),
                       TrainSchedule(steps=2, batch=2))
-    assert len(T._ACTIVE_TAPE) == 0
+    assert len(T._ACTIVE_TAPE.get()) == 0
 
 
 # ---------------------------------------------------------------------------
