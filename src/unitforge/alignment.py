@@ -28,7 +28,7 @@ from . import tensor as T
 from .checkpoint import (assign_parameters, expect_keys, load_checkpoint,
                          save_checkpoint)
 from .data import (BACKBONE_POSITIONS, AlignmentSpec, AlignmentVocab,
-                   decode_f32)
+                   check_records, decode_f32)
 from .errors import ContractError, DataError, SequencingError
 from .tensor import Tensor
 
@@ -44,6 +44,7 @@ STAGE_TABLE = {
 }
 STAGES = tuple(STAGE_TABLE)
 ARCH_TYPES = {"d": int, "layers": int, "heads": int}  # OmniModel's shape keys
+EVAL_BATCH = 16  # records per forward of ``eval_stage_loss``
 
 
 @dataclass
@@ -247,45 +248,23 @@ STAGE_LOSSES = {s: functools.partial(stage_loss, stage=s) for s in STAGES}
 
 
 def check_fields(model: OmniModel, stage: str, records, extra=None):
-    """``DataError`` naming the first record that lacks a field ``stage``
-    reads, or holds it empty, or holds target or prompt tokens that are
-    not a list of ints in [0, vocabulary size), or holds features that are
-    not rows of its projector's input width or whose base64 ``data`` is
-    not as long as their ``shape`` says (read without decoding), or whose
-    feature, prompt and target rows do not fit the backbone's positions.
-    ``extra`` maps more feature fields to their projectors."""
-    spec = STAGE_TABLE[stage]
-    widths = {f: getattr(model, proj).proj.w.shape[0] for f, proj in
-              {spec.features: spec.projector, **(extra or {})}.items()}
-    tokens = [f for f in (spec.target, spec.prompt) if f]
-    need, top = tokens + list(widths), model.vocab.size
+    """``DataError`` naming the first record that does not hold what
+    ``stage`` reads (``data.check_records``): target and prompt tokens as
+    lists of ids in [0, vocabulary size), features as rows of its
+    projector's input width, together no more rows than the backbone's
+    positions. ``extra`` maps more feature fields to their projectors."""
+    spec, where = STAGE_TABLE[stage], f"stage {stage}"
+    check_records(records, where, rows={
+        f: getattr(model, proj).proj.w.shape[0] for f, proj in
+        {spec.features: spec.projector, **(extra or {})}.items()},
+        ids=dict.fromkeys(filter(None, (spec.target, spec.prompt)),
+                          (0, model.vocab.size)))
     for rec in records:
-        lacking = [f for f in need if not rec.get(f)]
-        if lacking:
-            raise DataError(f"stage {stage} record {rec.get('id')!r} lacks "
-                            f"{lacking}")
-        for f in tokens:
-            ids = rec[f]
-            if type(ids) is not list or not all(
-                    type(t) is int and 0 <= t < top for t in ids):
-                raise DataError(f"stage {stage} record {rec.get('id')!r}: {f} "
-                                f"must be a list of ints in [0, {top}), got "
-                                f"{ids!r}")
-        for f, width in widths.items():
-            feats = rec[f] if isinstance(rec[f], dict) else {}
-            # data: base64 of the float32s, 4 characters per 3 bytes
-            shape, data = feats.get("shape"), feats.get("data")
-            if (not isinstance(shape, list) or len(shape) != 2 or shape[0] < 1
-                    or shape[1] != width or not isinstance(data, str)
-                    or len(data) != 4 * -(-4 * shape[0] * width // 3)):
-                raise DataError(f"stage {stage} record {rec.get('id')!r}: "
-                                f"{f} of shape {shape} are not rows of "
-                                f"width {width} that their data hold")
-        rows = (rec[spec.features]["shape"][0] + len(rec[spec.target])
-                + (len(rec[spec.prompt]) if spec.prompt else 0))
-        if rows > BACKBONE_POSITIONS:
-            raise DataError(f"stage {stage} record {rec.get('id')!r}: {rows} "
-                            f"rows exceed the backbone's {BACKBONE_POSITIONS} "
+        n = (rec[spec.features]["shape"][0] + len(rec[spec.target])
+             + (len(rec[spec.prompt]) if spec.prompt else 0))
+        if n > BACKBONE_POSITIONS:
+            raise DataError(f"{where} record {rec.get('id')!r}: {n} rows "
+                            f"exceed the backbone's {BACKBONE_POSITIONS} "
                             f"positions")
 
 
@@ -349,11 +328,12 @@ def run_stage(model: OmniModel, schedule: StageSchedule, records,
     return metrics
 
 
-def eval_stage_loss(model: OmniModel, stage: str, records, batch=16) -> float:
-    """Mean stage loss over a fixed record set (no training)."""
+def eval_stage_loss(model: OmniModel, stage: str, records) -> float:
+    """Mean stage loss over a fixed record set (no training), in batches
+    of ``EVAL_BATCH``."""
     with _in_stage(model, stage, records) as loss_fn, T.no_grad():
-        return float(np.mean([loss_fn(model, records[i:i + batch]).item()
-                              for i in range(0, len(records), batch)]))
+        return float(np.mean([loss_fn(model, records[i:i + EVAL_BATCH]).item()
+                              for i in range(0, len(records), EVAL_BATCH)]))
 
 
 # ---------------------------------------------------------------------------

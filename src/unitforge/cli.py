@@ -45,7 +45,7 @@ from .data import (AlignmentSpec, CorpusSpec, corpus_manifest,
                    gen_supervised_corpus, read_jsonl, write_jsonl)
 from .ctc import brute_force_marginals
 from .decoder import (SpeechDecoder, SpeechDecoderConfig, TrainSchedule,
-                      evaluate_uer, feasible_contexts, read_context,
+                      evaluate_uer, feasible_contexts, read_contexts,
                       train_decoder)
 from .errors import (ConfigurationError, DataError, KindMismatchError,
                      SequencingError, UnitforgeError)
@@ -257,12 +257,12 @@ def load_corpus(path, expect_kinds=None) -> list:
     if not records:
         raise DataError(f"{path}: empty corpus")
     if expect_kinds is not None:
-        kinds = {rec.get("kind") for rec in records}
-        if not kinds <= set(expect_kinds):
-            raise KindMismatchError(
-                f"{path}: corpus kind {sorted(kinds)} incompatible, "
-                f"expected one of {sorted(expect_kinds)}"
-            )
+        other = [rec.get("kind") for rec in records  # any JSON value, or None
+                 if rec.get("kind") not in expect_kinds]
+        if other:
+            raise KindMismatchError(f"{path}: corpus kind {other[0]!r} "
+                                    f"incompatible, expected one of "
+                                    f"{sorted(expect_kinds)}")
     return records
 
 
@@ -521,9 +521,9 @@ def cmd_ablate(args, out) -> list:
         cell.validate()
     records = load_corpus(args.corpus, ("supervised_units",))
     fused = any(cell.tgm for cell, _ in cells)
-    for rec in records:  # every cell has the base config's width and vocabularies
-        read_context(rec, config,
-                     fields=("units", "text_a") if fused else ("units",))
+    # every cell has the base config's width and vocabularies
+    read_contexts(records, config,
+                  fields=("units", "text_a") if fused else ("units",))
     payloads = [(records, *cell) for cell in cells]
 
     if args.workers and args.workers > 1:
@@ -562,7 +562,7 @@ def cmd_decode(args, out) -> list:
     # fails the run with a typed error and no partial output
     if any(rec.get("id") is None for rec in records):
         raise DataError(f"{args.contexts}: context record without an id")
-    contexts = [read_context(rec, decoder.config, capped=True) for rec in records]
+    contexts = read_contexts(records, decoder.config, capped=True)
     results = []
     for rec, feats in zip(records, contexts):
         result = decoder.generate(feats)

@@ -15,6 +15,7 @@ each units field is synthesised with. Each generator validates its spec
 (``CorpusSpec.validate``, ``AlignmentSpec.validate``) and raises
 ``ConfigurationError`` before it draws anything. All generators are pure
 functions of (spec, seed): identical specs yield byte-identical JSONL.
+Every reader of a corpus checks its records with ``check_records``.
 """
 
 from __future__ import annotations
@@ -282,11 +283,44 @@ def encode_f32(arr: np.ndarray) -> dict:
 
 
 def decode_f32(obj: dict) -> np.ndarray:
-    """``DataError`` if ``data`` does not hold the float32s of ``shape``."""
-    raw = base64.b64decode(obj["data"])
+    """``DataError`` if ``data`` is not base64 of the float32s of ``shape``."""
+    try:
+        raw = base64.b64decode(obj["data"])
+    except ValueError as exc:  # binascii.Error, or a character beyond ASCII
+        raise DataError(f"feature data are not base64 ({exc})") from exc
     if len(raw) != 4 * math.prod(obj["shape"]):
         raise DataError(f"{len(raw)} bytes of float32s for shape {obj['shape']}")
     return np.frombuffer(raw, dtype="<f4").reshape(obj["shape"]).astype(np.float64)
+
+
+def check_records(records, where: str, ids={}, rows={}, present=()):
+    """``DataError`` naming ``where`` and the first record that lacks a
+    field of ``present``, ``ids`` or ``rows``, whose ``ids[f] = (lo, hi)``
+    field is not a non-empty list of ints in [lo, hi), or whose ``rows[f] =
+    width`` field is not a feature block (``encode_f32``): ``shape`` [n >= 1,
+    width] and base64 ``data`` of n rows, 4 characters per 3 bytes (not decoded)."""
+    need = (*present, *ids, *rows)
+    for rec in records:
+        for f in need:
+            if f not in rec:
+                raise DataError(f"{where} record {rec.get('id')!r} lacks {f!r}")
+        for f, (lo, hi) in ids.items():
+            v = rec[f]
+            if type(v) is not list or not v or not all(
+                    type(t) is int and lo <= t < hi for t in v):
+                raise DataError(f"{where} record {rec.get('id')!r}: {f} must "
+                                f"be a non-empty list of ints in [{lo}, {hi}), "
+                                f"got {v!r}")
+        for f, width in rows.items():
+            block = rec[f] if type(rec[f]) is dict else {}
+            shape, data = block.get("shape"), block.get("data")
+            n, w = shape if type(shape) is list and len(shape) == 2 else (0, 0)
+            if not (type(n) is int and n >= 1 and type(w) is int and w == width
+                    and type(data) is str
+                    and len(data) == 4 * -(-4 * n * w // 3)):
+                raise DataError(f"{where} record {rec.get('id')!r}: {f} of "
+                                f"shape {shape} are not rows of width {width} "
+                                f"that their data hold")
 
 
 def _records(kind, n, seed, fields) -> list:
@@ -516,8 +550,8 @@ def read_jsonl(path) -> list:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
-            if rec.get("schema") != 1:
-                raise DataError(f"{path}:{line_no}: unsupported schema")
+            if type(rec) is not dict or rec.get("schema") != 1:
+                raise DataError(f"{path}:{line_no}: not a schema-1 object")
             records.append(rec)
     return records
 

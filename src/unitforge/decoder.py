@@ -25,12 +25,14 @@ from . import tensor as T
 from .checkpoint import (assign_parameters, expect_keys, load_checkpoint,
                          save_checkpoint)
 from .ctc import UnitSequence, ctc_losses, greedy_decode, min_frames
-from .data import UnitTextVocab, at_least, decode_f32, unit_error_rate
+from .data import (UnitTextVocab, at_least, check_records, decode_f32,
+                   unit_error_rate)
 from .errors import (ConfigurationError, ContractError, DataError,
                      GenerationCapError)
 from .tensor import Tensor
 
 AR_BOS = 0  # blank id never appears in unit sequences, reuse as AR start
+UNIT_FIELDS = ("units", "units_w", "units_l")  # record fields of emitted ids
 
 
 @dataclass
@@ -298,50 +300,51 @@ def batch_loss(decoder: SpeechDecoder, records, conds) -> Tensor:
     return decoder.loss(conds, [rec["units"] for rec in records], texts)
 
 
-def read_context(record: dict, config: SpeechDecoderConfig, capped=False,
-                 fields=()):
-    """``record["features"]`` as a ``[T_c, model_dim]`` context, ``T_c >= 1``
-    and, if ``capped``, ``<= max_context`` (else ``feasible`` decides), or a
-    ``DataError`` that names the record. Each of ``fields``, the other
-    fields the command reads, must be present; a unit field (``units``,
-    ``units_w``, ``units_l``) must be a non-empty list of ids the decoder
-    emits, in [1, ``vocab_nar``) (NAR) or [1, ``eos_id``) (AR), and
-    ``text_a`` such a list of ids in [0, ``text_vocab``)."""
-    name, cap = record.get("id"), config.max_context if capped else np.inf
+def read_contexts(records, config: SpeechDecoderConfig, capped=False,
+                  fields=()) -> list:
+    """Each record's ``features`` as a ``[T_c, model_dim]`` context, or a
+    ``DataError`` naming the first record that does not fit
+    (``data.check_records``). ``fields``, the others the command reads,
+    must be present, ``UNIT_FIELDS`` as lists of ids in [1, ``vocab_nar``)
+    (NAR) or [1, ``eos_id``) (AR), ``text_a`` as one in [0, ``text_vocab``).
+    If ``capped``, each context must fit ``max_context`` and emit its unit
+    fields (``can_emit``); else ``feasible`` decides."""
     top = config.vocab_nar if config.mode == "nar" else config.vocab_ar - 1
-    for key in fields:
-        if key not in record:
-            raise DataError(f"record {name!r} lacks {key!r}")
-        ids = record[key]
-        lo, hi = (0, config.text_vocab) if key == "text_a" else (1, top)
-        if key in ("units", "units_w", "units_l", "text_a") and not (
-                type(ids) is list and ids
-                and all(type(t) is int and lo <= t < hi for t in ids)):
-            raise DataError(f"record {name!r}: {key} must be a non-empty "
-                            f"list of ints in [{lo}, {hi}), got {ids!r}")
-    try:
-        cond = decode_f32(record["features"])
-    except (KeyError, TypeError, ValueError, DataError) as exc:
-        raise DataError(f"record {name!r}: unreadable features "
-                        f"({exc!r})") from exc
-    if cond.ndim != 2 or cond.shape[1] != config.model_dim \
-            or not 1 <= len(cond) <= cap:
-        raise DataError(f"record {name!r}: context shape {cond.shape} does "
-                        f"not fit the decoder (1 to {cap} rows of width "
-                        f"{config.model_dim})")
-    return cond
+    spans = {"text_a": (0, config.text_vocab),
+             **dict.fromkeys(UNIT_FIELDS, (1, top))}
+    check_records(records, "decoder", rows={"features": config.model_dim},
+                  ids={f: spans[f] for f in fields if f in spans},
+                  present=[f for f in fields if f not in spans])
+    units, contexts = [f for f in fields if f in UNIT_FIELDS], []
+    for rec in records:
+        t_c = rec["features"]["shape"][0]
+        if capped and (t_c > config.max_context or not all(
+                can_emit(config, rec[f], t_c) for f in units)):
+            raise DataError(f"decoder record {rec.get('id')!r}: a {t_c}-row "
+                            f"context does not fit max_context "
+                            f"{config.max_context} or cannot emit its units")
+        try:
+            contexts.append(decode_f32(rec["features"]))
+        except DataError as exc:
+            raise DataError(f"decoder record {rec.get('id')!r}: unreadable "
+                            f"features ({exc})") from exc
+    return contexts
 
 
-def feasible(decoder: SpeechDecoder, record: dict, t_c: int) -> bool:
-    """Whether a ``t_c``-row context fits the decoder and its units can be
-    emitted from it: at most ``max_context`` rows, then enough CTC frames
-    (NAR) or fewer units than ``max_units`` (AR)."""
-    config = decoder.config
+def can_emit(config: SpeechDecoderConfig, units, t_c: int) -> bool:
+    """Whether ``units`` can be emitted from a ``t_c``-row context: at most
+    ``max_context`` rows, then enough CTC frames (NAR) or fewer units than
+    ``max_units`` (AR)."""
     if t_c > config.max_context:
         return False
     if config.mode != "nar":
-        return len(record["units"]) < config.max_units
-    return config.upsample * t_c >= min_frames(tuple(record["units"]))
+        return len(units) < config.max_units
+    return config.upsample * t_c >= min_frames(tuple(units))
+
+
+def feasible(decoder: SpeechDecoder, record: dict, t_c: int) -> bool:
+    """``can_emit`` of the decoder's config and ``record["units"]``."""
+    return can_emit(decoder.config, record["units"], t_c)
 
 
 def train_decoder(records, config: SpeechDecoderConfig,
@@ -352,16 +355,13 @@ def train_decoder(records, config: SpeechDecoderConfig,
     rng = np.random.default_rng(schedule.seed)
 
     fields = ("units", "text_a") if config.tgm else ("units",)
-    conds = [read_context(rec, config, fields=fields) for rec in records]
+    conds = read_contexts(records, config, fields=fields)
     usable = [i for i, rec in enumerate(records)
               if feasible(decoder, rec, conds[i].shape[0])]
     skipped = len(records) - len(usable)
-    if skipped > 0.01 * len(records):
-        raise DataError(
-            f"{skipped}/{len(records)} samples infeasible for this decoder config"
-        )
-    if not usable:
-        raise DataError("no feasible training samples")
+    if not usable or skipped > 0.01 * len(records):
+        raise DataError(f"{skipped}/{len(records)} samples infeasible for "
+                        f"this decoder config")
 
     def loss_fn(step):
         idx = rng.choice(usable, size=min(schedule.batch, len(usable)),
@@ -377,14 +377,12 @@ def train_decoder(records, config: SpeechDecoderConfig,
 
 def feasible_contexts(records, *decoders, fields=("units",)) -> list:
     """``(record, context)`` for each record, in order, that every decoder
-    can generate from (``read_context`` with the ``fields`` the caller
+    can generate from (``read_contexts`` with the ``fields`` the caller
     reads, then ``feasible``); ``DataError`` if there is none, so that no
     report is computed over an empty set."""
-    out = []
-    for rec in records:
-        conds = [read_context(rec, d.config, fields=fields) for d in decoders]
-        if all(feasible(d, rec, c.shape[0]) for d, c in zip(decoders, conds)):
-            out.append((rec, conds[0]))
+    conds = [read_contexts(records, d.config, fields=fields) for d in decoders]
+    out = [(rec, cs[0]) for rec, *cs in zip(records, *conds)
+           if all(feasible(d, rec, c.shape[0]) for d, c in zip(decoders, cs))]
     if not out:
         raise DataError(f"none of the {len(records)} records fits: each "
                         f"context is longer than max_context or cannot emit "

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .ctc import UnitSequence, ctc_losses, min_frames
-from .data import decode_f32
-from .decoder import SpeechDecoder, read_context
+from .ctc import UnitSequence, ctc_losses
+from .data import check_records, decode_f32
+from .decoder import SpeechDecoder, read_contexts
 from .errors import ContractError, DataError, KindMismatchError
 from .tensor import Tensor
 
@@ -52,40 +52,25 @@ class DpoConfig:
 
 def pairs_from_records(records, config=None) -> list:
     """One pair per record. With a decoder ``config``, the decoder must be
-    NAR (else ``KindMismatchError``), each context must fit it and its
-    ``max_context``, and each unit list hold ids it emits
-    (``read_context``) and fit the context's CTC frames. A record without
-    ``units_w``, ``units_l`` or ``emotion``, or whose winner is its loser,
-    is a ``DataError`` that names it."""
+    NAR (else ``KindMismatchError``), and each context must fit it and its
+    ``max_context`` and emit both unit lists (``read_contexts``, capped). A
+    record without ``features``, ``units_w``, ``units_l`` or ``emotion``,
+    or whose winner is its loser, is a ``DataError`` that names it."""
     if config is not None and config.mode != "nar":
         raise KindMismatchError("preference pairs are scored by a NAR decoder")
+    fields = ("units_w", "units_l", "emotion")
+    if config is None:
+        check_records(records, "preference", present=("features", *fields))
+        contexts = [decode_f32(rec["features"]) for rec in records]
+    else:
+        contexts = read_contexts(records, config, capped=True, fields=fields)
     for rec in records:
-        lacking = [f for f in ("units_w", "units_l", "emotion") if f not in rec]
-        if lacking:
-            raise DataError(f"preference record {rec.get('id')!r} lacks {lacking}")
         if rec["units_w"] == rec["units_l"]:
             raise DataError(f"preference record {rec.get('id')!r}: its winner "
                             f"units are its loser units")
-    pairs = [
-        PreferencePair(
-            context_features=decode_f32(rec["features"]) if config is None
-            else read_context(rec, config, capped=True,
-                              fields=("units_w", "units_l")),
-            y_w=UnitSequence(rec["units_w"]),
-            y_l=UnitSequence(rec["units_l"]),
-            emotion=rec["emotion"],
-            lang=rec.get("lang", "a"),
-        )
-        for rec in records
-    ]
-    if config is not None:
-        for rec, pair in zip(records, pairs):
-            need = max(min_frames(pair.y_w.units), min_frames(pair.y_l.units))
-            if config.upsample * len(pair.context_features) < need:
-                raise DataError(f"preference record {rec.get('id')!r}: its "
-                                f"units need more CTC frames than its context "
-                                f"gives")
-    return pairs
+    return [PreferencePair(context, rec["units_w"], rec["units_l"],
+                           rec["emotion"], rec.get("lang", "a"))
+            for rec, context in zip(records, contexts)]
 
 
 def _log_likelihoods(model: SpeechDecoder, pairs) -> Tensor:

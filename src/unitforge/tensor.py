@@ -856,7 +856,8 @@ def fit(params: dict, loss_fn, steps: int, lr: float, warmup_ratio: float = 0.3,
     Each step clears the tape, builds ``loss_fn(step)``, backpropagates
     and updates, then yields ``(step, loss, lr)`` with the loss as a
     float, so the caller can log after the update. A non-finite loss
-    raises ``DomainError`` before it reaches the parameters.
+    raises ``DomainError`` before it reaches the parameters. However the
+    loop ends, it leaves no gradient on a parameter.
     """
     opt = AdamW(params, lr=lr, weight_decay=weight_decay)
     try:
@@ -872,4 +873,5 @@ def fit(params: dict, loss_fn, steps: int, lr: float, warmup_ratio: float = 0.3,
             opt.step(lr=step_lr)
             yield step, value, step_lr
     finally:
+        opt.zero_grad()
         reset_tape()

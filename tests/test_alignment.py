@@ -277,6 +277,30 @@ def test_features_of_another_width_are_rejected_before_the_first_step(
         assert np.array_equal(v.data, snap[k]), k
 
 
+@pytest.mark.parametrize("stage, field", [("I", "features"), ("II", "features"),
+                                          ("III", "image"), ("probe", "q_speech")])
+@pytest.mark.parametrize("entry", [0, 1])
+@pytest.mark.parametrize("kind", [str, float, lambda n: None, lambda n: [n]],
+                         ids=["str", "float", "null", "list"])
+def test_feature_shape_entry_that_is_not_an_int_is_rejected_before_the_first_step(
+        corpora, stage, field, entry, kind):
+    # a string, float, null or list in place of a row count or width is a
+    # DataError naming the record, never a TypeError from a comparison or
+    # a reshape
+    model = small_model()
+    records = [dict(rec) for rec in corpora[stage]]
+    block = records[-1][field] = dict(records[-1][field])
+    block["shape"] = list(block["shape"])
+    block["shape"][entry] = kind(block["shape"][entry])
+    name = repr(records[-1]["id"])
+    with pytest.raises(DataError, match=f"record {name}: {field} of shape"):
+        if stage == "probe":
+            quasi_zero_shot_probe(model, records)
+        else:
+            run_stage(model, short(stage), records, enforce_order=False)
+    assert stage not in model.completed_stages
+
+
 def test_frozen_stages_leave_backbone_bit_identical(corpora):
     model = small_model()
     run_stage(model, short("I"), corpora["I"])

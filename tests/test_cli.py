@@ -825,6 +825,13 @@ def unfit(workdir, align_dir, tmp_path_factory):
          lambda rec: features(rec, 49, 24))
     copy("image-text-shape-not-data", align_dir / "image-text.jsonl",
          lambda rec: rec["features"].update(shape=[4, 24]))
+    copy("speech-text-not-base64", align_dir / "speech-text.jsonl",
+         lambda rec: rec["features"].update(
+             data="\u00e9" + rec["features"]["data"][1:]), every=True)
+    for kind, field in (("speech-text", "features"), ("image-text", "features"),
+                        ("instruct", "image")):
+        copy(f"{kind}-string-rows", align_dir / f"{kind}.jsonl",
+             lambda rec, field=field: rec[field]["shape"].__setitem__(0, "3"))
     copy("pref-no-units_w", pref, lambda rec: rec.pop("units_w"))
     copy("pref-tie", pref, lambda rec: rec.update(units_l=rec["units_w"]))
     # a probe corpus: instruct records with spoken twins of the questions
@@ -904,6 +911,18 @@ UNFIT = {  # case -> argv; a <name> is a path of the ``unfit`` fixture
     "train-align-2-shape-not-data": ["train", "align-2", "--corpus",
                                      "<image-text-shape-not-data>", "--init",
                                      "<s1>", "--config", "<steps.cfg>"],
+    "train-align-1-string-rows": ["train", "align-1", "--corpus",
+                                  "<speech-text-string-rows>", "--config",
+                                  "<s1.cfg>"],
+    "train-align-2-string-rows": ["train", "align-2", "--corpus",
+                                  "<image-text-string-rows>", "--init", "<s1>",
+                                  "--config", "<steps.cfg>"],
+    "train-align-3-string-rows": ["train", "align-3", "--corpus",
+                                  "<instruct-string-rows>", "--init", "<s2>",
+                                  "--config", "<steps.cfg>"],
+    "train-align-1-not-base64": ["train", "align-1", "--corpus",
+                                 "<speech-text-not-base64>", "--config",
+                                 "<s1.cfg>"],
     "no-units_w-train-dpo": ["train", "dpo", "--corpus", "<pref-no-units_w>",
                              "--init", "<nar>", "--config", "<steps.cfg>"],
     "no-units_w-eval-pref-acc": ["eval", "pref-acc", "--checkpoint", "<nar>",
@@ -917,12 +936,13 @@ UNFIT = {  # case -> argv; a <name> is a path of the ``unfit`` fixture
 
 @pytest.mark.parametrize("case", UNFIT)
 def test_record_that_cannot_feed_its_command_exits_3(unfit, tmp_path, case):
-    # the last record (every one for over-cap) lacks a field its command
+    # the last record (every one for over-cap and not-base64, which is
+    # found when a record is decoded) lacks a field its command
     # reads, or holds a 32-wide context for a 64-wide decoder, a 13-row
     # context for a decoder capped at 12, 5-wide image features for a
     # 24-wide projector, 49 feature rows for a 48-position backbone, a
-    # shape of 4 rows over data of 3, or a preference pair whose winner
-    # is its loser
+    # shape of 4 rows over data of 3 or of "3" rows, data that are not
+    # base64, or a preference pair whose winner is its loser
     argv = [str(unfit[a[1:-1]]) if a.startswith("<") else a
             for a in UNFIT[case]]
     out = tmp_path / "out"
@@ -1181,6 +1201,62 @@ def test_one_malformed_field_of_one_record_exits_0_or_3(unfit, command,
     with tempfile.TemporaryDirectory() as tmp:
         code = run_reader(unfit, command, records, Path(tmp) / "out")
     assert code in (EXIT_OK, EXIT_INVALID_SPEC)
+
+
+FEATURE_VALUE = st.one_of(st.none(), JSON_VALUE,
+                          st.lists(st.one_of(st.none(), JSON_VALUE), max_size=3))
+
+
+@FUZZ
+@given(command=st.sampled_from(sorted(READERS)), data=st.data())
+def test_one_malformed_feature_block_or_line_exits_0_or_3(unfit, command, data):
+    # one record's feature block gets another shape, shape entry or data,
+    # or the whole line becomes a JSON value that is not an object
+    records = reader_corpus(unfit, command)
+    i = data.draw(st.integers(0, len(records) - 1))
+    edit = data.draw(st.sampled_from(["shape", "shape[0]", "shape[1]", "data",
+                                      "line"]))
+    value = data.draw(FEATURE_VALUE)
+    if edit == "line":
+        records[i] = value
+    else:
+        block = records[i][data.draw(st.sampled_from(sorted(
+            f for f, v in records[i].items() if isinstance(v, dict))))]
+        if edit.startswith("shape["):
+            block["shape"][int(edit[-2])] = value
+        else:
+            block[edit] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        code = run_reader(unfit, command, records, Path(tmp) / "out")
+    assert code in (EXIT_OK, EXIT_INVALID_SPEC)
+
+
+@pytest.mark.parametrize("command", sorted(READERS))
+def test_corpus_line_that_is_not_an_object_exits_3(unfit, tmp_path, command):
+    records = reader_corpus(unfit, command)
+    records[1] = [1, 2]
+    out = tmp_path / "out"
+    assert run_reader(unfit, command, records, out) == EXIT_INVALID_SPEC
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["train-decoder-nar", "eval-pref-acc",
+                                     "train-align-2"])
+@pytest.mark.parametrize("kind", [DROP, None, 5, ["supervised_units"],
+                                  {"a": 1}],
+                         ids=lambda v: "dropped" if v is DROP else repr(v))
+def test_record_of_no_or_another_kind_of_kind_exits_5(unfit, tmp_path, command,
+                                                     kind):
+    # a kind that is missing, null, a number, a list or an object is a
+    # corpus of another kind, like any unexpected string
+    records = reader_corpus(unfit, command)
+    if kind is DROP:
+        del records[-1]["kind"]
+    else:
+        records[-1]["kind"] = kind
+    out = tmp_path / "out"
+    assert run_reader(unfit, command, records, out) == EXIT_KIND_MISMATCH
+    assert not any(out.iterdir())
 
 
 DIMENSION = st.integers(-3, 64)  # no example allocates a large array

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from unitforge.cli import GENERATORS, UNIT_KINDS
 from unitforge.data import (CONTENT_BASE, EMOTIONS, LANGS, NEUTRAL, OTHER,
                             AlignmentSpec, CorpusSpec, UnitTextVocab,
-                            corpus_manifest, decode_f32, emotion_oracle_classify,
+                            check_records, corpus_manifest, decode_f32, emotion_oracle_classify,
                             emotion_oracle_classify_detailed, encode_f32,
                             gen_emotion_eval_corpus, gen_image_text_corpus,
                             gen_instruct_corpus, gen_preference_corpus,
@@ -228,6 +228,14 @@ def test_feature_data_that_do_not_fill_their_shape_rejected(shape):
         decode_f32(field)
 
 
+@pytest.mark.parametrize("char", ["\u00e9", "!", "="])
+def test_feature_data_that_are_not_base64_rejected(char):
+    # as long as the shape's base64, but not base64
+    field = encode_f32(np.zeros((5, 7)))
+    with pytest.raises(DataError):
+        decode_f32(dict(field, data=char + field["data"][1:]))
+
+
 def test_supervised_corpus_shape():
     spec = CorpusSpec(seed=11, size=32)
     records = gen_supervised_corpus(spec)
@@ -331,6 +339,93 @@ def test_jsonl_schema_guard(tmp_path):
     path.write_text("not json\n")
     with pytest.raises(DataError):
         read_jsonl(path)
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", "5", '"x"', "null", "true"])
+def test_jsonl_line_that_is_not_an_object_rejected(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"schema": 1, "id": 0}\n' + line + "\n")
+    with pytest.raises(DataError, match=f"{path}:2: not a schema-1 object"):
+        read_jsonl(path)
+
+
+# ---------------------------------------------------------------------------
+# the record check
+
+
+def block(rows, width):
+    return encode_f32(np.zeros((rows, width)))
+
+
+GOOD = {"id": 7, "tokens": [0, 3], "features": block(2, 5), "lang": "a"}
+RULES = dict(ids={"tokens": (0, 4)}, rows={"features": 5}, present=("lang",))
+
+
+def test_check_records_accepts_a_record_that_holds_what_it_is_asked():
+    check_records([GOOD], "test", **RULES)
+    check_records([dict(GOOD, features=block(1, 5), tokens=[3])], "test",
+                  **RULES)
+    check_records([{}], "test")  # nothing asked
+
+
+@pytest.mark.parametrize("field", ["tokens", "features", "lang"])
+def test_check_records_names_a_field_the_record_lacks(field):
+    rec = {k: v for k, v in GOOD.items() if k != field}
+    with pytest.raises(DataError, match=f"test record 7 lacks '{field}'"):
+        check_records([rec], "test", **RULES)
+
+
+def test_check_records_names_the_first_record_that_breaks_a_rule():
+    records = [GOOD, dict(GOOD, id=8, tokens=[9]), dict(GOOD, id=9, tokens=[])]
+    with pytest.raises(DataError, match="test record 8: tokens"):
+        check_records(records, "test", **RULES)
+
+
+@pytest.mark.parametrize("tokens", [[], [4], [-1], [1.0], [True], ["1"], 3,
+                                    "ab", None, {"0": 1}])
+def test_check_records_refuses_ids_that_are_not_a_list_of_ints_in_range(tokens):
+    with pytest.raises(DataError, match=r"test record 7: tokens must be a "
+                                        r"non-empty list of ints in \[0, 4\)"):
+        check_records([dict(GOOD, tokens=tokens)], "test", **RULES)
+
+
+@pytest.mark.parametrize("edit", [
+    {"shape": None}, {"shape": "ab"}, {"shape": 2.0}, {"shape": [2]},
+    {"shape": [2, 5, 1]}, {"shape": ["2", 5]}, {"shape": [None, 5]},
+    {"shape": [2.0, 5]}, {"shape": [True, 5]}, {"shape": [2, "5"]},
+    {"shape": [2, None]}, {"shape": [2, 5.0]}, {"shape": [0, 5]},
+    {"shape": [-2, -5]}, {"shape": [2, 4]}, {"shape": [3, 5]},
+    {"data": None}, {"data": 5}, {"data": 1.5}, {"data": ["x"]},
+    {"data": ""}, {"data": "abcd"},
+], ids=repr)
+def test_check_records_refuses_a_feature_block_that_is_not_its_rows(edit):
+    # a shape or shape entry of another type, width or row count, or data
+    # of another type or length; no edit reaches a decode or a TypeError
+    rec = dict(GOOD, features={**GOOD["features"], **edit})
+    with pytest.raises(DataError, match="test record 7: features of shape"):
+        check_records([rec], "test", **RULES)
+
+
+@pytest.mark.parametrize("features", [None, 5, "ab", [2, 5], {}])
+def test_check_records_refuses_a_feature_field_that_is_not_a_block(features):
+    with pytest.raises(DataError, match="features of shape None"):
+        check_records([dict(GOOD, features=features)], "test", **RULES)
+
+
+@given(rows=st.integers(1, 40), width=st.integers(1, 40))
+@settings(max_examples=40, deadline=None)
+def test_check_records_accepts_every_encoded_block_and_no_other_length(rows,
+                                                                     width):
+    # the base64 length rule matches encode_f32 and refuses a block one
+    # row short or long, without decoding
+    rec = {"features": block(rows, width)}
+    check_records([rec], "test", rows={"features": width})
+    for n in (rows - 1, rows + 1):
+        if n >= 1:
+            with pytest.raises(DataError):
+                check_records([{"features": dict(block(n, width),
+                                                 shape=[rows, width])}],
+                              "test", rows={"features": width})
 
 
 # ---------------------------------------------------------------------------

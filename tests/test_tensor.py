@@ -440,6 +440,25 @@ def test_fit_rejects_non_finite_loss_before_the_update(bad):
     assert len(T._ACTIVE_TAPE.get()) == 0
 
 
+def test_fit_leaves_no_gradient_however_it_ends():
+    w = Tensor(np.array([1.0]), requires_grad=True)
+
+    def loss_fn(step):
+        loss = T.tsum(T.mul(w, w))
+        return T.scale(loss, math.nan) if step == 2 else loss
+
+    for _ in T.fit({"w": w}, loss_fn, 2, 0.1):
+        assert w.grad is not None  # the caller may read the step's gradient
+    assert w.grad is None
+    for _ in T.fit({"w": w}, loss_fn, 2, 0.1):
+        break
+    assert w.grad is None
+    with pytest.raises(DomainError):
+        for _ in T.fit({"w": w}, loss_fn, 5, 0.1):
+            pass
+    assert w.grad is None
+
+
 # ---------------------------------------------------------------------------
 # backward bookkeeping and output ownership
 
